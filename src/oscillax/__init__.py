@@ -8,15 +8,12 @@ from .bessel import (AsymptoticCertificate, BesselOrder, bessel_j,
 from .cutoffs import (CutoffFamily, DyadicBump, LPWeight, chi, eta,
                       gamma_weight, make_cutoff, make_dyadic_bump, psi)
 from .norms import (InsufficientCoverage, MaximalField, SweepRecord, TimeGrid,
-                    averaged_modulated_ratio, compute_maximal_field,
-                    converged_maximal_field, exponent_fit,
-                    exponent_from_records, maximal_over_time,
-                    modulated_numerators, range_norm, ratio_record,
+                    compute_maximal_field, converged_maximal_field,
+                    exponent_fit, modulated_numerators, range_norm,
                     sharpness_profile, sobolev_norm)
-from .oscillatory import (EvalPoint, SymbolParams, dispersive_field,
-                          dispersive_field_2d_oracle, evaluate_at,
-                          gaussian_free_evolution, isometry_ratio,
-                          isometry_ratios, spatial_extent)
+from .oscillatory import (SymbolParams, dispersive_field,
+                          dispersive_field_2d_oracle, gaussian_free_evolution,
+                          isometry_ratio, isometry_ratios, spatial_extent)
 from .profiles import (Profile, annular, bandlimited, bump, family, gaussian,
                        sampled, shell)
 from .radial import (hankel_fourier, l2_norm_frequency, l2_norm_spatial,

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .bessel import bessel_j, bessel_main_term, certify_asymptotic
 from .cutoffs import make_cutoff
-from .norms import exponent_fit
 from .oscillatory import SymbolParams, dispersive_field
 from .profiles import family as make_family
 from .radial import hankel_fourier, nd_oracle
@@ -236,7 +235,8 @@ def _cmd_split_check(args, out_dir: Path) -> int:
     }
     _write_summary(out_dir / "split_check_summary.json", report)
     print(json.dumps(report, indent=2, sort_keys=True))
-    if args.strict and not (residual <= 1e-9 and max_ratio <= bound):
+    if args.strict and not (residual <= 1e-9 and max_split_dev <= 1e-9
+                            and max_ratio <= bound):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

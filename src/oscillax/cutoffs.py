@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 
-def _mollifier(u: np.ndarray) -> np.ndarray:
+def mollifier(u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
     ui = u[inside]
@@ -42,14 +42,13 @@ def _mollifier(u: np.ndarray) -> np.ndarray:
 def _mollifier_mass() -> float:
     # One fixed high-order rule; the integrand is smooth and flat at +-1.
     x, w = np.polynomial.legendre.leggauss(200)
-    return float(np.sum(w * _mollifier(x)))
+    return float(np.sum(w * mollifier(x)))
 
 
 def _smooth_step(x: np.ndarray) -> np.ndarray:
     """Integral of the unit-mass mollifier from -1 to x: 0 below -1, 1 above 1."""
     x = np.asarray(x, dtype=float)
-    out = np.clip((x + 1.0) * 0.5, 0.0, 1.0)  # placeholder shape
-    out = np.where(x <= -1.0, 0.0, np.where(x >= 1.0, 1.0, out))
+    out = np.where(x <= -1.0, 0.0, np.where(x >= 1.0, 1.0, np.nan))
     mid = (x > -1.0) & (x < 1.0)
     if np.any(mid):
         xm = x[mid]
@@ -57,7 +56,7 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
         # Map the 64 reference nodes onto each [-1, xm] individually.
         half = 0.5 * (xm + 1.0)
         u = -1.0 + half[None, :] * (nodes[:, None] + 1.0)
-        vals = np.sum(w[:, None] * _mollifier(u), axis=0) * half
+        vals = np.sum(w[:, None] * mollifier(u), axis=0) * half
         out[mid] = vals / _mollifier_mass()
     return out
 

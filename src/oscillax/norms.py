@@ -24,13 +24,13 @@ sign change locates the admissible-regularity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .bessel import bessel_kernel_reduced
-from .oscillatory import SymbolParams, dispersive_field, frequency_rule, spatial_extent
+from .oscillatory import SymbolParams, frequency_rule, spatial_extent
 from .profiles import Profile, annular, shell
 from .quadrature import oscillatory_rule
 from .radial import profile_rule, sphere_factor
@@ -160,15 +160,6 @@ def _radial_grid(r_max: float, osc_rate: float, cap: float, order: int):
     return oscillatory_rule(0.0, r_max, linear_rate=osc_rate,
                             panel_cap=cap, order=order,
                             forced=(1.0,) if r_max > 1.0 else ())
-
-
-def maximal_over_time(g: Profile, p: SymbolParams, r: float,
-                      grid: TimeGrid) -> tuple[float, float]:
-    """Exact maximum of |u(r, .)| over the discrete grid, with its argmax."""
-    vals = np.abs(dispersive_field(g, p, float(r), grid.points))
-    vals = np.atleast_1d(vals)
-    k = int(np.argmax(vals))
-    return float(vals[k]), float(grid.points[k])
 
 
 def compute_maximal_field(g: Profile, p: SymbolParams, t_grid: TimeGrid,
@@ -349,49 +340,23 @@ class SweepRecord:
         return self.A if self.A is not None else self.Q
 
 
-def ratio_record(family: str, N: float, p: SymbolParams,
-                 range_kind: str) -> SweepRecord:
-    """Q = range_norm / sobolev_norm for one cell, with converged grids."""
-    g = sharpness_profile(family, N, p.a)
-    fld = converged_maximal_field(g, p, local=(range_kind == "local"))
-    Q = range_norm(fld, p, range_kind) / sobolev_norm(g, p.n, p.s)
-    return SweepRecord(family=family, N=N, p=p, range_kind=range_kind, Q=Q,
-                       converged=fld.t_converged and fld.r_converged,
-                       t_level=fld.t_grid.level, r_points=fld.radii.size,
-                       r_max=fld.r_max, tail_fraction=fld.tail_fraction)
+def modulated_numerators(g: Profile, p: SymbolParams,
+                         y_grid) -> tuple[np.ndarray, list]:
+    """Squared local maximal norms of the modulated data e^{iy rho} g.
 
-
-def modulated_numerators(g: Profile, p: SymbolParams, y_grid) -> np.ndarray:
-    """Squared local maximal norms of the modulated data e^{iy rho} g."""
+    Returns the numerators together with the maximal field of each
+    modulation, whose convergence flags the caller aggregates.
+    """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if np.any(np.abs(y_arr) >= 1):
         raise ValueError("modulations must satisfy |y| < 1")
     out = np.empty(y_arr.size)
+    fields = []
     for i, y in enumerate(y_arr):
         fld = converged_maximal_field(g.modulate(float(y)), p, local=True)
         out[i] = range_norm(fld, p, "local") ** 2
-    return out
-
-
-def averaged_modulated_ratio(family: str, N: float, p: SymbolParams,
-                             y_grid) -> SweepRecord:
-    """Trapezoidal y-average of ||u_y||^2_{local max} / ||f||^2_{H^s}.
-
-    Only meaningful (and only accepted) for a < 1, where the modulated
-    average drives the sharpness mechanism.
-    """
-    if p.a >= 1:
-        raise ValueError("the modulated average probe requires a < 1")
-    g = sharpness_profile(family, N, p.a)
-    y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    nums = modulated_numerators(g, p, y_arr)
-    if y_arr.size == 1:
-        avg = float(nums[0])
-    else:
-        avg = float(np.trapezoid(nums, y_arr) / (y_arr[-1] - y_arr[0]))
-    A = avg / sobolev_norm(g, p.n, p.s) ** 2
-    return SweepRecord(family=family, N=N, p=p, range_kind="local", Q=math.sqrt(
-        max(nums[-1], 0.0)) / sobolev_norm(g, p.n, p.s), A=A)
+        fields.append(fld)
+    return out, fields
 
 
 def exponent_fit(scales, values) -> float:
@@ -403,8 +368,3 @@ def exponent_fit(scales, values) -> float:
     if x.size != y.size:
         raise ValueError("scales and values must align")
     return float(np.polyfit(x, y, 1)[0])
-
-
-def exponent_from_records(records) -> float:
-    recs = sorted(records, key=lambda r: r.N)
-    return exponent_fit([r.N for r in recs], [r.fit_value for r in recs])

@@ -53,18 +53,6 @@ class SymbolParams:
         return self.n / 2.0 - 1.0
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    r: float
-    t: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("radius must be nonnegative")
-        if not abs(self.t) < 1:
-            raise ValueError("time must satisfy |t| < 1")
-
-
 def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float,
                    tol: float = 1e-12, budget: float = 8.0):
     """rho-quadrature resolving both the kernel and time oscillations."""
@@ -112,10 +100,6 @@ def dispersive_field(g: Profile, p: SymbolParams, r, t, *, rho_rule=None):
     if np.ndim(t) == 0:
         return out[:, 0]
     return out
-
-
-def evaluate_at(g: Profile, p: SymbolParams, pt: EvalPoint) -> complex:
-    return dispersive_field(g, p, pt.r, pt.t)
 
 
 def dispersive_field_2d_oracle(g: Profile, p: SymbolParams, x, t: float) -> complex:

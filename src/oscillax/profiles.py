@@ -19,21 +19,13 @@ Named families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .cutoffs import chi, eta
-
-
-def _bump(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+from .cutoffs import chi, eta, mollifier
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +55,6 @@ class Profile:
             modulation_rate=self.modulation_rate + abs(y),
             complex_valued=True,
         )
-
-    def conjugate(self) -> "Profile":
-        base = self.fn
-        return replace(self, kind=f"conj({self.kind})",
-                       fn=lambda rho, _b=base: np.conjugate(_b(rho)))
 
     def scaled(self, alpha: complex) -> "Profile":
         base = self.fn
@@ -125,7 +112,7 @@ def bump(center: float = 0.0, width: float = 1.0) -> Profile:
         raise ValueError("need width > 0 and center >= 0")
     lo = max(0.0, center - width)
     return Profile(kind="bump", params={"center": center, "width": width},
-                   fn=lambda rho: _bump((rho - center) / width),
+                   fn=lambda rho: mollifier((rho - center) / width),
                    support=(lo, center + width), scale=width / 2.0)
 
 
@@ -144,7 +131,7 @@ def shell(N: float, width: float) -> Profile:
     if N <= 0 or width <= 0 or width > N:
         raise ValueError("need 0 < width <= N")
     return Profile(kind="shell", params={"N": N, "width": width},
-                   fn=lambda rho: _bump((rho - N) / width),
+                   fn=lambda rho: mollifier((rho - N) / width),
                    support=(N - width, N + width), scale=width / 2.0)
 
 
@@ -186,12 +173,6 @@ def bandlimited(seed: int, max_freq: float = 2.0, terms: int = 7) -> Profile:
 
     return Profile(kind="bandlimited", params={"seed": int(seed)},
                    fn=f, support=(0.0, max_freq), scale=max_freq / (2.0 * terms))
-
-
-# The same container serves both sides of the transform; the aliases name
-# the intended interpretation at call sites.
-RadialProfile = Profile
-FrequencyProfile = Profile
 
 
 _FAMILIES = {

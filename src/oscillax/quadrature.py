@@ -101,6 +101,3 @@ def oscillatory_rule(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
                               panel_cap, budget, forced)
     return panel_rule(edges, order)
 
-
-def trapezoid(y, x):
-    return np.trapezoid(y, x)

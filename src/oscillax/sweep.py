@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,23 +68,18 @@ def _cell_task(args):
     out = {"N": N}
     if cfg.modulated:
         y = cfg.y_grid()
-        nums = modulated_numerators(g, p, y)
+        nums, fields = modulated_numerators(g, p, y)
         out["y"] = y.tolist()
         out["numerators"] = nums.tolist()
-        out["converged"] = True
-        out["t_level"] = -1
-        out["tail_fraction"] = 0.0
     else:
         fld = converged_maximal_field(g, p, local=(cfg.range_kind == "local"))
         out["norm"] = range_norm(fld, p, cfg.range_kind)
-        out["converged"] = bool(fld.t_converged and fld.r_converged)
-        out["t_level"] = fld.t_grid.level
-        out["tail_fraction"] = fld.tail_fraction
+        fields = [fld]
+    # A cell is as converged as its worst field.
+    out["converged"] = all(f.t_converged and f.r_converged for f in fields)
+    out["t_level"] = max(f.t_grid.level for f in fields)
+    out["tail_fraction"] = max(f.tail_fraction for f in fields)
     return out
-
-
-def _pool_initializer():
-    pass
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 0):
@@ -99,7 +94,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
         os.environ["OMP_NUM_THREADS"] = "1"
         os.environ["MKL_NUM_THREADS"] = "1"
         ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=workers, initializer=_pool_initializer) as pool:
+        with ctx.Pool(processes=workers) as pool:
             results = pool.map(_cell_task, tasks)
     else:
         results = [_cell_task(t) for t in tasks]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oscillax import cli
 from oscillax.oscillatory import SymbolParams, gaussian_free_evolution
 
 
@@ -119,3 +120,19 @@ def test_missing_required_reports_usage(tmp_path):
                    "--a", "2", "--n", "2", "--r", "0"])
     assert res.returncode == 2
     assert "--t" in res.stderr
+
+
+def test_split_check_strict_flags_split_deviation(tmp_path, monkeypatch):
+    original = cli.apply_selector_radial
+
+    def perturbed(f, sel, p, part="full", cutoffs=None):
+        out = original(f, sel, p, part, cutoffs)
+        return out + 1e-6 if part == "main" else out
+
+    monkeypatch.setattr(cli, "apply_selector_radial", perturbed)
+    rc = cli.main(["split-check", "--out-dir", str(tmp_path), "--a", "0.5",
+                   "--n", "2", "--s", "0.2", "--pairs", "1", "--strict"])
+    assert rc == 3
+    summary = json.loads((tmp_path / "split_check_summary.json").read_text())
+    assert summary["bound_satisfied"] is True
+    assert summary["split_sum_deviation"] > 1e-9

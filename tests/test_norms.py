@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillax.norms import (MaximalField, TimeGrid, averaged_modulated_ratio,
-                            compute_maximal_field, converged_maximal_field,
-                            exponent_fit, maximal_over_time, range_norm,
+from oscillax.norms import (MaximalField, TimeGrid, compute_maximal_field,
+                            converged_maximal_field, exponent_fit,
+                            modulated_numerators, range_norm,
                             sharpness_profile, sobolev_norm)
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
-                                  gaussian_free_evolution)
+                                  frequency_rule, gaussian_free_evolution)
 from oscillax.profiles import annular, gaussian
 from oscillax.radial import l2_norm_frequency
+from oscillax.sweep import SweepConfig, run_sweep
 
 
 def test_time_grid_dyadic_contains_zero_and_nests():
@@ -38,10 +39,11 @@ def test_time_grid_validation():
 def test_maximal_on_singleton_grid_is_time_slice():
     p = SymbolParams(a=2.0, n=2)
     g = gaussian(1.0)
-    sup, arg = maximal_over_time(g, p, 0.8, TimeGrid.single(0.0))
-    f_val = abs(dispersive_field(g, p, 0.8, 0.0))
-    assert sup == pytest.approx(f_val, rel=1e-12)
-    assert arg == 0.0
+    fld = compute_maximal_field(g, p, TimeGrid.single(0.0), r_max=2.0)
+    rule = frequency_rule(g, p, r_max=2.0, t_max=0.0)
+    f_val = np.abs(dispersive_field(g, p, fld.radii, 0.0, rho_rule=rule))
+    assert fld.sup_values == pytest.approx(f_val, rel=1e-12)
+    assert np.all(fld.argmax_t == 0.0)
 
 
 def test_refinement_monotonicity_pointwise():
@@ -53,16 +55,18 @@ def test_refinement_monotonicity_pointwise():
 
 
 def test_gaussian_center_sup_matches_dense_scan():
-    # at r = 0 the closed form |u(0, t)| is maximized at the grid time
-    # closest to 0; cross-check the discrete sup against a dense scan
+    # for r < 1 the closed form |u(r, t)| is maximized at t = 0, which the
+    # dyadic grid contains; cross-check the discrete sup at the innermost
+    # radial node against a dense scan
     p = SymbolParams(a=2.0, n=2)
     g = gaussian(1.0)
-    grid = TimeGrid.dyadic(6)
-    sup, arg = maximal_over_time(g, p, 0.0, grid)
-    dense = np.abs(gaussian_free_evolution(1.0, p, 0.0, np.linspace(-0.9999, 0.9999, 10001)))
+    fld = compute_maximal_field(g, p, TimeGrid.dyadic(6), r_max=2.0)
+    r0, sup, arg = fld.radii[0], fld.sup_values[0], fld.argmax_t[0]
+    assert r0 < 1e-2
+    dense = np.abs(gaussian_free_evolution(1.0, p, r0, np.linspace(-0.9999, 0.9999, 10001)))
     assert arg == 0.0
     assert sup <= dense.max() * (1 + 1e-10)
-    assert sup == pytest.approx(abs(gaussian_free_evolution(1.0, p, 0.0, 0.0)), rel=1e-10)
+    assert sup == pytest.approx(abs(gaussian_free_evolution(1.0, p, r0, 0.0)), rel=1e-10)
 
 
 def test_range_norm_zero_field():
@@ -154,7 +158,10 @@ def test_exponent_fit_needs_four_points():
 def test_modulated_average_single_point_reduces_to_local_ratio():
     p = SymbolParams(a=0.5, n=2, s=0.1)
     N = 4.0
-    rec = averaged_modulated_ratio("shell", N, p, [0.0])
+    # y_count = 1 puts the single modulation at y = 0
+    cfg = SweepConfig(a=p.a, n=p.n, s_list=(p.s,), N_list=(N,),
+                      range_kind="local", modulated=True, y_count=1)
+    [rec], _ = run_sweep(cfg, workers=0)
     g = sharpness_profile("shell", N, p.a)
     fld = converged_maximal_field(g.modulate(0.0), p, local=True)
     q_local = range_norm(fld, p, "local") / sobolev_norm(g, 2, p.s)
@@ -163,16 +170,16 @@ def test_modulated_average_single_point_reduces_to_local_ratio():
 
 def test_modulated_average_symmetric_under_conjugation():
     # real profile: the modulated numerators are even in y
-    from oscillax.norms import modulated_numerators
     p = SymbolParams(a=0.5, n=2, s=0.1)
     g = sharpness_profile("shell", 4.0, p.a)
-    nums = modulated_numerators(g, p, [-0.35, 0.35])
+    nums, _ = modulated_numerators(g, p, [-0.35, 0.35])
     assert nums[0] == pytest.approx(nums[1], rel=1e-9)
 
 
 def test_modulated_average_rejects_large_a():
     with pytest.raises(ValueError):
-        averaged_modulated_ratio("shell", 4.0, SymbolParams(a=2.0, n=2, s=0.1), [0.0])
+        SweepConfig(a=2.0, n=2, s_list=(0.1,), N_list=(4.0,),
+                    range_kind="local", modulated=True, y_count=1)
 
 
 def test_ratio_bounded_far_above_threshold(a2_global_shell_sweep):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oscillax.oscillatory import (EvalPoint, SymbolParams, dispersive_field,
-                                  dispersive_field_2d_oracle, evaluate_at,
+from oscillax.oscillatory import (SymbolParams, dispersive_field,
+                                  dispersive_field_2d_oracle,
                                   gaussian_free_evolution, isometry_ratio,
                                   isometry_ratios)
 from oscillax.profiles import Profile, annular, bump, gaussian
@@ -20,10 +20,12 @@ def test_symbol_params_validation():
 
 
 def test_eval_point_validation():
+    g = gaussian(1.0)
+    p = SymbolParams(a=2.0, n=2)
     with pytest.raises(ValueError):
-        EvalPoint(r=-0.1, t=0.0)
+        dispersive_field(g, p, -0.1, 0.0)
     with pytest.raises(ValueError):
-        EvalPoint(r=1.0, t=1.0)
+        dispersive_field(g, p, 1.0, 1.0)
 
 
 def test_rejects_time_outside_unit_interval():
@@ -69,7 +71,7 @@ def test_free_evolution_closed_form(n):
 
 def test_single_point_wrapper():
     p = SymbolParams(a=2.0, n=2)
-    v = evaluate_at(gaussian(1.0), p, EvalPoint(r=0.7, t=0.3))
+    v = dispersive_field(gaussian(1.0), p, 0.7, 0.3)
     ref = gaussian_free_evolution(1.0, p, 0.7, 0.3)
     assert v == pytest.approx(complex(ref), abs=1e-12)
 
