@@ -13,7 +13,7 @@ from .norms import (InsufficientCoverage, MaximalField, SweepRecord, TimeGrid,
                     sharpness_profile, sobolev_norm)
 from .oscillatory import (SymbolParams, dispersive_field,
                           dispersive_field_2d_oracle, gaussian_free_evolution,
-                          isometry_ratio, isometry_ratios, spatial_extent)
+                          isometry_ratios, spatial_extent)
 from .profiles import (Profile, annular, bandlimited, bump, family, gaussian,
                        sampled, shell)
 from .radial import (hankel_fourier, l2_norm_frequency, l2_norm_spatial,

@@ -144,12 +144,15 @@ def bessel_kernel_reduced(order: BesselOrder | float, z) -> np.ndarray:
     radial reduction in the package is expressed, since
     r^(-lam) J_lam(r*rho) = rho^lam k_lam(r*rho) removes the r = 0 singularity.
     The value at 0 is used wherever z^2 < 1e-16, where the quotient
-    underflows and the next term of the series is below rounding.
+    underflows and the next term of the series is below rounding.  The
+    order -1/2 is exact: k_{-1/2}(z) = sqrt(2/pi) cos(z).
     """
     lam = _lam(order)
     z_arr, scalar = _validated(z)
     if lam == 0.0:
         out = special.j0(z_arr)
+    elif lam == -0.5:
+        out = _SQRT_2_OVER_PI * np.cos(z_arr)
     else:
         out = np.full_like(z_arr, 2.0 ** (-lam) / math.gamma(lam + 1.0))
         live = z_arr * z_arr >= 1e-16

@@ -10,7 +10,8 @@ its summary alone.
 Configuration can come from a plain key=value file (--config) with command
 line flags taking precedence.  OSCILLAX_WORKERS overrides the worker count.
 Exit codes: 0 success, 2 usage error, 3 flagged non-convergence under
---strict.
+--strict, 4 failed numerical certification (a global range norm whose
+radial truncation leaves too much of the norm in its tail).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from .bessel import bessel_j, bessel_main_term, certify_asymptotic
 from .cutoffs import make_cutoff
+from .norms import InsufficientCoverage
 from .oscillatory import SymbolParams, dispersive_field
 from .profiles import family as make_family
 from .radial import hankel_fourier, nd_oracle
@@ -39,6 +41,7 @@ from .profiles import annular
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
+EXIT_NOT_CERTIFIED = 4
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -180,6 +183,7 @@ def _cmd_sweep(args, out_dir: Path) -> int:
         "converged": all_converged,
         "cells": [{"family": r.family, "N": r.N, "s": r.p.s,
                    "converged": bool(r.converged), "t_level": r.t_level,
+                   "r_points": r.r_points, "r_max": r.r_max,
                    "tail_fraction": r.tail_fraction} for r in records],
     })
     if args.strict and not all_converged:
@@ -418,6 +422,9 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args, out_dir)
+    except InsufficientCoverage as exc:
+        print(f"oscillax: {exc}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     except (ValueError, OSError) as exc:
         print(f"oscillax: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,15 +29,15 @@ from typing import Optional
 
 import numpy as np
 
+# bessel_kernel_reduced, spatial_extent: unused; perfbench/spans.py traces them.
 from .bessel import bessel_kernel_reduced
-from .oscillatory import SymbolParams, frequency_rule, spatial_extent
+from .oscillatory import (SymbolParams, arrival_radius, frequency_rule,
+                          propagator, spatial_extent)
 from .profiles import Profile, annular, shell
 from .quadrature import oscillatory_rule
 from .radial import profile_rule, sphere_factor
 
 _MAX_LEVEL = 13          # 2^(L+1) - 1 <= 16383 grid times
-_KERNEL_BLOCK_BYTES = 2 ** 28
-_T_CHUNK = 384
 
 
 @dataclass(frozen=True)
@@ -108,45 +108,6 @@ class MaximalField:
         return self.sup_values ** 2 * self.radii ** (self.p.n - 1)
 
 
-class _FieldAccumulator:
-    """Streaming sup over time chunks, reusing the Bessel kernel blocks."""
-
-    def __init__(self, g: Profile, p: SymbolParams, r_nodes: np.ndarray,
-                 rho_rule):
-        self.p = p
-        self.r = r_nodes
-        rho, w = rho_rule
-        self.rho = rho
-        self.base = w * rho ** (p.n - 1) * g(rho)
-        self.power = rho ** p.a
-        block = max(1, int(_KERNEL_BLOCK_BYTES // (8 * rho.size)))
-        self.blocks = []
-        for i0 in range(0, r_nodes.size, block):
-            rb = r_nodes[i0:i0 + block]
-            self.blocks.append((i0, bessel_kernel_reduced(
-                p.lam, np.outer(rb, rho))))
-        self.sup = np.full(r_nodes.size, -1.0)
-        self.arg = np.zeros(r_nodes.size)
-        self.scale = (2.0 * math.pi) ** (-p.n / 2.0)
-
-    def add_times(self, t_points: np.ndarray):
-        t_points = np.asarray(t_points, dtype=float)
-        for j0 in range(0, t_points.size, _T_CHUNK):
-            tc = t_points[j0:j0 + _T_CHUNK]
-            m = self.base[:, None] * np.exp(1j * np.outer(self.power, tc))
-            m_re = np.ascontiguousarray(m.real)
-            m_im = np.ascontiguousarray(m.imag)
-            for i0, kern in self.blocks:
-                sl = slice(i0, i0 + kern.shape[0])
-                mag = np.abs(kern @ m_re + 1j * (kern @ m_im))
-                mag *= self.scale
-                col = np.argmax(mag, axis=1)
-                best = mag[np.arange(mag.shape[0]), col]
-                upd = best > self.sup[sl]
-                self.sup[sl][upd] = best[upd]
-                self.arg[sl][upd] = tc[col[upd]]
-
-
 def _range_norm_from(radii, weights, sup, n, local: bool) -> float:
     dens = sup ** 2 * radii ** (n - 1)
     if local:
@@ -177,7 +138,8 @@ def compute_maximal_field(g: Profile, p: SymbolParams, t_grid: TimeGrid,
         raise ValueError("maximal fields require n >= 2")
     hi = g.truncation_radius(p.n)
     if r_max is None:
-        r_max = _default_r_max(g, p, float(np.max(np.abs(t_grid.points))))
+        r_max = arrival_radius(g, p, float(np.max(np.abs(t_grid.points))),
+                               tol=3e-6, pad=6.0)
     cap = min(0.5 / g.scale, r_max / 8.0) / density
     if resolve_oscillation:
         nodes, weights = _radial_grid(r_max, 2.0 * hi, cap, 16)
@@ -185,11 +147,11 @@ def compute_maximal_field(g: Profile, p: SymbolParams, t_grid: TimeGrid,
         nodes, weights = _radial_grid(r_max, 0.0, cap, 8)
     rho_rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate,
                               t_max=float(np.max(np.abs(t_grid.points))))
-    acc = _FieldAccumulator(g, p, nodes, rho_rule)
-    acc.add_times(t_grid.points)
-    tail = _tail_fraction(nodes, weights, acc.sup, p.n, r_max)
-    return MaximalField(p=p, radii=nodes, weights=weights, sup_values=acc.sup,
-                        argmax_t=acc.arg, t_grid=t_grid, r_max=r_max,
+    layer = propagator(g, p, nodes, rho_rule)
+    layer.add_times(t_grid.points)
+    tail = _tail_fraction(nodes, weights, layer.sup, p.n, r_max)
+    return MaximalField(p=p, radii=nodes, weights=weights, sup_values=layer.sup,
+                        argmax_t=layer.arg, t_grid=t_grid, r_max=r_max,
                         tail_fraction=tail)
 
 
@@ -201,13 +163,6 @@ def _tail_fraction(radii, weights, sup, n, r_max) -> float:
     outer = radii >= 0.9 * r_max
     tail = float(np.sum(weights[outer] * dens[outer]))
     return math.sqrt(max(tail, 0.0) / total)
-
-
-def _default_r_max(g: Profile, p: SymbolParams, t_max: float) -> float:
-    hi = g.truncation_radius(p.n)
-    lo_eff = max(g.lower_support(), 0.05)
-    speed = p.a * t_max * max(hi ** (p.a - 1.0), lo_eff ** (p.a - 1.0))
-    return spatial_extent(g, p, tol=3e-6) + speed + 6.0 / g.scale
 
 
 def converged_maximal_field(g: Profile, p: SymbolParams, *,
@@ -228,7 +183,8 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     if local:
         r_max_eff = 1.0
     else:
-        r_max_eff = r_max if r_max is not None else _default_r_max(g, p, 1.0)
+        r_max_eff = (r_max if r_max is not None
+                     else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0))
 
     for _growth in range(4):
         field_obj = _converge_on_range(g, p, r_max_eff, local, t_level0,
@@ -245,32 +201,32 @@ def _converge_on_range(g, p, r_max, local, t_level0, rel_tol, max_level):
 
     def run(cap_now, order):
         nodes, weights = _radial_grid(r_max, 0.0, cap_now, order)
-        acc = _FieldAccumulator(g, p, nodes, rho_rule)
+        layer = propagator(g, p, nodes, rho_rule)
         grid = TimeGrid.dyadic(t_level0)
-        acc.add_times(grid.points)
-        history = [_range_norm_from(nodes, weights, acc.sup, p.n, local)]
+        layer.add_times(grid.points)
+        history = [_range_norm_from(nodes, weights, layer.sup, p.n, local)]
         converged = False
         while grid.level < max_level:
-            acc.add_times(grid.refinement_increment())
+            layer.add_times(grid.refinement_increment())
             grid = grid.refine()
-            history.append(_range_norm_from(nodes, weights, acc.sup, p.n, local))
+            history.append(_range_norm_from(nodes, weights, layer.sup, p.n, local))
             # Half the tolerance here: argmax switching corrugates the sup
             # field at coarse time levels, and the radial audit below needs
             # those scallops gone before it can isolate radial error.
             if abs(history[-1] - history[-2]) <= 0.5 * rel_tol * history[-1]:
                 converged = True
                 break
-        return nodes, weights, acc, grid, history, converged
+        return nodes, weights, layer, grid, history, converged
 
-    nodes, weights, acc, grid, history, t_ok = run(cap, 8)
+    nodes, weights, layer, grid, history, t_ok = run(cap, 8)
     norm_coarse = history[-1]
     # One radial-density doubling as an a-posteriori resolution audit.
-    nodes2, weights2, acc2, grid2, history2, t_ok2 = run(cap / 2.0, 8)
+    nodes2, weights2, layer2, grid2, history2, t_ok2 = run(cap / 2.0, 8)
     norm_fine = history2[-1]
     r_ok = abs(norm_fine - norm_coarse) <= rel_tol * max(norm_fine, 1e-300)
-    tail = 0.0 if local else _tail_fraction(nodes2, weights2, acc2.sup, p.n, r_max)
+    tail = 0.0 if local else _tail_fraction(nodes2, weights2, layer2.sup, p.n, r_max)
     return MaximalField(p=p, radii=nodes2, weights=weights2,
-                        sup_values=acc2.sup, argmax_t=acc2.arg, t_grid=grid2,
+                        sup_values=layer2.sup, argmax_t=layer2.arg, t_grid=grid2,
                         r_max=r_max, tail_fraction=tail,
                         t_converged=t_ok and t_ok2, r_converged=r_ok,
                         norm_history=tuple(history) + tuple(history2))

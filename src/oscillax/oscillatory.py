@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# bessel_kernel_reduced: unused; perfbench/spans.py traces it.
 from .bessel import bessel_kernel_reduced
 from .profiles import Profile
 from .quadrature import oscillatory_rule
-from .radial import l2_norm_frequency, profile_rule, sphere_factor
-
-_KERNEL_BYTES = 2 ** 28  # soft cap on the Bessel kernel block size
+from .radial import RadialKernel, l2_norm_frequency, profile_rule, sphere_factor
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,11 @@ def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float,
                         tol=tol, budget=budget)
 
 
-def _validate_rt(r_arr, t_arr):
-    if np.any(r_arr < 0):
-        raise ValueError("radii must be nonnegative")
-    if np.any(np.abs(t_arr) >= 1):
-        raise ValueError("times must satisfy |t| < 1")
+def propagator(g: Profile, p: SymbolParams, r, rho_rule) -> RadialKernel:
+    """The propagator at radii r on a rho rule: its `field(t)` is u(r, t)."""
+    rho, w = rho_rule
+    base = (2.0 * math.pi) ** (-p.n / 2.0) * w * rho ** (p.n - 1) * g(rho)
+    return RadialKernel(p.lam, r, rho, base, rho ** p.a)
 
 
 def dispersive_field(g: Profile, p: SymbolParams, r, t, *, rho_rule=None):
@@ -77,29 +76,16 @@ def dispersive_field(g: Profile, p: SymbolParams, r, t, *, rho_rule=None):
         raise ValueError("the radial reduction requires n >= 2")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _validate_rt(r_arr, t_arr)
-    rho, w = rho_rule if rho_rule is not None else frequency_rule(
+    if np.any(r_arr < 0):
+        raise ValueError("radii must be nonnegative")
+    if np.any(np.abs(t_arr) >= 1):
+        raise ValueError("times must satisfy |t| < 1")
+    rule = rho_rule if rho_rule is not None else frequency_rule(
         g, p, r_max=float(np.max(r_arr, initial=0.0)),
         t_max=float(np.max(np.abs(t_arr), initial=0.0)))
-    base = w * rho ** (p.n - 1) * g(rho)
-    phase = np.exp(1j * np.outer(rho ** p.a, t_arr))
-    m = base[:, None] * phase
-    m_re = np.ascontiguousarray(m.real)
-    m_im = np.ascontiguousarray(m.imag)
-    out = np.empty((r_arr.size, t_arr.size), dtype=complex)
-    block = max(1, int(_KERNEL_BYTES // (8 * rho.size)))
-    for i0 in range(0, r_arr.size, block):
-        rb = r_arr[i0:i0 + block]
-        kern = bessel_kernel_reduced(p.lam, np.outer(rb, rho))
-        out[i0:i0 + block] = kern @ m_re + 1j * (kern @ m_im)
-    out *= (2.0 * math.pi) ** (-p.n / 2.0)
-    if np.ndim(r) == 0 and np.ndim(t) == 0:
-        return complex(out[0, 0])
-    if np.ndim(r) == 0:
-        return out[0]
-    if np.ndim(t) == 0:
-        return out[:, 0]
-    return out
+    out = propagator(g, p, r_arr, rule).field(t_arr)
+    out = out[tuple(0 if np.ndim(v) == 0 else slice(None) for v in (r, t))]
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def dispersive_field_2d_oracle(g: Profile, p: SymbolParams, x, t: float) -> complex:
@@ -167,6 +153,19 @@ def spatial_extent(g: Profile, p: SymbolParams, tol: float = 1e-8) -> float:
     return radius
 
 
+def arrival_radius(g: Profile, p: SymbolParams, t_max: float, tol: float,
+                   pad: float) -> float:
+    """Radius holding the data up to time t_max.
+
+    The spatial extent of f at tol, plus the distance the fastest frequency
+    of the effective support travels in time t_max, plus pad/scale.
+    """
+    hi = g.truncation_radius(p.n)
+    lo_eff = max(g.lower_support(), 0.05)
+    speed = p.a * t_max * max(hi ** (p.a - 1.0), lo_eff ** (p.a - 1.0))
+    return spatial_extent(g, p, tol=tol) + speed + pad / g.scale
+
+
 def isometry_ratios(g: Profile, p: SymbolParams, ts,
                     r_max: float | None = None) -> np.ndarray:
     """|| u(., t) ||_{L2(R^n)} / || f ||_{L2(R^n)} for each t, computed radially.
@@ -183,10 +182,7 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts,
         raise ValueError("zero profile")
     t_max = float(np.max(np.abs(t_arr)))
     if r_max is None:
-        hi = g.truncation_radius(p.n)
-        lo_eff = max(g.lower_support(), 0.05)
-        speed = p.a * t_max * max(hi ** (p.a - 1.0), lo_eff ** (p.a - 1.0))
-        r_max = spatial_extent(g, p, tol=1e-9) + speed + 8.0 / g.scale
+        r_max = arrival_radius(g, p, t_max, tol=1e-9, pad=8.0)
     hi = g.truncation_radius(p.n)
     # Low frequencies travel fast when a < 1, leaving far-field tails that
     # decay only polynomially; grow the truncation until the audited outer
@@ -204,8 +200,3 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts,
             return np.sqrt(totals) / denom
         r_max *= 1.7
     raise ValueError("radial truncation would not certify the isometry check")
-
-
-def isometry_ratio(g: Profile, p: SymbolParams, t: float,
-                   r_max: float | None = None) -> float:
-    return float(isometry_ratios(g, p, [t], r_max=r_max)[0])

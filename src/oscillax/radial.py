@@ -13,6 +13,10 @@ k_lam(z) = J_lam(z)/z^lam (lam = n/2 - 1),
 is used so that rho = 0 needs no special casing: k_lam(0) = 2^(-lam)/Gamma(lam+1)
 makes fhat(0) = sphere_factor(n) * int f0 r^(n-1) dr, the integral of f.
 
+`RadialKernel` builds and contracts k_lam(x_i * nodes_j) for the propagator,
+the maximal fields, the weighted split fields and the 1-D sup-in-t kernel
+(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).
+
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
 over a truncated box; it exists purely as an independent cross-check.
 """
@@ -28,6 +32,8 @@ from .profiles import Profile
 from .quadrature import oscillatory_rule
 
 _TAIL_TOL = 1e-12
+_KERNEL_BYTES = 2 ** 28  # soft cap on one kernel row block
+_T_CHUNK = 384           # times per phase matrix in running sups
 
 
 def sphere_factor(n: int) -> float:
@@ -67,6 +73,49 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
                             power_coeff=power_coeff, power=power,
                             panel_cap=g.scale / 2.0,
                             order=order, budget=budget, forced=forced)
+
+
+class RadialKernel:
+    """u(x_i, t) = sum_j k_lam(x_i nodes_j) base_j e^{i t power_j}.
+
+    The kernel is evaluated once, in row blocks of at most _KERNEL_BYTES.
+    `field(t)` returns u for the times t, shape (len(x), len(t)).
+    `add_times(t)` folds t into the running per-row sup |u| and its argmax
+    time (`sup`, `arg`) block by block, never holding all rows x times.
+    """
+
+    def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
+                 base: np.ndarray, power: np.ndarray):
+        self.base = base
+        self.power = power
+        block = max(1, int(_KERNEL_BYTES // (8 * nodes.size)))
+        self.blocks = [(i0, bessel_kernel_reduced(
+            lam, np.outer(x[i0:i0 + block], nodes)))
+            for i0 in range(0, x.size, block)]
+        self.sup = np.full(x.size, -1.0)
+        self.arg = np.zeros(x.size)
+
+    def _products(self, t: np.ndarray):
+        """(row slice, kernel block @ phased base) for each row block."""
+        m = self.base[:, None] * np.exp(1j * np.outer(self.power, t))
+        m_re = np.ascontiguousarray(m.real)
+        m_im = np.ascontiguousarray(m.imag)
+        for i0, kern in self.blocks:
+            yield slice(i0, i0 + kern.shape[0]), kern @ m_re + 1j * (kern @ m_im)
+
+    def field(self, t: np.ndarray) -> np.ndarray:
+        return np.concatenate([vals for _, vals in self._products(t)])
+
+    def add_times(self, t: np.ndarray) -> None:
+        for j0 in range(0, t.size, _T_CHUNK):
+            tc = t[j0:j0 + _T_CHUNK]
+            for rows, vals in self._products(tc):
+                mag = np.abs(vals)
+                col = np.argmax(mag, axis=1)
+                best = mag[np.arange(mag.shape[0]), col]
+                upd = best > self.sup[rows]
+                self.sup[rows][upd] = best[upd]
+                self.arg[rows][upd] = tc[col[upd]]
 
 
 def hankel_fourier(f0: Profile, n: int, rho) -> np.ndarray | float:

@@ -39,13 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# bessel_kernel_reduced: unused; perfbench/spans.py traces it.
 from .bessel import AsymptoticCertificate, bessel_j, bessel_kernel_reduced
 from .cutoffs import CutoffFamily, gamma_weight, make_cutoff
-from .norms import _T_CHUNK, TimeGrid
+from .norms import TimeGrid
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
-from .radial import profile_rule
+from .radial import RadialKernel, profile_rule
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -182,7 +183,8 @@ def maximal_kernel(m: float, mu: float, p: SymbolParams,
 
     The sup over |t| < 2 is taken on twice the dyadic time grid, refined
     until the trapezoidal L1 estimate stabilizes; each refinement evaluates
-    only the new times, as one GEMM per time chunk.  Returns
+    only the new times.  The even integrand on the line is the radial
+    kernel at n = 1: 2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).  Returns
     (x, K, l1_estimate).
     """
     if m <= 1 or mu <= 1:
@@ -193,21 +195,15 @@ def maximal_kernel(m: float, mu: float, p: SymbolParams,
     rho, w = oscillatory_rule(0.0, hi, linear_rate=float(x_half[-1]),
                               power_coeff=2.0, power=p.a, panel_cap=0.25)
     vec = w * gamma_weight(-2.0 * p.s, rho) * cutoffs.chi(rho / mu) ** 2
-    cosmat = np.cos(np.outer(x_half, rho))  # even integrand on the line
-    power = rho ** p.a
+    layer = RadialKernel(-0.5, x_half, rho, math.sqrt(2.0 * math.pi) * vec,
+                         rho ** p.a)
 
-    sup_half = np.zeros_like(x_half)
     grid = TimeGrid.dyadic(t_level0)
     new_t = grid.points
     l1_prev = None
     while True:
-        for j0 in range(0, new_t.size, _T_CHUNK):
-            ts = 2.0 * new_t[j0:j0 + _T_CHUNK]
-            phase = vec[:, None] * np.exp(1j * np.outer(power, ts))
-            vals = np.hypot(cosmat @ np.ascontiguousarray(phase.real),
-                            cosmat @ np.ascontiguousarray(phase.imag))
-            np.maximum(sup_half, 2.0 * vals.max(axis=1), out=sup_half)
-        k_half = cutoffs.chi(x_half / m) * sup_half
+        layer.add_times(2.0 * new_t)
+        k_half = cutoffs.chi(x_half / m) * layer.sup
         l1 = 2.0 * float(np.trapezoid(k_half, x_half))
         if l1_prev is not None and abs(l1 - l1_prev) <= rel_tol * l1:
             break
@@ -237,10 +233,8 @@ def tilde_field(g: Profile, p: SymbolParams, r, t,
                           power_coeff=1.0, power=p.a)
     zeta = {"chi": cutoffs.chi, "psi": cutoffs.psi, None: lambda v: 1.0}[freq_cut]
     base = w * rho ** (p.n - 1) * (1.0 + rho * rho) ** (-p.s / 2.0) * g(rho)
-    base = base * zeta(rho)
-    kern = bessel_kernel_reduced(p.lam, np.outer(r_arr, rho))
-    phase = np.exp(1j * np.outer(rho ** p.a, t_arr))
-    out = (2.0 * math.pi) ** (p.n / 2.0) * (kern @ (base[:, None] * phase))
+    base = (2.0 * math.pi) ** (p.n / 2.0) * base * zeta(rho)
+    out = RadialKernel(p.lam, r_arr, rho, base, rho ** p.a).field(t_arr)
     if range_cut is not None:
         zr = {"chi": cutoffs.chi, "psi": cutoffs.psi}[range_cut]
         out = zr(r_arr)[:, None] * out

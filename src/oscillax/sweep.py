@@ -78,6 +78,8 @@ def _cell_task(args):
     # A cell is as converged as its worst field.
     out["converged"] = all(f.t_converged and f.r_converged for f in fields)
     out["t_level"] = max(f.t_grid.level for f in fields)
+    out["r_points"] = max(f.radii.size for f in fields)
+    out["r_max"] = max(f.r_max for f in fields)
     out["tail_fraction"] = max(f.tail_fraction for f in fields)
     return out
 
@@ -104,29 +106,23 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
     for res in results:
         N = res["N"]
         g = sharpness_profile(cfg.family, N, cfg.a)
+        if cfg.modulated:
+            nums = np.asarray(res["numerators"])
+            y = np.asarray(res["y"])
+            avg = float(np.trapezoid(nums, y) / (y[-1] - y[0])) \
+                if y.size > 1 else float(nums[0])
         for s in cfg.s_list:
             p = SymbolParams(a=cfg.a, n=cfg.n, s=float(s))
             hs = sobolev_norm(g, cfg.n, float(s))
             if cfg.modulated:
-                nums = np.asarray(res["numerators"])
-                y = np.asarray(res["y"])
-                avg = float(np.trapezoid(nums, y) / (y[-1] - y[0])) \
-                    if y.size > 1 else float(nums[0])
-                rec = SweepRecord(family=cfg.family, N=N, p=p,
-                                  range_kind=cfg.range_kind,
-                                  Q=math.sqrt(float(nums[-1])) / hs,
-                                  A=avg / hs ** 2,
-                                  converged=res["converged"],
-                                  t_level=res["t_level"],
-                                  tail_fraction=res["tail_fraction"])
+                Q, A = math.sqrt(float(nums[-1])) / hs, avg / hs ** 2
             else:
-                rec = SweepRecord(family=cfg.family, N=N, p=p,
-                                  range_kind=cfg.range_kind,
-                                  Q=res["norm"] / hs, A=None,
-                                  converged=res["converged"],
-                                  t_level=res["t_level"],
-                                  tail_fraction=res["tail_fraction"])
-            records.append(rec)
+                Q, A = res["norm"] / hs, None
+            records.append(SweepRecord(
+                family=cfg.family, N=N, p=p, range_kind=cfg.range_kind,
+                Q=Q, A=A, converged=res["converged"], t_level=res["t_level"],
+                r_points=res["r_points"], r_max=res["r_max"],
+                tail_fraction=res["tail_fraction"]))
 
     records.sort(key=lambda r: (r.family, r.p.s, r.N))
     exponents = {}

@@ -130,13 +130,17 @@ def test_reduced_kernel_matches_quotient(lam):
     assert np.abs(k[1:] - ref).max() < 1e-11
 
 
+def _oracle_points():
+    rng = np.random.default_rng(7)
+    return np.concatenate([[0.0], rng.uniform(0.0, 30.0, 100),
+                           np.exp(rng.uniform(np.log(30.0), np.log(1e4), 200))])
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.0])
 def test_against_mpmath_oracle(lam):
     # 40-digit reference, independent of scipy; errors are measured against
     # the envelope min(1, sqrt(2/(pi z))) of J_lam (divided by z^lam for k_lam).
-    rng = np.random.default_rng(7)
-    z = np.concatenate([[0.0], rng.uniform(0.0, 30.0, 100),
-                        np.exp(rng.uniform(np.log(30.0), np.log(1e4), 200))])
+    z = _oracle_points()
     with mpmath.workdps(40):
         j_ref = np.array([float(mpmath.besselj(lam, mpmath.mpf(x))) for x in z])
         k_ref = np.array([float(mpmath.besselj(lam, mpmath.mpf(x)) / mpmath.mpf(x) ** lam)
@@ -147,3 +151,15 @@ def test_against_mpmath_oracle(lam):
     k_envelope = envelope / np.where(z > 0.0, z, 1.0) ** lam
     k = np.asarray(bessel_kernel_reduced(lam, z))
     assert np.all(np.abs(k - k_ref) <= 1e-11 * k_envelope)
+
+
+def test_minus_half_kernel_against_mpmath():
+    # k_{-1/2}(z) = z^(1/2) J_{-1/2}(z) = sqrt(2/pi) cos(z); J_{-1/2} itself
+    # is infinite at 0, so only the kernel is checked.
+    z = _oracle_points()
+    with mpmath.workdps(40):
+        k_ref = np.array([float(mpmath.besselj(-0.5, mpmath.mpf(x)) * mpmath.sqrt(x))
+                          if x > 0 else float(mpmath.sqrt(2 / mpmath.pi))
+                          for x in z])
+    k = np.asarray(bessel_kernel_reduced(-0.5, z))
+    assert np.all(np.abs(k - k_ref) <= 1e-15)

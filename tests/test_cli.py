@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oscillax import cli
+from oscillax.norms import InsufficientCoverage
 from oscillax.oscillatory import SymbolParams, gaussian_free_evolution
 
 
@@ -113,6 +114,16 @@ def test_usage_error_exit_code(tmp_path):
     res = run_cli(["sweep", "--out-dir", str(tmp_path), "--a", "2", "--n", "2",
                    "--s-list", "0.25"])
     assert res.returncode == 2
+
+
+def test_certification_failure_exit_code(tmp_path, monkeypatch):
+    def uncertified(cfg, workers=0):
+        raise InsufficientCoverage("radial tail carries 2.00e-03 of the norm")
+
+    monkeypatch.setattr(cli, "run_sweep", uncertified)
+    rc = cli.main(["sweep", "--out-dir", str(tmp_path), "--a", "2", "--n", "2",
+                   "--s-list", "0.25", "--N-list", "2"])
+    assert rc == 4
 
 
 def test_missing_required_reports_usage(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   dispersive_field_2d_oracle,
-                                  gaussian_free_evolution, isometry_ratio,
-                                  isometry_ratios)
+                                  gaussian_free_evolution, isometry_ratios)
 from oscillax.profiles import Profile, annular, bump, gaussian
 from oscillax.radial import hankel_fourier, profile_rule, sphere_factor
 
@@ -126,7 +125,7 @@ def test_oracle_requires_compact_support():
 
 
 def test_isometry_time_zero():
-    assert isometry_ratio(gaussian(1.0), SymbolParams(a=2.0, n=2), 0.0) == \
+    assert isometry_ratios(gaussian(1.0), SymbolParams(a=2.0, n=2), [0.0])[0] == \
         pytest.approx(1.0, abs=1e-8)
 
 
@@ -135,7 +134,7 @@ def test_isometry_time_zero():
     (annular(8.0), 0.5, -0.9),
 ])
 def test_isometry_nontrivial_slices(g, a, t):
-    ratio = isometry_ratio(g, SymbolParams(a=a, n=2), t)
+    ratio = isometry_ratios(g, SymbolParams(a=a, n=2), [t])[0]
     assert ratio == pytest.approx(1.0, abs=1e-5)
 
 

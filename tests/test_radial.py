@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscillax.radial as radial
+from oscillax.norms import TimeGrid, compute_maximal_field
+from oscillax.oscillatory import SymbolParams, dispersive_field, frequency_rule
 from oscillax.profiles import Profile, annular, bump, gaussian, sampled
 from oscillax.radial import (hankel_fourier, l2_norm_frequency,
                              l2_norm_spatial, nd_oracle, profile_rule,
@@ -106,3 +109,51 @@ def test_divergent_profile_rejected():
                    support=None, scale=1.0)
     with pytest.raises(ValueError):
         hankel_fourier(flat, 2, 1.0)
+
+
+@pytest.fixture
+def kernel_blocks(monkeypatch):
+    """Shapes of the kernel blocks the radial layer evaluates."""
+    shapes = []
+    original = radial.bessel_kernel_reduced
+
+    def recorded(lam, z):
+        shapes.append(np.shape(z))
+        return original(lam, z)
+
+    monkeypatch.setattr(radial, "bessel_kernel_reduced", recorded)
+    return shapes
+
+
+def _split_rows_in_three(monkeypatch, shape):
+    rows, cols = shape
+    monkeypatch.setattr(radial, "_KERNEL_BYTES", 8 * cols * -(-rows // 3))
+
+
+def test_row_blocks_reproduce_single_block_field(monkeypatch, kernel_blocks):
+    g = annular(4.0)
+    p = SymbolParams(a=2.0, n=2)
+    r = np.linspace(0.0, 6.0, 50)
+    t = np.linspace(-0.9, 0.9, 7)
+    rule = frequency_rule(g, p, r_max=6.0, t_max=0.9)
+    whole = dispersive_field(g, p, r, t, rho_rule=rule)
+    assert len(kernel_blocks) == 1
+    _split_rows_in_three(monkeypatch, kernel_blocks.pop())
+    blocked = dispersive_field(g, p, r, t, rho_rule=rule)
+    assert len(kernel_blocks) >= 3
+    assert sum(rows for rows, _ in kernel_blocks) == r.size
+    assert np.abs(blocked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_row_blocks_reproduce_single_block_maximal_field(monkeypatch,
+                                                         kernel_blocks):
+    g = annular(4.0)
+    p = SymbolParams(a=2.0, n=2)
+    whole = compute_maximal_field(g, p, TimeGrid.dyadic(4), r_max=3.0)
+    assert len(kernel_blocks) == 1
+    _split_rows_in_three(monkeypatch, kernel_blocks.pop())
+    blocked = compute_maximal_field(g, p, TimeGrid.dyadic(4), r_max=3.0)
+    assert len(kernel_blocks) >= 3
+    assert np.abs(blocked.sup_values - whole.sup_values).max() <= \
+        1e-12 * whole.sup_values.max()
+    np.testing.assert_array_equal(blocked.argmax_t, whole.argmax_t)

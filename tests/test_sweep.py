@@ -25,3 +25,11 @@ def test_unconverged_fields_flag_their_cells(no_time_refinement, modulated):
     assert records
     assert not any(r.converged for r in records)
     assert all(r.t_level == 4 for r in records)
+
+
+def test_records_carry_radial_grid_size():
+    cfg = SweepConfig(a=0.5, n=2, s_list=(0.1,), N_list=(4.0,),
+                      range_kind="local")
+    records, _ = run_sweep(cfg, workers=0)
+    assert records
+    assert all(r.r_points > 0 and r.r_max == 1.0 for r in records)
