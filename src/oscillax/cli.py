@@ -9,7 +9,8 @@ its summary alone.
 
 Configuration can come from a plain key=value file (--config) with command
 line flags taking precedence.  OSCILLAX_WORKERS overrides the worker count.
-Exit codes: 0 success, 2 usage error, 3 flagged non-convergence under
+Exit codes: 0 success, 2 usage error (including a bad or missing config
+file and a non-integer OSCILLAX_WORKERS), 3 flagged non-convergence under
 --strict, 4 failed numerical certification (a global range norm whose
 radial truncation leaves too much of the norm in its tail).
 """
@@ -42,6 +43,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_NOT_CERTIFIED = 4
+
+
+class UsageError(Exception):
+    """Bad input outside argparse's reach: config files, OSCILLAX_WORKERS."""
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -114,7 +119,7 @@ def _workers(args) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise SystemExit(f"bad OSCILLAX_WORKERS value {env!r}")
+            raise UsageError(f"bad OSCILLAX_WORKERS value {env!r}")
     return max(1, args.workers)
 
 
@@ -184,7 +189,9 @@ def _cmd_sweep(args, out_dir: Path) -> int:
         "cells": [{"family": r.family, "N": r.N, "s": r.p.s,
                    "converged": bool(r.converged), "t_level": r.t_level,
                    "r_points": r.r_points, "r_max": r.r_max,
-                   "tail_fraction": r.tail_fraction} for r in records],
+                   "tail_fraction": r.tail_fraction,
+                   "t_samples": r.t_samples, "t_bound": r.t_bound}
+                  for r in records],
     })
     if args.strict and not all_converged:
         print("sweep: flagged non-convergence (see sweep_summary.json)",
@@ -296,13 +303,17 @@ def _load_config_defaults(argv):
     known, _ = pre.parse_known_args(argv)
     if known.config is None:
         return {}
+    try:
+        text = Path(known.config).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}")
     defaults = {}
-    for line in Path(known.config).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"bad config line: {line!r}")
+            raise UsageError(f"bad config line: {line!r}")
         key, value = line.split("=", 1)
         defaults[key.strip().replace("-", "_")] = value.strip()
     return defaults
@@ -402,7 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    defaults = _load_config_defaults(argv)
+    try:
+        defaults = _load_config_defaults(argv)
+    except UsageError as exc:
+        print(f"oscillax: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
     # A config entry applies unless the same option appeared on the command
     # line (full option names; abbreviations are not honoured for overrides).
@@ -410,7 +425,11 @@ def main(argv=None) -> int:
              for tok in argv if tok.startswith("--")}
     for key, raw in defaults.items():
         if hasattr(args, key) and key not in given:
-            setattr(args, key, _coerce_value(key, raw))
+            try:
+                setattr(args, key, _coerce_value(key, raw))
+            except (ValueError, argparse.ArgumentTypeError):
+                print(f"oscillax: bad config value {key}={raw!r}", file=sys.stderr)
+                return EXIT_USAGE
     missing = [k for k in _REQUIRED.get(args.command, ())
                if getattr(args, k, None) is None]
     if missing:
@@ -425,7 +444,7 @@ def main(argv=None) -> int:
     except InsufficientCoverage as exc:
         print(f"oscillax: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"oscillax: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,11 @@
 """Maximal functions over time, range norms, Sobolev norms, sweep records.
 
-The maximal function sup_{|t|<1} |u(r, t)| is approximated on nested dyadic
-time grids; refinement doubles the grid and only the newly inserted times
-are evaluated, so the supremum is monotone nondecreasing by construction.
+The maximal function sup_{|t|<1} |u(r, t)| is the continuous sup of a
+Chebyshev interpolant in t, one per radius, whose degree is chosen before
+sampling from the Bernstein-ellipse bound of the demodulated field (see
+`radial.RadialKernel.chebyshev_sup`); the certified interpolation error is
+carried into the range norm.  Sups over a given time grid (dyadic grids
+nest and contain 0) remain available through `compute_maximal_field`.
 The L2 range norm aggregates sup values against r^(n-1) dr over either the
 unit ball ("local") or a certified truncation of R^n ("global"):
 
@@ -35,23 +38,29 @@ from .oscillatory import (SymbolParams, arrival_radius, frequency_rule,
                           propagator, spatial_extent)
 from .profiles import Profile, annular, shell
 from .quadrature import oscillatory_rule
-from .radial import profile_rule, sphere_factor
+from .radial import (chebyshev_degree, chebyshev_times, profile_rule,
+                     sphere_factor)
 
-_MAX_LEVEL = 13          # 2^(L+1) - 1 <= 16383 grid times
+_MAX_LEVEL = 13          # Chebyshev degree <= 2^13
+# A-priori target of the Bernstein bound relative to A_i = (|kernel| @ |base|)_i.
+# The range norm's certificate is this times ||A|| / ||sup|| (about 2-3 on the
+# sweep families), far inside rel_tol / 2.
+_CHEB_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Finite increasing time grid inside (-1, 1)."""
+    """Finite increasing time grid inside (-1, 1), or [-1, 1] if closed."""
 
     points: np.ndarray
     level: int = -1
+    closed: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0:
             raise ValueError("time grid must be nonempty")
-        if np.any(np.abs(pts) >= 1):
+        if np.any(np.abs(pts) > 1) or (not self.closed and np.any(np.abs(pts) >= 1)):
             raise ValueError("times must satisfy |t| < 1")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("times must be strictly increasing")
@@ -70,14 +79,24 @@ class TimeGrid:
     def single(t: float) -> "TimeGrid":
         return TimeGrid(points=np.array([float(t)]), level=-1)
 
+    @staticmethod
+    def chebyshev(degree: int) -> "TimeGrid":
+        """The degree + 1 Chebyshev-Lobatto times on [-1, 1], increasing.
+
+        The level is the least L with degree <= 2^L, the cap it shares with
+        `converged_maximal_field`'s max_level.
+        """
+        return TimeGrid(points=chebyshev_times(degree)[::-1],
+                        level=(degree - 1).bit_length(), closed=True)
+
     def refine(self) -> "TimeGrid":
-        if self.level < 0:
+        if self.level < 0 or self.closed:
             raise ValueError("only dyadic grids support refinement")
         return TimeGrid.dyadic(self.level + 1)
 
     def refinement_increment(self) -> np.ndarray:
         """The times of the next dyadic level that are not yet in this grid."""
-        if self.level < 0:
+        if self.level < 0 or self.closed:
             raise ValueError("only dyadic grids support refinement")
         denom = 2 ** (self.level + 1)
         j = np.arange(-(denom - 1), denom, 2)
@@ -103,6 +122,7 @@ class MaximalField:
     t_converged: bool = True
     r_converged: bool = True
     norm_history: tuple = ()
+    t_bound: Optional[float] = None   # certified relative range-norm error
 
     def squared_density(self) -> np.ndarray:
         return self.sup_values ** 2 * self.radii ** (self.p.n - 1)
@@ -167,18 +187,19 @@ def _tail_fraction(radii, weights, sup, n, r_max) -> float:
 
 def converged_maximal_field(g: Profile, p: SymbolParams, *,
                             local: bool = False,
-                            t_level0: int = 4,
                             rel_tol: float = 5e-3,
                             max_level: int = _MAX_LEVEL,
                             r_max: Optional[float] = None,
                             tail_tol: float = 1e-4) -> MaximalField:
-    """Maximal field refined until the aggregate norm stabilizes.
+    """Maximal field with a certified continuous sup in t.
 
-    Dyadic time refinement proceeds incrementally (each step evaluates only
-    the new times) until the range norm moves by less than rel_tol, capped
-    at 2^14 grid times; then the radial density is doubled once as an
-    independent check.  For global fields the radial truncation is grown
-    until the tail carries less than tail_tol of the norm.
+    The sup over t in [-1, 1] comes from one Chebyshev interpolant per
+    radius, of the degree the Bernstein bound asks for (at most
+    2^max_level); the field is t-converged when the certified interpolation
+    error moves the range norm by at most rel_tol / 2.  The radial density
+    is then doubled once as an independent check.  For global fields the
+    radial truncation is grown until the tail carries less than tail_tol of
+    the norm.
     """
     if local:
         r_max_eff = 1.0
@@ -187,49 +208,43 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
                      else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0))
 
     for _growth in range(4):
-        field_obj = _converge_on_range(g, p, r_max_eff, local, t_level0,
-                                       rel_tol, max_level)
+        field_obj = _converge_on_range(g, p, r_max_eff, local, rel_tol,
+                                       max_level)
         if local or field_obj.tail_fraction < tail_tol:
             return field_obj
         r_max_eff *= 1.5
     return replace(field_obj, r_converged=False)
 
 
-def _converge_on_range(g, p, r_max, local, t_level0, rel_tol, max_level):
+def _converge_on_range(g, p, r_max, local, rel_tol, max_level):
     cap = min(0.125 / g.scale, r_max / 16.0)
     rho_rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate, t_max=1.0)
 
-    def run(cap_now, order):
-        nodes, weights = _radial_grid(r_max, 0.0, cap_now, order)
+    def run(cap_now):
+        nodes, weights = _radial_grid(r_max, 0.0, cap_now, 8)
         layer = propagator(g, p, nodes, rho_rule)
-        grid = TimeGrid.dyadic(t_level0)
-        layer.add_times(grid.points)
-        history = [_range_norm_from(nodes, weights, layer.sup, p.n, local)]
-        converged = False
-        while grid.level < max_level:
-            layer.add_times(grid.refinement_increment())
-            grid = grid.refine()
-            history.append(_range_norm_from(nodes, weights, layer.sup, p.n, local))
-            # Half the tolerance here: argmax switching corrugates the sup
-            # field at coarse time levels, and the radial audit below needs
-            # those scallops gone before it can isolate radial error.
-            if abs(history[-1] - history[-2]) <= 0.5 * rel_tol * history[-1]:
-                converged = True
-                break
-        return nodes, weights, layer, grid, history, converged
+        # The degree depends on the rho rule only, so both grids share it.
+        degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** max_level)
+        layer.chebyshev_sup(degree)
+        norm = _range_norm_from(nodes, weights, layer.sup, p.n, local)
+        # Minkowski: |sup_i - true sup_i| <= bound_i moves the norm by at
+        # most the norm of the bounds.
+        error = _range_norm_from(nodes, weights, layer.bound, p.n, local)
+        return nodes, weights, layer, degree, norm, error / max(norm, 1e-300)
 
-    nodes, weights, layer, grid, history, t_ok = run(cap, 8)
-    norm_coarse = history[-1]
+    # Only the coarse norms are kept, so its kernel is freed before the fine one.
+    norm_coarse, bound_coarse = run(cap)[-2:]
     # One radial-density doubling as an a-posteriori resolution audit.
-    nodes2, weights2, layer2, grid2, history2, t_ok2 = run(cap / 2.0, 8)
-    norm_fine = history2[-1]
+    nodes, weights, layer, degree, norm_fine, bound_fine = run(cap / 2.0)
     r_ok = abs(norm_fine - norm_coarse) <= rel_tol * max(norm_fine, 1e-300)
-    tail = 0.0 if local else _tail_fraction(nodes2, weights2, layer2.sup, p.n, r_max)
-    return MaximalField(p=p, radii=nodes2, weights=weights2,
-                        sup_values=layer2.sup, argmax_t=layer2.arg, t_grid=grid2,
+    t_bound = max(bound_coarse, bound_fine)
+    tail = 0.0 if local else _tail_fraction(nodes, weights, layer.sup, p.n, r_max)
+    return MaximalField(p=p, radii=nodes, weights=weights,
+                        sup_values=layer.sup, argmax_t=layer.arg,
+                        t_grid=TimeGrid.chebyshev(degree),
                         r_max=r_max, tail_fraction=tail,
-                        t_converged=t_ok and t_ok2, r_converged=r_ok,
-                        norm_history=tuple(history) + tuple(history2))
+                        t_converged=t_bound <= 0.5 * rel_tol, r_converged=r_ok,
+                        norm_history=(norm_coarse, norm_fine), t_bound=t_bound)
 
 
 class InsufficientCoverage(ValueError):
@@ -290,6 +305,8 @@ class SweepRecord:
     r_points: int = 0
     r_max: float = 0.0
     tail_fraction: float = 0.0
+    t_samples: int = 0
+    t_bound: Optional[float] = None
 
     @property
     def fit_value(self) -> float:

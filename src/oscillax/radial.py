@@ -15,7 +15,9 @@ makes fhat(0) = sphere_factor(n) * int f0 r^(n-1) dr, the integral of f.
 
 `RadialKernel` builds and contracts k_lam(x_i * nodes_j) for the propagator,
 the maximal fields, the weighted split fields and the 1-D sup-in-t kernel
-(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).
+(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  Its sup over times is
+either a running sup over given grids or the certified continuous sup over
+[-1, 1] from one Chebyshev interpolant per row.
 
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
 over a truncated box; it exists purely as an independent cross-check.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft
 
 from .bessel import bessel_kernel_reduced
 from .profiles import Profile
@@ -34,6 +37,10 @@ from .quadrature import oscillatory_rule
 _TAIL_TOL = 1e-12
 _KERNEL_BYTES = 2 ** 28  # soft cap on one kernel row block
 _T_CHUNK = 384           # times per phase matrix in running sups
+_SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's |kernel| and dense values
+_DENSE = 8               # dense search points per Chebyshev degree
+_NEWTON_STEPS = 3
+_ELLIPSE_R = 1.0 + np.logspace(-6.0, 4.0, 2048)  # Bernstein ellipse parameters
 
 
 def sphere_factor(n: int) -> float:
@@ -75,6 +82,107 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
                             order=order, budget=budget, forced=forced)
 
 
+def chebyshev_times(degree: int) -> np.ndarray:
+    """The K + 1 Chebyshev-Lobatto times t_k = sin(pi (K - 2k) / (2K)), k = 0..K.
+
+    They equal cos(pi k / K) and run from 1 down to -1.  The sine form makes
+    them exactly symmetric, and an even K puts t_{K/2} = 0 among them.
+    """
+    if degree < 2 or degree % 2:
+        raise ValueError("degree must be even and >= 2")
+    return np.sin(np.pi * np.arange(degree, -degree - 1, -2) / (2 * degree))
+
+
+def bernstein_bound(tau: float, degree: int) -> float:
+    """Certified sup over [-1, 1] of |u - p_K| / A for an exponential sum.
+
+    u(t) = sum_j c_j e^{i t q_j} with |q_j| <= tau is entire, and on the
+    Bernstein ellipse E_R, where |Im t| <= (R - 1/R)/2, it is bounded by
+    A e^{tau (R - 1/R)/2}, A = sum_j |c_j|.  So its degree-K Chebyshev
+    interpolant errs by at most 4 A e^{tau (R - 1/R)/2} R^(-K) / (R - 1)
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2).
+    Every R > 1 gives a valid bound; this is the least one over a fixed
+    logarithmic grid of R.
+    """
+    log_b = (math.log(4.0) + 0.5 * tau * (_ELLIPSE_R - 1.0 / _ELLIPSE_R)
+             - degree * np.log(_ELLIPSE_R) - np.log(_ELLIPSE_R - 1.0))
+    return float(np.exp(np.min(log_b)))
+
+
+def chebyshev_degree(tau: float, tol: float, max_degree: int) -> int:
+    """Least even K <= max_degree with bernstein_bound(tau, K) <= tol.
+
+    Returns max_degree (rounded down to even) when no such K exists.  The
+    bound falls as K grows, so the search bisects.
+    """
+    lo, hi = 1, max_degree // 2
+    if hi < 1:
+        raise ValueError("max_degree must be >= 2")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bernstein_bound(tau, 2 * mid) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * lo
+
+
+def _interpolant_max(samples: np.ndarray, t: np.ndarray):
+    """Per-row max over [-1, 1] of |p|, p interpolating samples at t.
+
+    t is chebyshev_times(K).  With t = cos(theta), p = sum_m c_m cos(m theta)
+    and the DCT-I of the samples gives the c_m.  A zero-padded DCT-I, in
+    single precision since it only picks the starting angle, evaluates p at
+    about _DENSE * K angles; steps on |p|^2 in theta, in double precision,
+    polish the best of them (Newton where |p|^2 is concave, else one dense
+    spacing uphill), and the best iterate is kept.
+    Returns the larger of the best sample and the polished value, with its
+    time.
+    """
+    rows, deg = samples.shape[0], t.size - 1
+    coef = scipy.fft.dct(samples, type=1, axis=1) / deg
+    coef[:, 0] *= 0.5
+    coef[:, deg] *= 0.5
+    # DCT-I of n + 1 points runs a length-2n real FFT: keep n 5-smooth.
+    n_dense = scipy.fft.next_fast_len(_DENSE * deg, real=True)
+    padded = np.zeros((rows, n_dense + 1), dtype=np.complex64)
+    padded[:, :deg + 1] = coef
+    padded[:, 0] *= 2.0
+    dense = np.abs(scipy.fft.dct(padded, type=1, axis=1))   # 2 |p(cos theta_j)|
+    theta = np.pi * np.argmax(dense, axis=1) / n_dense
+    m = np.arange(deg + 1)
+    polished = np.zeros(rows)
+    best_theta = theta
+    powers = np.empty((rows, deg + 1), dtype=complex)
+    for step in range(_NEWTON_STEPS + 1):
+        # e^{i m theta} by running products: error ~ m * eps, and no trig.
+        powers[:, 0] = 1.0
+        powers[:, 1:] = np.exp(1j * theta)[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        cos = powers.real
+        q = np.einsum("ij,ij->i", cos, coef)
+        better = np.abs(q) > polished
+        polished = np.where(better, np.abs(q), polished)
+        best_theta = np.where(better, theta, best_theta)
+        if step == _NEWTON_STEPS:
+            break
+        dq = -np.einsum("ij,ij->i", powers.imag, m * coef)
+        d2q = -np.einsum("ij,ij->i", cos, m * m * coef)
+        slope = np.real(np.conj(q) * dq)
+        curv = np.real(np.conj(q) * d2q) + np.abs(dq) ** 2
+        # Newton where |p|^2 is concave, else one dense spacing uphill.
+        spacing = np.pi / n_dense
+        newton = np.where(curv < 0.0, -slope / np.where(curv < 0.0, curv, -1.0),
+                          np.sign(slope) * spacing)
+        theta = np.clip(theta + np.clip(newton, -spacing, spacing), 0.0, np.pi)
+    mag = np.abs(samples)
+    col = np.argmax(mag, axis=1)
+    sampled = mag[np.arange(rows), col]
+    at_sample = sampled >= polished
+    return (np.where(at_sample, sampled, polished),
+            np.where(at_sample, t[col], np.cos(best_theta)))
+
+
 class RadialKernel:
     """u(x_i, t) = sum_j k_lam(x_i nodes_j) base_j e^{i t power_j}.
 
@@ -82,6 +190,8 @@ class RadialKernel:
     `field(t)` returns u for the times t, shape (len(x), len(t)).
     `add_times(t)` folds t into the running per-row sup |u| and its argmax
     time (`sup`, `arg`) block by block, never holding all rows x times.
+    `chebyshev_sup(K)` sets `sup`, `arg` to the continuous sup over [-1, 1]
+    instead, with a certified per-row error bound `bound`.
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
@@ -94,12 +204,21 @@ class RadialKernel:
             for i0 in range(0, x.size, block)]
         self.sup = np.full(x.size, -1.0)
         self.arg = np.zeros(x.size)
+        self.bound = None
+
+    @property
+    def tau(self) -> float:
+        """Exponential type of u in t once demodulated: half the spread of power."""
+        return 0.5 * float(np.max(self.power) - np.min(self.power))
+
+    def _phases(self, t: np.ndarray, power: np.ndarray):
+        """Real and imaginary parts of base_j e^{i t_k power_j}, each contiguous."""
+        m = self.base[:, None] * np.exp(1j * np.outer(power, t))
+        return np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
 
     def _products(self, t: np.ndarray):
         """(row slice, kernel block @ phased base) for each row block."""
-        m = self.base[:, None] * np.exp(1j * np.outer(self.power, t))
-        m_re = np.ascontiguousarray(m.real)
-        m_im = np.ascontiguousarray(m.imag)
+        m_re, m_im = self._phases(t, self.power)
         for i0, kern in self.blocks:
             yield slice(i0, i0 + kern.shape[0]), kern @ m_re + 1j * (kern @ m_im)
 
@@ -116,6 +235,39 @@ class RadialKernel:
                 upd = best > self.sup[rows]
                 self.sup[rows][upd] = best[upd]
                 self.arg[rows][upd] = tc[col[upd]]
+
+    def chebyshev_sup(self, degree: int) -> None:
+        """Sup of |u| over t in [-1, 1] from its degree-K Chebyshev interpolant.
+
+        Demodulating by e^{-i t p0}, p0 the midpoint of power, leaves |u|
+        unchanged and makes u of exponential type `tau`.  Each row is
+        sampled once at chebyshev_times(K) and maximized by
+        `_interpolant_max`.  `bound` gets bernstein_bound(tau, K) * A_i,
+        A_i = (|kernel| @ |base|)_i, which bounds |u - p_K| on row i.  Rows
+        go in chunks inside each block, so no rows x times array is ever
+        held for all rows.
+        """
+        t = chebyshev_times(degree)
+        shifted = self.power - 0.5 * (np.max(self.power) + np.min(self.power))
+        chunks = [t[j0:j0 + _T_CHUNK] for j0 in range(0, t.size, _T_CHUNK)]
+        # The phase matrix is kept across row chunks unless it is too big.
+        held = ([self._phases(tc, shifted) for tc in chunks]
+                if 16 * shifted.size * t.size <= _KERNEL_BYTES else None)
+        row_bytes = 8 * shifted.size + 16 * (_DENSE * degree + 1)
+        per_chunk = max(1, _SAMPLE_BYTES // row_bytes)
+        error = bernstein_bound(self.tau, degree)
+        abs_base = np.abs(self.base)
+        self.bound = np.empty(self.sup.size)
+        for i0, kern in self.blocks:
+            for s0 in range(0, kern.shape[0], per_chunk):
+                sub = kern[s0:s0 + per_chunk]
+                rows = slice(i0 + s0, i0 + s0 + sub.shape[0])
+                self.bound[rows] = error * (np.abs(sub) @ abs_base)
+                phases = held if held is not None else (
+                    self._phases(tc, shifted) for tc in chunks)
+                samples = np.concatenate([sub @ m_re + 1j * (sub @ m_im)
+                                          for m_re, m_im in phases], axis=1)
+                self.sup[rows], self.arg[rows] = _interpolant_max(samples, t)
 
 
 def hankel_fourier(f0: Profile, n: int, rho) -> np.ndarray | float:

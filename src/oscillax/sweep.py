@@ -81,14 +81,18 @@ def _cell_task(args):
     out["r_points"] = max(f.radii.size for f in fields)
     out["r_max"] = max(f.r_max for f in fields)
     out["tail_fraction"] = max(f.tail_fraction for f in fields)
+    worst = max(fields, key=lambda f: f.t_bound)
+    out["t_samples"] = worst.t_grid.count
+    out["t_bound"] = worst.t_bound
     return out
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 0):
     """All sweep records plus fitted exponents per s.
 
-    workers = 0 computes cells in-process; workers >= 1 always uses a spawn
-    pool of exactly that size with single-threaded BLAS in the children.
+    workers = 0 computes cells in-process; workers >= 1 uses a spawn pool
+    of min(workers, cells) processes with single-threaded BLAS in the
+    children.
     """
     tasks = [{"config": asdict(cfg), "N": float(N)} for N in sorted(cfg.N_list)]
     if workers and workers > 0:
@@ -96,7 +100,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
         os.environ["OMP_NUM_THREADS"] = "1"
         os.environ["MKL_NUM_THREADS"] = "1"
         ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=workers) as pool:
+        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
             results = pool.map(_cell_task, tasks)
     else:
         results = [_cell_task(t) for t in tasks]
@@ -122,7 +126,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
                 family=cfg.family, N=N, p=p, range_kind=cfg.range_kind,
                 Q=Q, A=A, converged=res["converged"], t_level=res["t_level"],
                 r_points=res["r_points"], r_max=res["r_max"],
-                tail_fraction=res["tail_fraction"]))
+                tail_fraction=res["tail_fraction"],
+                t_samples=res["t_samples"], t_bound=res["t_bound"]))
 
     records.sort(key=lambda r: (r.family, r.p.s, r.N))
     exponents = {}

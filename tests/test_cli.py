@@ -57,6 +57,8 @@ def test_sweep_row_count_and_exponents(tmp_path):
     assert len(summary["exponents"]) == 2
     assert summary["version"]
     assert summary["converged"] is True
+    assert all(c["t_samples"] > 0 and 0.0 < c["t_bound"] <= 2.5e-3
+               for c in summary["cells"])
 
 
 def test_sweep_summary_round_trips(tmp_path):
@@ -147,3 +149,32 @@ def test_split_check_strict_flags_split_deviation(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "split_check_summary.json").read_text())
     assert summary["bound_satisfied"] is True
     assert summary["split_sum_deviation"] > 1e-9
+
+
+_SWEEP_ARGS = ["sweep", "--a", "0.5", "--n", "2", "--s-list", "0.0625",
+               "--N-list", "2", "--range", "local"]
+
+
+@pytest.mark.parametrize("config_text", ["y_count=abc\n", "y_count 4\n"],
+                         ids=["bad-value", "no-equals"])
+def test_bad_config_file_is_usage_error(tmp_path, config_text):
+    conf = tmp_path / "run.conf"
+    conf.write_text(config_text)
+    res = run_cli(_SWEEP_ARGS + ["--config", str(conf), "--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
+def test_missing_config_file_is_usage_error(tmp_path):
+    res = run_cli(_SWEEP_ARGS + ["--config", str(tmp_path / "absent.conf"),
+                                 "--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
+def test_non_integer_workers_is_usage_error(tmp_path):
+    import os
+    res = run_cli(_SWEEP_ARGS + ["--out-dir", str(tmp_path)],
+                  env={**os.environ, "OSCILLAX_WORKERS": "two"})
+    assert res.returncode == 2
+    assert "OSCILLAX_WORKERS" in res.stderr

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from oscillax.norms import (MaximalField, TimeGrid, compute_maximal_field,
                             modulated_numerators, range_norm,
                             sharpness_profile, sobolev_norm)
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
-                                  frequency_rule, gaussian_free_evolution)
+                                  frequency_rule, gaussian_free_evolution,
+                                  propagator)
 from oscillax.profiles import annular, gaussian
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
@@ -34,6 +36,34 @@ def test_time_grid_validation():
         TimeGrid(points=np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(points=np.array([0.5, 0.25]))
+
+
+def test_chebyshev_grid_is_closed_and_final():
+    grid = TimeGrid.chebyshev(20)
+    assert grid.count == 21 and grid.level == 5
+    assert grid.points[0] == -1.0 and grid.points[-1] == 1.0
+    assert 0.0 in grid.points
+    with pytest.raises(ValueError):
+        grid.refine()
+
+
+def test_local_cell_matches_deep_dyadic_sup():
+    # the continuous sup agrees with a level-13 dyadic sup on the same radii
+    # and rho rule, where a level-6 grid is visibly low
+    p = SymbolParams(a=0.5, n=2)
+    g = sharpness_profile("shell", 32.0, p.a)
+    fld = converged_maximal_field(g, p, local=True)
+    rule = frequency_rule(g, p, r_max=1.0, t_max=1.0)
+    norm = range_norm(fld, p, "local")
+
+    def dyadic_norm(level):
+        layer = propagator(g, p, fld.radii, rule)
+        layer.add_times(TimeGrid.dyadic(level).points)
+        return range_norm(replace(fld, sup_values=layer.sup), p, "local")
+
+    assert fld.t_converged and fld.t_bound <= 2.5e-3
+    assert abs(norm - dyadic_norm(13)) <= 1e-4 * norm
+    assert norm - dyadic_norm(6) > 1e-4 * norm
 
 
 def test_maximal_on_singleton_grid_is_time_slice():

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import oscillax.radial as radial
 from oscillax.norms import TimeGrid, compute_maximal_field
-from oscillax.oscillatory import SymbolParams, dispersive_field, frequency_rule
+from oscillax.oscillatory import (SymbolParams, dispersive_field,
+                                  frequency_rule, gaussian_free_evolution,
+                                  propagator)
 from oscillax.profiles import Profile, annular, bump, gaussian, sampled
-from oscillax.radial import (hankel_fourier, l2_norm_frequency,
-                             l2_norm_spatial, nd_oracle, profile_rule,
-                             sphere_factor)
+from oscillax.radial import (bernstein_bound, chebyshev_degree,
+                             chebyshev_times, hankel_fourier,
+                             l2_norm_frequency, l2_norm_spatial, nd_oracle,
+                             profile_rule, sphere_factor)
 
 
 def test_sphere_factors():
@@ -157,3 +161,87 @@ def test_row_blocks_reproduce_single_block_maximal_field(monkeypatch,
     assert np.abs(blocked.sup_values - whole.sup_values).max() <= \
         1e-12 * whole.sup_values.max()
     np.testing.assert_array_equal(blocked.argmax_t, whole.argmax_t)
+
+
+def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
+                                                         kernel_blocks):
+    g = annular(4.0)
+    p = SymbolParams(a=2.0, n=2)
+    r = np.linspace(0.0, 6.0, 50)
+    rule = frequency_rule(g, p, r_max=6.0, t_max=1.0)
+    whole = propagator(g, p, r, rule)
+    degree = chebyshev_degree(whole.tau, 1e-6, 2 ** 13)
+    whole.chebyshev_sup(degree)
+    assert len(kernel_blocks) == 1
+    rows, cols = kernel_blocks.pop()
+    _split_rows_in_three(monkeypatch, (rows, cols))
+    # The phase matrix no longer fits under the cap, and each block runs in
+    # two-row chunks.
+    assert 16 * cols * (degree + 1) > radial._KERNEL_BYTES
+    monkeypatch.setattr(radial, "_SAMPLE_BYTES",
+                        2 * (8 * cols + 16 * (radial._DENSE * degree + 1)))
+    chunked = propagator(g, p, r, rule)
+    chunked.chebyshev_sup(degree)
+    assert len(kernel_blocks) >= 3
+    for name in ("sup", "bound"):
+        a, b = getattr(chunked, name), getattr(whole, name)
+        assert np.abs(a - b).max() <= 1e-12 * b.max()
+    np.testing.assert_allclose(chunked.arg, whole.arg, atol=1e-12)
+
+
+def _gaussian_layer():
+    """a = 2 propagator of gaussian(1.0) on 25 radii in [0, 6], with its rule."""
+    g = gaussian(1.0)
+    p = SymbolParams(a=2.0, n=2)
+    radii = np.linspace(0.0, 6.0, 25)
+    rule = frequency_rule(g, p, r_max=6.0, t_max=1.0)
+    return p, radii, rule, propagator(g, p, radii, rule)
+
+
+def _closed_form_sup(p, r):
+    """max over t in [-1, 1] of the Gaussian closed form: dense scan, then a
+    bounded search between the neighbours of the best scan point."""
+    t = np.linspace(-1.0, 1.0, 20001)
+    mag = np.abs(gaussian_free_evolution(1.0, p, r, t))
+    j = int(np.argmax(mag))
+    res = minimize_scalar(lambda s: -abs(gaussian_free_evolution(1.0, p, r, s)),
+                          bounds=(t[max(j - 1, 0)], t[min(j + 1, t.size - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return max(mag[j], -res.fun)
+
+
+def test_chebyshev_sup_matches_gaussian_closed_form():
+    p, radii, _, layer = _gaussian_layer()
+    layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
+    ref = np.array([_closed_form_sup(p, r) for r in radii])
+    assert layer.sup == pytest.approx(ref, rel=1e-6)
+
+
+def test_chebyshev_sup_dominates_dyadic_grid_sup():
+    _, radii, _, layer = _gaussian_layer()
+    layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
+    _, _, _, grid = _gaussian_layer()
+    grid.add_times(TimeGrid.dyadic(6).points)
+    # Up to the certified interpolation error on each row.
+    assert np.all(layer.sup >= grid.sup - layer.bound)
+
+
+def test_chebyshev_times_symmetric_with_zero():
+    t = chebyshev_times(12)
+    assert t.size == 13 and t[0] == 1.0 and t[-1] == -1.0
+    np.testing.assert_array_equal(t, -t[::-1])
+    assert t[6] == 0.0
+    np.testing.assert_allclose(t, np.cos(np.pi * np.arange(13) / 12), atol=1e-15)
+
+
+def test_bernstein_bound_covers_exponential_interpolation_error():
+    # e^{i tau t}: A = 1, so the bound caps the interpolation error itself
+    tau = 20.0
+    for deg in (24, 32, 40):
+        t = chebyshev_times(deg)
+        coef = np.polynomial.chebyshev.chebfit(t, np.exp(1j * tau * t), deg)
+        x = np.linspace(-1.0, 1.0, 4001)
+        err = np.max(np.abs(np.polynomial.chebyshev.chebval(x, coef) - np.exp(1j * tau * x)))
+        assert err <= bernstein_bound(tau, deg)
+    assert chebyshev_degree(tau, 1e-6, 2 ** 13) % 2 == 0
+    assert chebyshev_degree(tau, 1e-300, 64) == 64

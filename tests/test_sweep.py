@@ -4,14 +4,17 @@ import oscillax.norms as norms
 import oscillax.sweep as sweep
 from oscillax.sweep import SweepConfig, run_sweep
 
+SAMPLE_CAP_LEVEL = 1     # at most 2^1 Chebyshev degrees, below the certified one
+
 
 @pytest.fixture
 def no_time_refinement(monkeypatch):
-    """converged_maximal_field capped at its first time level, so never converged."""
+    """converged_maximal_field with its Chebyshev degree capped below the
+    certified one, so its time sup never certifies."""
     original = norms.converged_maximal_field
 
     def capped(g, p, **kw):
-        return original(g, p, **{**kw, "max_level": kw.get("t_level0", 4)})
+        return original(g, p, **{**kw, "max_level": SAMPLE_CAP_LEVEL})
 
     monkeypatch.setattr(norms, "converged_maximal_field", capped)
     monkeypatch.setattr(sweep, "converged_maximal_field", capped)
@@ -24,7 +27,7 @@ def test_unconverged_fields_flag_their_cells(no_time_refinement, modulated):
     records, _ = run_sweep(cfg, workers=0)
     assert records
     assert not any(r.converged for r in records)
-    assert all(r.t_level == 4 for r in records)
+    assert all(r.t_level == SAMPLE_CAP_LEVEL for r in records)
 
 
 def test_records_carry_radial_grid_size():
@@ -33,3 +36,43 @@ def test_records_carry_radial_grid_size():
     records, _ = run_sweep(cfg, workers=0)
     assert records
     assert all(r.r_points > 0 and r.r_max == 1.0 for r in records)
+    for r in records:
+        # t_level is the least L with degree t_samples - 1 <= 2^L
+        assert 2 ** (r.t_level - 1) < r.t_samples - 1 <= 2 ** r.t_level
+        assert 0.0 < r.t_bound <= 0.5 * 5e-3
+
+
+class _RecordingContext:
+    """Stands in for the spawn context: records pool sizes, maps in-process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return _InProcessPool()
+
+
+class _InProcessPool:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_pool_never_outnumbers_cells(monkeypatch):
+    # run_sweep pins BLAS threads in the environment before pooling
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    ctx = _RecordingContext()
+    monkeypatch.setattr(sweep.mp, "get_context", lambda method: ctx)
+    cfg = SweepConfig(a=0.5, n=2, s_list=(0.1,), N_list=(2.0, 4.0),
+                      range_kind="local")
+    pooled, _ = run_sweep(cfg, workers=8)
+    assert ctx.sizes == [2]
+    inline, _ = run_sweep(cfg, workers=0)
+    assert sweep.records_to_csv_lines(pooled) == sweep.records_to_csv_lines(inline)
