@@ -174,8 +174,8 @@ def _cmd_sweep(args, out_dir: Path) -> int:
                       family=args.family, modulated=args.modulated,
                       y_count=args.y_count)
     records, exponents = run_sweep(cfg, workers=_workers(args))
-    _write_csv(out_dir / "sweep.csv", records_to_csv_lines(records)[0],
-               records_to_csv_lines(records)[1:])
+    header, *rows = records_to_csv_lines(records)
+    _write_csv(out_dir / "sweep.csv", header, rows)
     all_converged = all(r.converged for r in records)
     _write_summary(out_dir / "sweep_summary.json", {
         "subcommand": "sweep",
@@ -189,6 +189,7 @@ def _cmd_sweep(args, out_dir: Path) -> int:
         "cells": [{"family": r.family, "N": r.N, "s": r.p.s,
                    "converged": bool(r.converged), "t_level": r.t_level,
                    "r_points": r.r_points, "r_max": r.r_max,
+                   "rho_points": r.rho_points,
                    "tail_fraction": r.tail_fraction,
                    "t_samples": r.t_samples, "t_bound": r.t_bound}
                   for r in records],

@@ -123,6 +123,7 @@ class MaximalField:
     r_converged: bool = True
     norm_history: tuple = ()
     t_bound: Optional[float] = None   # certified relative range-norm error
+    rho_points: int = 0               # nodes of the rho rule the field used
 
     def squared_density(self) -> np.ndarray:
         return self.sup_values ** 2 * self.radii ** (self.p.n - 1)
@@ -172,7 +173,7 @@ def compute_maximal_field(g: Profile, p: SymbolParams, t_grid: TimeGrid,
     tail = _tail_fraction(nodes, weights, layer.sup, p.n, r_max)
     return MaximalField(p=p, radii=nodes, weights=weights, sup_values=layer.sup,
                         argmax_t=layer.arg, t_grid=t_grid, r_max=r_max,
-                        tail_fraction=tail)
+                        tail_fraction=tail, rho_points=rho_rule[0].size)
 
 
 def _tail_fraction(radii, weights, sup, n, r_max) -> float:
@@ -190,7 +191,8 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
                             rel_tol: float = 5e-3,
                             max_level: int = _MAX_LEVEL,
                             r_max: Optional[float] = None,
-                            tail_tol: float = 1e-4) -> MaximalField:
+                            tail_tol: float = 1e-4,
+                            _shared: Optional[tuple] = None) -> MaximalField:
     """Maximal field with a certified continuous sup in t.
 
     The sup over t in [-1, 1] comes from one Chebyshev interpolant per
@@ -200,7 +202,12 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     is then doubled once as an independent check.  For global fields the
     radial truncation is grown until the tail carries less than tail_tol of
     the norm.
+
+    _shared, from `_local_kernels`, lends a local field the rho rule and
+    the kernel layers of a wider modulation of the same profile.
     """
+    if _shared is not None and not local:
+        raise ValueError("shared kernel layers serve local fields only")
     if local:
         r_max_eff = 1.0
     else:
@@ -209,20 +216,42 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
 
     for _growth in range(4):
         field_obj = _converge_on_range(g, p, r_max_eff, local, rel_tol,
-                                       max_level)
+                                       max_level, _shared)
         if local or field_obj.tail_fraction < tail_tol:
             return field_obj
         r_max_eff *= 1.5
     return replace(field_obj, r_converged=False)
 
 
-def _converge_on_range(g, p, r_max, local, rel_tol, max_level):
+def _range_grid(g, r_max, level):
+    """Radial grid of `_converge_on_range`; level 1 doubles the density of 0."""
     cap = min(0.125 / g.scale, r_max / 16.0)
-    rho_rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate, t_max=1.0)
+    return _radial_grid(r_max, 0.0, cap / 2.0 ** level, 8)
 
-    def run(cap_now):
-        nodes, weights = _radial_grid(r_max, 0.0, cap_now, 8)
-        layer = propagator(g, p, nodes, rho_rule)
+
+def _local_kernels(g, p, y_max):
+    """The rho rule and the coarse and fine local layers of g e^{i y_max rho}.
+
+    They serve every modulation |y| <= y_max of g: e^{i y rho} has modulus
+    1, so it changes only the base, and the rule, whose phase budget only
+    gets finer as the linear rate grows, resolves every smaller |y|.
+    """
+    wide = g.modulate(y_max)
+    rho_rule = frequency_rule(wide, p, r_max=1.0 + wide.modulation_rate,
+                              t_max=1.0)
+    return rho_rule, tuple(propagator(wide, p, _range_grid(g, 1.0, level)[0],
+                                      rho_rule) for level in (0, 1))
+
+
+def _converge_on_range(g, p, r_max, local, rel_tol, max_level, shared=None):
+    if shared is None:
+        shared = (frequency_rule(g, p, r_max=r_max + g.modulation_rate,
+                                 t_max=1.0), (None, None))
+    rho_rule, layers = shared
+
+    def run(level):
+        nodes, weights = _range_grid(g, r_max, level)
+        layer = propagator(g, p, nodes, rho_rule, like=layers[level])
         # The degree depends on the rho rule only, so both grids share it.
         degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** max_level)
         layer.chebyshev_sup(degree)
@@ -232,10 +261,11 @@ def _converge_on_range(g, p, r_max, local, rel_tol, max_level):
         error = _range_norm_from(nodes, weights, layer.bound, p.n, local)
         return nodes, weights, layer, degree, norm, error / max(norm, 1e-300)
 
-    # Only the coarse norms are kept, so its kernel is freed before the fine one.
-    norm_coarse, bound_coarse = run(cap)[-2:]
+    # Only the coarse norms are kept, so an unshared coarse kernel is freed
+    # before the fine one is built.
+    norm_coarse, bound_coarse = run(0)[-2:]
     # One radial-density doubling as an a-posteriori resolution audit.
-    nodes, weights, layer, degree, norm_fine, bound_fine = run(cap / 2.0)
+    nodes, weights, layer, degree, norm_fine, bound_fine = run(1)
     r_ok = abs(norm_fine - norm_coarse) <= rel_tol * max(norm_fine, 1e-300)
     t_bound = max(bound_coarse, bound_fine)
     tail = 0.0 if local else _tail_fraction(nodes, weights, layer.sup, p.n, r_max)
@@ -244,7 +274,8 @@ def _converge_on_range(g, p, r_max, local, rel_tol, max_level):
                         t_grid=TimeGrid.chebyshev(degree),
                         r_max=r_max, tail_fraction=tail,
                         t_converged=t_bound <= 0.5 * rel_tol, r_converged=r_ok,
-                        norm_history=(norm_coarse, norm_fine), t_bound=t_bound)
+                        norm_history=(norm_coarse, norm_fine), t_bound=t_bound,
+                        rho_points=rho_rule[0].size)
 
 
 class InsufficientCoverage(ValueError):
@@ -307,6 +338,7 @@ class SweepRecord:
     tail_fraction: float = 0.0
     t_samples: int = 0
     t_bound: Optional[float] = None
+    rho_points: int = 0
 
     @property
     def fit_value(self) -> float:
@@ -318,15 +350,20 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     """Squared local maximal norms of the modulated data e^{iy rho} g.
 
     Returns the numerators together with the maximal field of each
-    modulation, whose convergence flags the caller aggregates.
+    modulation, whose convergence flags the caller aggregates.  All
+    modulations share one rho rule and one evaluation of the kernel layers.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
+    if y_arr.size == 0:
+        raise ValueError("the modulation grid must be nonempty")
     if np.any(np.abs(y_arr) >= 1):
         raise ValueError("modulations must satisfy |y| < 1")
+    shared = _local_kernels(g, p, float(np.max(np.abs(y_arr))))
     out = np.empty(y_arr.size)
     fields = []
     for i, y in enumerate(y_arr):
-        fld = converged_maximal_field(g.modulate(float(y)), p, local=True)
+        fld = converged_maximal_field(g.modulate(float(y)), p, local=True,
+                                      _shared=shared)
         out[i] = range_norm(fld, p, "local") ** 2
         fields.append(fld)
     return out, fields

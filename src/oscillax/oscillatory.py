@@ -60,10 +60,17 @@ def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float,
                         tol=tol, budget=budget)
 
 
-def propagator(g: Profile, p: SymbolParams, r, rho_rule) -> RadialKernel:
-    """The propagator at radii r on a rho rule: its `field(t)` is u(r, t)."""
+def propagator(g: Profile, p: SymbolParams, r, rho_rule,
+               like: RadialKernel | None = None) -> RadialKernel:
+    """The propagator at radii r on a rho rule: its `field(t)` is u(r, t).
+
+    `like`, a propagator of the same p at the same radii on the same rule,
+    lends its kernel blocks, so only the base of g is formed.
+    """
     rho, w = rho_rule
     base = (2.0 * math.pi) ** (-p.n / 2.0) * w * rho ** (p.n - 1) * g(rho)
+    if like is not None:
+        return like.rebased(base)
     return RadialKernel(p.lam, r, rho, base, rho ** p.a)
 
 

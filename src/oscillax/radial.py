@@ -25,6 +25,7 @@ over a truncated box; it exists purely as an independent cross-check.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -192,6 +193,7 @@ class RadialKernel:
     time (`sup`, `arg`) block by block, never holding all rows x times.
     `chebyshev_sup(K)` sets `sup`, `arg` to the continuous sup over [-1, 1]
     instead, with a certified per-row error bound `bound`.
+    `rebased(base)` is the same kernel with another base, at no kernel cost.
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
@@ -202,9 +204,24 @@ class RadialKernel:
         self.blocks = [(i0, bessel_kernel_reduced(
             lam, np.outer(x[i0:i0 + block], nodes)))
             for i0 in range(0, x.size, block)]
-        self.sup = np.full(x.size, -1.0)
-        self.arg = np.zeros(x.size)
+        self._start(x.size)
+
+    def _start(self, rows: int) -> None:
+        self.sup = np.full(rows, -1.0)
+        self.arg = np.zeros(rows)
         self.bound = None
+
+    def rebased(self, base: np.ndarray) -> "RadialKernel":
+        """This layer's kernel blocks and powers with another base.
+
+        The blocks are shared, not evaluated again; the sups start afresh.
+        """
+        if base.shape != self.base.shape:
+            raise ValueError("a new base must match the kernel's columns")
+        twin = copy.copy(self)
+        twin.base = base
+        twin._start(self.sup.size)
+        return twin
 
     @property
     def tau(self) -> float:

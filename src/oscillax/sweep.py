@@ -53,6 +53,8 @@ class SweepConfig:
             raise ValueError("range must be 'local' or 'global'")
         if self.modulated and self.a >= 1:
             raise ValueError("the modulated average probe requires a < 1")
+        if self.modulated and self.y_count < 1:
+            raise ValueError("y_count must be >= 1")
 
     def y_grid(self) -> np.ndarray:
         m = self.y_count
@@ -80,6 +82,7 @@ def _cell_task(args):
     out["t_level"] = max(f.t_grid.level for f in fields)
     out["r_points"] = max(f.radii.size for f in fields)
     out["r_max"] = max(f.r_max for f in fields)
+    out["rho_points"] = max(f.rho_points for f in fields)
     out["tail_fraction"] = max(f.tail_fraction for f in fields)
     worst = max(fields, key=lambda f: f.t_bound)
     out["t_samples"] = worst.t_grid.count
@@ -127,7 +130,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
                 Q=Q, A=A, converged=res["converged"], t_level=res["t_level"],
                 r_points=res["r_points"], r_max=res["r_max"],
                 tail_fraction=res["tail_fraction"],
-                t_samples=res["t_samples"], t_bound=res["t_bound"]))
+                t_samples=res["t_samples"], t_bound=res["t_bound"],
+                rho_points=res["rho_points"]))
 
     records.sort(key=lambda r: (r.family, r.p.s, r.N))
     exponents = {}

@@ -59,6 +59,7 @@ def test_sweep_row_count_and_exponents(tmp_path):
     assert summary["converged"] is True
     assert all(c["t_samples"] > 0 and 0.0 < c["t_bound"] <= 2.5e-3
                for c in summary["cells"])
+    assert all(c["rho_points"] > 0 for c in summary["cells"])
 
 
 def test_sweep_summary_round_trips(tmp_path):
@@ -178,3 +179,11 @@ def test_non_integer_workers_is_usage_error(tmp_path):
                   env={**os.environ, "OSCILLAX_WORKERS": "two"})
     assert res.returncode == 2
     assert "OSCILLAX_WORKERS" in res.stderr
+
+
+@pytest.mark.parametrize("y_count", ["0", "-3"])
+def test_empty_modulation_grid_is_usage_error(tmp_path, y_count):
+    res = run_cli(_SWEEP_ARGS + ["--modulated", "--y-count", y_count,
+                                 "--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr

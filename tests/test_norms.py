@@ -198,6 +198,19 @@ def test_modulated_average_single_point_reduces_to_local_ratio():
     assert rec.A == pytest.approx(q_local ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [4.0, 32.0])
+def test_modulated_numerators_match_standalone_fields(N):
+    p = SymbolParams(a=0.5, n=2)
+    g = sharpness_profile("shell", N, p.a)
+    y = SweepConfig(a=p.a, n=p.n, s_list=(0.1,), N_list=(N,),
+                    range_kind="local", modulated=True, y_count=8).y_grid()
+    nums, fields = modulated_numerators(g, p, y)
+    assert len(fields) == y.size
+    for v, num in zip(y, nums):
+        fld = converged_maximal_field(g.modulate(float(v)), p, local=True)
+        assert num == pytest.approx(range_norm(fld, p, "local") ** 2, rel=1e-10)
+
+
 def test_modulated_average_symmetric_under_conjugation():
     # real profile: the modulated numerators are even in y
     p = SymbolParams(a=0.5, n=2, s=0.1)

@@ -189,6 +189,23 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
     np.testing.assert_allclose(chunked.arg, whole.arg, atol=1e-12)
 
 
+def test_rebased_layer_matches_a_fresh_layer():
+    g = annular(4.0)
+    p = SymbolParams(a=2.0, n=2)
+    r = np.linspace(0.0, 1.0, 12)
+    rule = frequency_rule(g.modulate(0.5), p, r_max=2.5, t_max=1.0)
+    layer = propagator(g, p, r, rule)
+    t = np.linspace(-1.0, 1.0, 9)
+    for y in (-0.5, 0.25):
+        gy = g.modulate(y)
+        twin = propagator(gy, p, r, rule, like=layer)
+        assert twin.blocks is layer.blocks
+        np.testing.assert_array_equal(twin.field(t),
+                                      propagator(gy, p, r, rule).field(t))
+    with pytest.raises(ValueError):
+        layer.rebased(layer.base[1:])
+
+
 def _gaussian_layer():
     """a = 2 propagator of gaussian(1.0) on 25 radii in [0, 6], with its rule."""
     g = gaussian(1.0)

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 import oscillax.norms as norms
+import oscillax.radial as radial
 import oscillax.sweep as sweep
+from oscillax.oscillatory import SymbolParams
 from oscillax.sweep import SweepConfig, run_sweep
 
 SAMPLE_CAP_LEVEL = 1     # at most 2^1 Chebyshev degrees, below the certified one
@@ -35,11 +38,47 @@ def test_records_carry_radial_grid_size():
                       range_kind="local")
     records, _ = run_sweep(cfg, workers=0)
     assert records
-    assert all(r.r_points > 0 and r.r_max == 1.0 for r in records)
+    assert all(r.r_points > 0 and r.r_max == 1.0 and r.rho_points > 0
+               for r in records)
     for r in records:
         # t_level is the least L with degree t_samples - 1 <= 2^L
         assert 2 ** (r.t_level - 1) < r.t_samples - 1 <= 2 ** r.t_level
         assert 0.0 < r.t_bound <= 0.5 * 5e-3
+
+
+def test_modulated_config_rejects_empty_modulation_grid():
+    for y_count in (0, -3):
+        with pytest.raises(ValueError):
+            SweepConfig(a=0.5, n=2, s_list=(0.1,), N_list=(4.0,),
+                        range_kind="local", modulated=True, y_count=y_count)
+    with pytest.raises(ValueError):
+        norms.modulated_numerators(norms.sharpness_profile("shell", 4.0, 0.5),
+                                   SymbolParams(a=0.5, n=2), [])
+
+
+def test_modulated_cell_evaluates_kernels_once(monkeypatch):
+    evals = []
+    original = radial.bessel_kernel_reduced
+
+    def counting(lam, z):
+        evals[-1] += np.size(z)
+        return original(lam, z)
+
+    monkeypatch.setattr(radial, "bessel_kernel_reduced", counting)
+    for y_count in (2, 8):
+        evals.append(0)
+        run_sweep(SweepConfig(a=0.5, n=2, s_list=(0.1,), N_list=(4.0,),
+                              range_kind="local", modulated=True,
+                              y_count=y_count), workers=0)
+    assert evals[0] > 0
+    assert evals[0] == evals[1]
+    # Only the widest modulation sizes the cell's kernels.
+    g = norms.sharpness_profile("shell", 32.0, 0.5)
+    p = SymbolParams(a=0.5, n=2)
+    for grid in ([0.875], np.linspace(-0.875, 0.875, 8)):
+        evals.append(0)
+        norms.modulated_numerators(g, p, grid)
+    assert evals[-2] == evals[-1]
 
 
 class _RecordingContext:
