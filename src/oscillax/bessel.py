@@ -7,6 +7,17 @@ the half-integer orders -1/2 to 5/2, `bessel_j` uses the exact
 trigonometric closed forms at arguments >= 1/2, which keeps the remainder
 of the leading asymptotic term at rounding level.
 
+The entire kernel k_lam(z) = J_lam(z)/z^lam of `bessel_kernel_reduced`
+writes each order into one output array, with no boolean gather/scatter:
+
+- lam = 0: j0(z);
+- lam = -1/2: sqrt(2/pi) cos z, exact;
+- lam = 1/2: sqrt(2/pi) sin z / z, the closed form of DLMF 10.49.3;
+- lam = 1: j1(z) / z;
+- other orders: sqrt(2/pi) j_k(z) / z^k for lam = k + 1/2, else jv(lam, z) / z^lam;
+- orders other than 0 and -1/2: 2^(-lam)/Gamma(lam+1) wherever z^2 < 1e-16,
+  through one masked divide.
+
 The leading asymptotic term sqrt(2/pi) x^(-1/2) cos(w), w = x - lam*pi/2 -
 pi/4, approximates J_lam with an O(x^(-3/2)) remainder for every order
 lam > -1/2; `certify_asymptotic` measures the best constant empirically
@@ -78,10 +89,13 @@ def _validated(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("argument must be finite")
-    if np.any(arr < 0):
-        raise ValueError("argument must be nonnegative")
+    if arr.size:
+        # Two reductions and no mask: a NaN anywhere makes both NaN.
+        lo, hi = arr.min(), arr.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("argument must be finite")
+        if lo < 0.0:
+            raise ValueError("argument must be nonnegative")
     return arr, scalar
 
 
@@ -144,28 +158,40 @@ def bessel_kernel_reduced(order: BesselOrder | float, z) -> np.ndarray:
     radial reduction in the package is expressed, since
     r^(-lam) J_lam(r*rho) = rho^lam k_lam(r*rho) removes the r = 0 singularity.
     The value at 0 is used wherever z^2 < 1e-16, where the quotient
-    underflows and the next term of the series is below rounding.  The
-    order -1/2 is exact: k_{-1/2}(z) = sqrt(2/pi) cos(z).
+    underflows and the next term of the series is below rounding.
+
+    Each order writes into one output array, which is returned; z itself is
+    never written.  The routine for each order is in the module docstring.
     """
     lam = _lam(order)
     z_arr, scalar = _validated(z)
     if lam == 0.0:
         out = special.j0(z_arr)
     elif lam == -0.5:
-        out = _SQRT_2_OVER_PI * np.cos(z_arr)
+        out = np.cos(z_arr)
+        out *= _SQRT_2_OVER_PI
     else:
-        out = np.full_like(z_arr, 2.0 ** (-lam) / math.gamma(lam + 1.0))
-        live = z_arr * z_arr >= 1e-16
-        zl = z_arr[live]
-        # The routines of _scipy_j, divided by z^lam directly: skipping the
-        # sqrt(z) factor and z^lam round trip saves a fifth of time and memory.
-        if lam == 1.0:
-            out[live] = special.j1(zl) / zl
+        # fl(z*z) >= 1e-16 holds exactly when z >= 1e-8, so the mask needs
+        # no squared copy of z.
+        live = z_arr >= 1e-8
+        denom = z_arr
+        if lam == 0.5:
+            out = np.sin(z_arr)
+        elif lam == 1.0:
+            out = special.j1(z_arr)
         elif lam >= 0.5 and (lam - 0.5).is_integer():
+            # J_{k+1/2}(z) / z^(k+1/2) = sqrt(2/pi) j_k(z) / z^k.
             k = int(lam - 0.5)
-            out[live] = _SQRT_2_OVER_PI * special.spherical_jn(k, zl) / zl ** k
+            out = special.spherical_jn(k, z_arr)
+            out *= _SQRT_2_OVER_PI
+            denom = z_arr ** k
         else:
-            out[live] = special.jv(lam, zl) / zl ** lam
+            out = special.jv(lam, z_arr)
+            denom = np.power(z_arr, lam, out=np.ones_like(z_arr), where=live)
+        np.divide(out, denom, out=out, where=live)
+        if lam == 0.5:
+            out *= _SQRT_2_OVER_PI
+        np.copyto(out, 2.0 ** (-lam) / math.gamma(lam + 1.0), where=~live)
     return float(out[0]) if scalar else out
 
 

@@ -110,6 +110,16 @@ def test_nonfinite_argument_rejected():
         bessel_j(0.0, -1.0)
 
 
+@pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"),
+                                          (-np.inf, "finite"), (-1e-300, "nonnegative")])
+@pytest.mark.parametrize("at", [(0, 0), (1, 2), (3, 4)])
+def test_kernel_rejects_bad_entry_anywhere(bad, message, at):
+    z = np.linspace(0.0, 5.0, 20).reshape(4, 5)
+    z[at] = bad
+    with pytest.raises(ValueError, match=message):
+        bessel_kernel_reduced(1.0, z)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
 def test_against_scipy_envelope_relative(lam):
     rng = np.random.default_rng(42)
@@ -163,3 +173,20 @@ def test_minus_half_kernel_against_mpmath():
                           for x in z])
     k = np.asarray(bessel_kernel_reduced(-0.5, z))
     assert np.all(np.abs(k - k_ref) <= 1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+def test_kernel_small_arguments_against_mpmath(lam):
+    # Both sides of the switch to k_lam(0) at z^2 < 1e-16, and z = 0 itself,
+    # where no divide may warn.  |k_lam| <= k_lam(0) for lam >= -1/2, and it
+    # stays near k_lam(0) for z <= 1/2, so the error is scaled by k_lam(0).
+    z = np.array([0.0, 1e-12, 1e-9, 9.99e-9, 1.001e-8, 1e-6, 1e-3, 0.5])
+    given_z = z.copy()
+    with mpmath.workdps(40):
+        k0 = mpmath.mpf(2) ** -lam / mpmath.gamma(lam + 1)
+        k_ref = np.array([float(mpmath.besselj(lam, mpmath.mpf(x)) / mpmath.mpf(x) ** lam)
+                          if x > 0 else float(k0) for x in z])
+    k = bessel_kernel_reduced(lam, z)
+    np.testing.assert_array_equal(z, given_z)
+    assert np.all(np.abs(k - k_ref) <= 1e-11 * float(k0))

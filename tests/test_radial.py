@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import oscillax.radial as radial
+from oscillax.bessel import bessel_kernel_reduced
 from oscillax.norms import TimeGrid, compute_maximal_field
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
@@ -187,6 +188,18 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
         a, b = getattr(chunked, name), getattr(whole, name)
         assert np.abs(a - b).max() <= 1e-12 * b.max()
     np.testing.assert_allclose(chunked.arg, whole.arg, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 0.5, 1.0])
+def test_kernel_blocks_equal_one_whole_kernel(monkeypatch, lam):
+    x = np.linspace(0.0, 6.0, 50)
+    nodes = np.linspace(0.1, 40.0, 64)
+    whole = bessel_kernel_reduced(lam, np.outer(x, nodes))
+    _split_rows_in_three(monkeypatch, whole.shape)
+    layer = radial.RadialKernel(lam, x, nodes, np.ones(nodes.size), nodes)
+    assert len(layer.blocks) >= 3
+    np.testing.assert_array_equal(
+        np.concatenate([block for _, block in layer.blocks]), whole)
 
 
 def test_rebased_layer_matches_a_fresh_layer():
