@@ -30,14 +30,12 @@ from .bessel import bessel_j, bessel_main_term, certify_asymptotic
 from .cutoffs import make_cutoff
 from .norms import InsufficientCoverage
 from .oscillatory import SymbolParams, dispersive_field
-from .profiles import family as make_family
-from .radial import hankel_fourier, nd_oracle
+from .profiles import annular, family as make_family
+from .radial import hankel_fourier, nd_oracle, profile_rule
 from .split import (TimeSelector, apply_selector_radial, l2_halfline,
                     maximal_kernel, random_test_profile, recompose_residual,
                     remainder_constant, selector_grid)
 from .sweep import SweepConfig, format_float, records_to_csv_lines, run_sweep
-from .radial import profile_rule
-from .profiles import annular
 
 EXIT_OK = 0
 EXIT_USAGE = 2

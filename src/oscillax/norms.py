@@ -4,10 +4,9 @@ The maximal function sup_{|t|<1} |u(r, t)| is the continuous sup of a
 Chebyshev interpolant in t, one per radius, whose degree is chosen before
 sampling from the Bernstein-ellipse bound of the demodulated field (see
 `radial.RadialKernel.chebyshev_sup`); the certified interpolation error is
-carried into the range norm.  Sups over a given time grid (dyadic grids
-nest and contain 0) remain available through `compute_maximal_field`.
-The L2 range norm aggregates sup values against r^(n-1) dr over either the
-unit ball ("local") or a certified truncation of R^n ("global"):
+carried into the range norm.  The L2 range norm aggregates sup values
+against r^(n-1) dr over either the unit ball ("local") or a certified
+truncation of R^n ("global"):
 
     range_norm = ( sphere_factor(n) * int_I sup(r)^2 r^(n-1) dr )^(1/2).
 
@@ -67,19 +66,6 @@ class TimeGrid:
         object.__setattr__(self, "points", pts)
 
     @staticmethod
-    def dyadic(level: int) -> "TimeGrid":
-        """Symmetric grid j/2^level, |j| < 2^level; contains 0, nests under refinement."""
-        if level < 0:
-            raise ValueError("level must be nonnegative")
-        denom = 2 ** level
-        j = np.arange(-(denom - 1), denom)
-        return TimeGrid(points=j / denom, level=level)
-
-    @staticmethod
-    def single(t: float) -> "TimeGrid":
-        return TimeGrid(points=np.array([float(t)]), level=-1)
-
-    @staticmethod
     def chebyshev(degree: int) -> "TimeGrid":
         """The degree + 1 Chebyshev-Lobatto times on [-1, 1], increasing.
 
@@ -88,19 +74,6 @@ class TimeGrid:
         """
         return TimeGrid(points=chebyshev_times(degree)[::-1],
                         level=(degree - 1).bit_length(), closed=True)
-
-    def refine(self) -> "TimeGrid":
-        if self.level < 0 or self.closed:
-            raise ValueError("only dyadic grids support refinement")
-        return TimeGrid.dyadic(self.level + 1)
-
-    def refinement_increment(self) -> np.ndarray:
-        """The times of the next dyadic level that are not yet in this grid."""
-        if self.level < 0 or self.closed:
-            raise ValueError("only dyadic grids support refinement")
-        denom = 2 ** (self.level + 1)
-        j = np.arange(-(denom - 1), denom, 2)
-        return j / denom
 
     @property
     def count(self) -> int:
@@ -136,44 +109,6 @@ def _range_norm_from(radii, weights, sup, n, local: bool) -> float:
         dens = dens[mask]
         weights = weights[mask]
     return math.sqrt(sphere_factor(n) * float(np.sum(weights * dens)))
-
-
-def _radial_grid(r_max: float, osc_rate: float, cap: float, order: int):
-    return oscillatory_rule(0.0, r_max, linear_rate=osc_rate,
-                            panel_cap=cap, order=order,
-                            forced=(1.0,) if r_max > 1.0 else ())
-
-
-def compute_maximal_field(g: Profile, p: SymbolParams, t_grid: TimeGrid,
-                          *, r_max: Optional[float] = None,
-                          resolve_oscillation: bool = False,
-                          density: float = 1.0) -> MaximalField:
-    """Maximal field on a fixed time grid over [0, r_max].
-
-    resolve_oscillation=False sizes radial panels by the envelope scale of
-    the data (appropriate for sup fields, which are interference-free
-    envelopes); True resolves the full kernel oscillation (needed when the
-    grid has very few times, e.g. the degenerate grid {0}).
-    """
-    if p.n < 2:
-        raise ValueError("maximal fields require n >= 2")
-    hi = g.truncation_radius(p.n)
-    if r_max is None:
-        r_max = arrival_radius(g, p, float(np.max(np.abs(t_grid.points))),
-                               tol=3e-6, pad=6.0)
-    cap = min(0.5 / g.scale, r_max / 8.0) / density
-    if resolve_oscillation:
-        nodes, weights = _radial_grid(r_max, 2.0 * hi, cap, 16)
-    else:
-        nodes, weights = _radial_grid(r_max, 0.0, cap, 8)
-    rho_rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate,
-                              t_max=float(np.max(np.abs(t_grid.points))))
-    layer = propagator(g, p, nodes, rho_rule)
-    layer.add_times(t_grid.points)
-    tail = _tail_fraction(nodes, weights, layer.sup, p.n, r_max)
-    return MaximalField(p=p, radii=nodes, weights=weights, sup_values=layer.sup,
-                        argmax_t=layer.arg, t_grid=t_grid, r_max=r_max,
-                        tail_fraction=tail, rho_points=rho_rule[0].size)
 
 
 def _tail_fraction(radii, weights, sup, n, r_max) -> float:
@@ -226,7 +161,8 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
 def _range_grid(g, r_max, level):
     """Radial grid of `_converge_on_range`; level 1 doubles the density of 0."""
     cap = min(0.125 / g.scale, r_max / 16.0)
-    return _radial_grid(r_max, 0.0, cap / 2.0 ** level, 8)
+    return oscillatory_rule(0.0, r_max, panel_cap=cap / 2.0 ** level, order=8,
+                            forced=(1.0,) if r_max > 1.0 else ())
 
 
 def _local_kernels(g, p, y_max):

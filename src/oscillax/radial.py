@@ -15,9 +15,10 @@ makes fhat(0) = sphere_factor(n) * int f0 r^(n-1) dr, the integral of f.
 
 `RadialKernel` builds and contracts k_lam(x_i * nodes_j) for the propagator,
 the maximal fields, the weighted split fields and the 1-D sup-in-t kernel
-(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  Its sup over times is
-either a running sup over given grids or the certified continuous sup over
-[-1, 1] from one Chebyshev interpolant per row.
+(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  Every library sup
+over times is the certified continuous sup over [-1, 1] from one Chebyshev
+interpolant per row; a running sup over given time grids remains as the
+oracle the tests compare it against.
 
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
 over a truncated box; it exists purely as an independent cross-check.

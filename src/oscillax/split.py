@@ -25,11 +25,13 @@ fully explicit operator bound
 
 with C_lam taken from an empirical asymptotic certificate.  The kernel
 
-    K(x) = chi_m(x) sup_{|t|<2} | int e^{i x xi} e^{i t |xi|^a}
-                                   gamma_{-2s}(xi) chi_mu(xi)^2 dxi |
+    K(x) = chi_m(x) sup_{|t|<=2} | int e^{i x xi} e^{i t |xi|^a}
+                                    gamma_{-2s}(xi) chi_mu(xi)^2 dxi |
 
-is sampled on [-2m, 2m] with a trapezoidal L1 estimate; its stability as mu
-grows reflects the uniform high-frequency estimate behind the maximal bound.
+is sampled on [-2m, 2m], its sup over |t| <= 2 taken as a certified
+Chebyshev sup with power 2 rho^a, with a trapezoidal L1 estimate; its
+stability as mu grows reflects the uniform high-frequency estimate behind
+the maximal bound.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ import numpy as np
 # bessel_kernel_reduced: unused; perfbench/spans.py traces it.
 from .bessel import AsymptoticCertificate, bessel_j, bessel_kernel_reduced
 from .cutoffs import CutoffFamily, gamma_weight, make_cutoff
-from .norms import TimeGrid
+from .norms import _CHEB_TOL, _MAX_LEVEL
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
-from .radial import RadialKernel, profile_rule
+from .radial import RadialKernel, chebyshev_degree, profile_rule
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -176,16 +178,15 @@ def remainder_constant(p: SymbolParams, cutoffs: CutoffFamily,
 
 
 def maximal_kernel(m: float, mu: float, p: SymbolParams,
-                   cutoffs: CutoffFamily | None = None,
-                   t_level0: int = 4, max_level: int = 9,
-                   rel_tol: float = 5e-3):
+                   cutoffs: CutoffFamily | None = None):
     """Sample K(x) on [-2m, 2m] and estimate its L1 norm.
 
-    The sup over |t| < 2 is taken on twice the dyadic time grid, refined
-    until the trapezoidal L1 estimate stabilizes; each refinement evaluates
-    only the new times.  The even integrand on the line is the radial
-    kernel at n = 1: 2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).  Returns
-    (x, K, l1_estimate).
+    The sup over |t| <= 2 is the certified continuous sup of
+    `RadialKernel.chebyshev_sup` with power 2 rho^a, which maps t in [-1, 1]
+    onto [-2, 2]; its degree comes from the Bernstein bound at the tolerance
+    and cap of `converged_maximal_field`.  The even integrand on the line is
+    the radial kernel at n = 1: 2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).
+    Returns (x, K, l1_estimate), l1 by the trapezoidal rule.
     """
     if m <= 1 or mu <= 1:
         raise ValueError("localization parameters must exceed 1")
@@ -196,22 +197,10 @@ def maximal_kernel(m: float, mu: float, p: SymbolParams,
                               power_coeff=2.0, power=p.a, panel_cap=0.25)
     vec = w * gamma_weight(-2.0 * p.s, rho) * cutoffs.chi(rho / mu) ** 2
     layer = RadialKernel(-0.5, x_half, rho, math.sqrt(2.0 * math.pi) * vec,
-                         rho ** p.a)
-
-    grid = TimeGrid.dyadic(t_level0)
-    new_t = grid.points
-    l1_prev = None
-    while True:
-        layer.add_times(2.0 * new_t)
-        k_half = cutoffs.chi(x_half / m) * layer.sup
-        l1 = 2.0 * float(np.trapezoid(k_half, x_half))
-        if l1_prev is not None and abs(l1 - l1_prev) <= rel_tol * l1:
-            break
-        if grid.level >= max_level:
-            break
-        l1_prev = l1
-        new_t = grid.refinement_increment()
-        grid = grid.refine()
+                         2.0 * rho ** p.a)
+    layer.chebyshev_sup(chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL))
+    k_half = cutoffs.chi(x_half / m) * layer.sup
+    l1 = 2.0 * float(np.trapezoid(k_half, x_half))
     x_full = np.concatenate([-x_half[:0:-1], x_half])
     k_full = np.concatenate([k_half[:0:-1], k_half])
     return x_full, k_full, l1

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oscillax.sweep as sweep
 from oscillax import cli
 from oscillax.norms import InsufficientCoverage
 from oscillax.oscillatory import SymbolParams, gaussian_free_evolution
@@ -154,6 +155,18 @@ def test_split_check_strict_flags_split_deviation(tmp_path, monkeypatch):
 
 _SWEEP_ARGS = ["sweep", "--a", "0.5", "--n", "2", "--s-list", "0.0625",
                "--N-list", "2", "--range", "local"]
+
+
+@pytest.mark.parametrize("modulated", [False, True], ids=["plain", "modulated"])
+def test_strict_sweep_exits_3_when_unconverged(tmp_path, monkeypatch,
+                                               no_time_refinement, modulated):
+    # The CLI always sweeps in a spawn pool, whose workers would not see the
+    # capped field; run the sweep in-process instead.
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda cfg, workers=0: sweep.run_sweep(cfg, workers=0))
+    extra = ["--modulated", "--y-count", "2"] if modulated else []
+    rc = cli.main(_SWEEP_ARGS + extra + ["--out-dir", str(tmp_path), "--strict"])
+    assert rc == 3
 
 
 @pytest.mark.parametrize("config_text", ["y_count=abc\n", "y_count 4\n"],

@@ -6,27 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillax.norms import (MaximalField, TimeGrid, compute_maximal_field,
-                            converged_maximal_field, exponent_fit,
-                            modulated_numerators, range_norm,
+from oscillax.norms import (MaximalField, TimeGrid, converged_maximal_field,
+                            exponent_fit, modulated_numerators, range_norm,
                             sharpness_profile, sobolev_norm)
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
 from oscillax.profiles import annular, gaussian
+from oscillax.quadrature import oscillatory_rule
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
-
-
-def test_time_grid_dyadic_contains_zero_and_nests():
-    g3 = TimeGrid.dyadic(3)
-    g4 = TimeGrid.dyadic(4)
-    assert 0.0 in g3.points
-    assert g3.count == 2 ** 4 - 1
-    assert set(g3.points).issubset(set(g4.points))
-    inc = g3.refinement_increment()
-    assert set(inc).isdisjoint(set(g3.points))
-    assert sorted(set(inc) | set(g3.points)) == list(g4.points)
 
 
 def test_time_grid_validation():
@@ -43,8 +32,6 @@ def test_chebyshev_grid_is_closed_and_final():
     assert grid.count == 21 and grid.level == 5
     assert grid.points[0] == -1.0 and grid.points[-1] == 1.0
     assert 0.0 in grid.points
-    with pytest.raises(ValueError):
-        grid.refine()
 
 
 def test_local_cell_matches_deep_dyadic_sup():
@@ -58,7 +45,7 @@ def test_local_cell_matches_deep_dyadic_sup():
 
     def dyadic_norm(level):
         layer = propagator(g, p, fld.radii, rule)
-        layer.add_times(TimeGrid.dyadic(level).points)
+        layer.add_times(np.arange(-(2 ** level - 1), 2 ** level) / 2 ** level)
         return range_norm(replace(fld, sup_values=layer.sup), p, "local")
 
     assert fld.t_converged and fld.t_bound <= 2.5e-3
@@ -69,19 +56,25 @@ def test_local_cell_matches_deep_dyadic_sup():
 def test_maximal_on_singleton_grid_is_time_slice():
     p = SymbolParams(a=2.0, n=2)
     g = gaussian(1.0)
-    fld = compute_maximal_field(g, p, TimeGrid.single(0.0), r_max=2.0)
+    radii = np.linspace(0.0, 2.0, 41)
     rule = frequency_rule(g, p, r_max=2.0, t_max=0.0)
-    f_val = np.abs(dispersive_field(g, p, fld.radii, 0.0, rho_rule=rule))
-    assert fld.sup_values == pytest.approx(f_val, rel=1e-12)
-    assert np.all(fld.argmax_t == 0.0)
+    layer = propagator(g, p, radii, rule)
+    layer.add_times(np.array([0.0]))
+    f_val = np.abs(dispersive_field(g, p, radii, 0.0, rho_rule=rule))
+    assert layer.sup == pytest.approx(f_val, rel=1e-12)
+    assert np.all(layer.arg == 0.0)
 
 
 def test_refinement_monotonicity_pointwise():
     p = SymbolParams(a=2.0, n=2)
     g = annular(2.0)
-    coarse = compute_maximal_field(g, p, TimeGrid.dyadic(4), r_max=12.0)
-    fine = compute_maximal_field(g, p, TimeGrid.dyadic(5), r_max=12.0)
-    assert np.all(fine.sup_values >= coarse.sup_values - 1e-14)
+    radii = np.linspace(0.0, 12.0, 97)
+    rule = frequency_rule(g, p, r_max=12.0, t_max=1.0)
+    coarse = propagator(g, p, radii, rule)
+    coarse.add_times(np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4)
+    fine = propagator(g, p, radii, rule)
+    fine.add_times(np.arange(-(2 ** 5 - 1), 2 ** 5) / 2 ** 5)
+    assert np.all(fine.sup >= coarse.sup - 1e-14)
 
 
 def test_gaussian_center_sup_matches_dense_scan():
@@ -90,8 +83,11 @@ def test_gaussian_center_sup_matches_dense_scan():
     # radial node against a dense scan
     p = SymbolParams(a=2.0, n=2)
     g = gaussian(1.0)
-    fld = compute_maximal_field(g, p, TimeGrid.dyadic(6), r_max=2.0)
-    r0, sup, arg = fld.radii[0], fld.sup_values[0], fld.argmax_t[0]
+    radii, _ = oscillatory_rule(0.0, 2.0, panel_cap=0.25, order=8,
+                                forced=(1.0,))
+    layer = propagator(g, p, radii, frequency_rule(g, p, r_max=2.0, t_max=1.0))
+    layer.add_times(np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
+    r0, sup, arg = radii[0], layer.sup[0], layer.arg[0]
     assert r0 < 1e-2
     dense = np.abs(gaussian_free_evolution(1.0, p, r0, np.linspace(-0.9999, 0.9999, 10001)))
     assert arg == 0.0
@@ -104,7 +100,8 @@ def test_range_norm_zero_field():
     radii = np.linspace(0.0, 3.0, 100)
     fld = MaximalField(p=p, radii=radii, weights=np.full(100, 0.03),
                        sup_values=np.zeros(100), argmax_t=np.zeros(100),
-                       t_grid=TimeGrid.single(0.0), r_max=3.0, tail_fraction=0.0)
+                       t_grid=TimeGrid(points=np.array([0.0])), r_max=3.0,
+                       tail_fraction=0.0)
     assert range_norm(fld, p, "global") == 0.0
     assert range_norm(fld, p, "local") == 0.0
 
@@ -120,8 +117,15 @@ def test_degenerate_grid_recovers_l2_norm():
     # with the time grid {0} the sup field is |f| and the global norm is ||f||
     p = SymbolParams(a=2.0, n=2)
     g = gaussian(1.0)
-    fld = compute_maximal_field(g, p, TimeGrid.single(0.0), r_max=14.0,
-                                resolve_oscillation=True)
+    # panels resolve the full kernel oscillation, as one time cannot smooth it
+    radii, weights = oscillatory_rule(0.0, 14.0,
+                                      linear_rate=2.0 * g.truncation_radius(2),
+                                      panel_cap=0.5, forced=(1.0,))
+    layer = propagator(g, p, radii, frequency_rule(g, p, r_max=14.0, t_max=0.0))
+    layer.add_times(np.array([0.0]))
+    fld = MaximalField(p=p, radii=radii, weights=weights, sup_values=layer.sup,
+                       argmax_t=layer.arg, t_grid=TimeGrid(points=np.array([0.0])),
+                       r_max=14.0, tail_fraction=0.0)
     norm = range_norm(fld, p, "global")
     assert norm == pytest.approx(l2_norm_frequency(g, 2), abs=1e-5)
 

@@ -8,7 +8,6 @@ from scipy.optimize import minimize_scalar
 
 import oscillax.radial as radial
 from oscillax.bessel import bessel_kernel_reduced
-from oscillax.norms import TimeGrid, compute_maximal_field
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
@@ -154,14 +153,18 @@ def test_row_blocks_reproduce_single_block_maximal_field(monkeypatch,
                                                          kernel_blocks):
     g = annular(4.0)
     p = SymbolParams(a=2.0, n=2)
-    whole = compute_maximal_field(g, p, TimeGrid.dyadic(4), r_max=3.0)
+    r = np.linspace(0.0, 3.0, 50)
+    t = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
+    rule = frequency_rule(g, p, r_max=3.0, t_max=float(t[-1]))
+    whole = propagator(g, p, r, rule)
+    whole.add_times(t)
     assert len(kernel_blocks) == 1
     _split_rows_in_three(monkeypatch, kernel_blocks.pop())
-    blocked = compute_maximal_field(g, p, TimeGrid.dyadic(4), r_max=3.0)
+    blocked = propagator(g, p, r, rule)
+    blocked.add_times(t)
     assert len(kernel_blocks) >= 3
-    assert np.abs(blocked.sup_values - whole.sup_values).max() <= \
-        1e-12 * whole.sup_values.max()
-    np.testing.assert_array_equal(blocked.argmax_t, whole.argmax_t)
+    assert np.abs(blocked.sup - whole.sup).max() <= 1e-12 * whole.sup.max()
+    np.testing.assert_array_equal(blocked.arg, whole.arg)
 
 
 def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
@@ -251,7 +254,7 @@ def test_chebyshev_sup_dominates_dyadic_grid_sup():
     _, radii, _, layer = _gaussian_layer()
     layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
     _, _, _, grid = _gaussian_layer()
-    grid.add_times(TimeGrid.dyadic(6).points)
+    grid.add_times(np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
     # Up to the certified interpolation error on each row.
     assert np.all(layer.sup >= grid.sup - layer.bound)
 

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from oscillax.bessel import certify_asymptotic
 from oscillax.cutoffs import chi, gamma_weight, make_cutoff
-from oscillax.norms import TimeGrid
 from oscillax.oscillatory import SymbolParams
 from oscillax.profiles import annular, bump
 from oscillax.quadrature import oscillatory_rule
@@ -129,14 +129,48 @@ def test_kernel_even_in_x():
 
 
 def test_kernel_center_value_static_grid():
-    # t grid {0}, s = 0: K(0) = int gamma_0 chi_mu^2 dxi, directly computable
+    # s = 0: the integrand at x = 0 is positive, so the sup is at t = 0 and
+    # K(0) = int gamma_0 chi_mu^2 dxi, directly computable
     p = SymbolParams(a=0.5, n=1, s=0.0)
     mu = 2.0
-    x, k_vals, _ = maximal_kernel(4.0, mu, p, t_level0=0, max_level=0)
+    x, k_vals, _ = maximal_kernel(4.0, mu, p)
     center = k_vals[x.size // 2]
     xi = np.linspace(0.0, 2.0 * mu, 400001)
     direct = 2.0 * np.trapezoid(gamma_weight(0.0, xi) * chi(xi / mu) ** 2, xi)
     assert center == pytest.approx(direct, rel=1e-6)
+
+
+def test_kernel_matches_dense_time_search():
+    # K(x)/chi(x/m) is the sup over |t| <= 2; reference: a dense scan in t,
+    # then a bounded search between the neighbours of the best scan point
+    p = SymbolParams(a=0.5, n=1, s=0.2)
+    m = mu = 4.0
+    x, k_vals, _ = maximal_kernel(m, mu, p)
+    x_half, k_half = x[x.size // 2:], k_vals[x.size // 2:]
+    rho, w = oscillatory_rule(0.0, 2.0 * mu, linear_rate=float(x_half[-1]),
+                              power_coeff=2.0, power=p.a, panel_cap=0.25)
+    vec = w * gamma_weight(-2.0 * p.s, rho) * CUT.chi(rho / mu) ** 2
+    t = np.linspace(-2.0, 2.0, 4001)
+    phase = np.exp(1j * np.outer(t, rho ** p.a))
+    checked = 0
+    for i in range(0, x_half.size, 37):
+        weight = CUT.chi(x_half[i] / m)
+        if weight <= 0.0:
+            continue
+        coef = 2.0 * np.cos(x_half[i] * rho) * vec
+
+        def mag(tt):
+            return abs(np.sum(coef * np.exp(1j * tt * rho ** p.a)))
+
+        scan = np.abs(phase @ coef)
+        j = int(np.argmax(scan))
+        res = minimize_scalar(lambda tt: -mag(tt),
+                              bounds=(t[max(j - 1, 0)], t[min(j + 1, t.size - 1)]),
+                              method="bounded", options={"xatol": 1e-12})
+        ref = max(scan[j], -res.fun)
+        assert k_half[i] / weight == pytest.approx(ref, rel=1e-6)
+        checked += 1
+    assert checked >= 10
 
 
 def test_kernel_l1_stable_as_mu_doubles():
@@ -187,7 +221,7 @@ def test_linearization_never_exceeds_discrete_maximal_bound():
     p = SymbolParams(a=0.5, n=1, s=0.25)
     f = random_test_profile(3)
     grid, gw = selector_grid(30.0, 20.0)
-    t_grid = TimeGrid.dyadic(4).points
+    t_grid = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
     rho, w = profile_rule(f, 1, osc_rate=float(grid.max()),
                           power_coeff=1.0, power=p.a)
     gam = np.sqrt(gamma_weight(-2.0 * p.s, rho))

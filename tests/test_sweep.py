@@ -7,21 +7,6 @@ import oscillax.sweep as sweep
 from oscillax.oscillatory import SymbolParams
 from oscillax.sweep import SweepConfig, run_sweep
 
-SAMPLE_CAP_LEVEL = 1     # at most 2^1 Chebyshev degrees, below the certified one
-
-
-@pytest.fixture
-def no_time_refinement(monkeypatch):
-    """converged_maximal_field with its Chebyshev degree capped below the
-    certified one, so its time sup never certifies."""
-    original = norms.converged_maximal_field
-
-    def capped(g, p, **kw):
-        return original(g, p, **{**kw, "max_level": SAMPLE_CAP_LEVEL})
-
-    monkeypatch.setattr(norms, "converged_maximal_field", capped)
-    monkeypatch.setattr(sweep, "converged_maximal_field", capped)
-
 
 @pytest.mark.parametrize("modulated", [False, True])
 def test_unconverged_fields_flag_their_cells(no_time_refinement, modulated):
@@ -30,7 +15,7 @@ def test_unconverged_fields_flag_their_cells(no_time_refinement, modulated):
     records, _ = run_sweep(cfg, workers=0)
     assert records
     assert not any(r.converged for r in records)
-    assert all(r.t_level == SAMPLE_CAP_LEVEL for r in records)
+    assert all(r.t_level == no_time_refinement for r in records)
 
 
 def test_records_carry_radial_grid_size():
