@@ -32,9 +32,9 @@ from .norms import InsufficientCoverage
 from .oscillatory import SymbolParams, dispersive_field
 from .profiles import annular, family as make_family
 from .radial import hankel_fourier, nd_oracle, profile_rule
-from .split import (TimeSelector, apply_selector_radial, l2_halfline,
-                    maximal_kernel, random_test_profile, recompose_residual,
-                    remainder_constant, selector_grid)
+from .split import (TimeSelector, l2_halfline, maximal_kernel,
+                    random_test_profile, recompose_residual, remainder_constant,
+                    selector_grid, selector_parts)
 from .sweep import SweepConfig, format_float, records_to_csv_lines, run_sweep
 
 EXIT_OK = 0
@@ -229,11 +229,10 @@ def _cmd_split_check(args, out_dir: Path) -> int:
         sel = TimeSelector.random(grid, seed=1000 + seed)
         rho_f, w_f = profile_rule(f, 1)
         fnorm = float(np.sqrt(np.sum(w_f * np.abs(f(rho_f)) ** 2)))
-        full = apply_selector_radial(f, sel, p, "full")
-        main = apply_selector_radial(f, sel, p, "main")
-        rem = apply_selector_radial(f, sel, p, "remainder")
-        max_split_dev = max(max_split_dev, float(np.abs(main + rem - full).max()))
-        max_ratio = max(max_ratio, l2_halfline(rem, gw) / fnorm)
+        parts = selector_parts(f, sel, p)
+        dev = np.abs(parts["main"] + parts["remainder"] - parts["full"]).max()
+        max_split_dev = max(max_split_dev, float(dev))
+        max_ratio = max(max_ratio, l2_halfline(parts["remainder"], gw) / fnorm)
     report = {
         "subcommand": "split-check",
         "config": _echo_config(args, ["a", "n", "s", "pairs"]),

@@ -23,7 +23,12 @@ fully explicit operator bound
     ||R_{t,2} f|| <= C_lam * (int psi(r)^2 r^-2 dr)^(1/2)
                            * (int rho^(-2-2s) psi(rho) drho)^(1/2) * ||f||,
 
-with C_lam taken from an empirical asymptotic certificate.  The kernel
+with C_lam taken from an empirical asymptotic certificate.
+`selector_parts` returns full, main and remainder from one pass over row
+blocks of the selector grid, each block building the Bessel, cosine and
+phase matrices once; the last triple is kept in a one-entry memo keyed on
+the bytes of its inputs, so asking for the three parts in turn costs one
+build.  The kernel
 
     K(x) = chi_m(x) sup_{|t|<=2} | int e^{i x xi} e^{i t |xi|^a}
                                     gamma_{-2s}(xi) chi_mu(xi)^2 dxi |
@@ -48,7 +53,7 @@ from .norms import _CHEB_TOL, _MAX_LEVEL
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
-from .radial import RadialKernel, chebyshev_degree, profile_rule
+from .radial import _SAMPLE_BYTES, RadialKernel, chebyshev_degree, profile_rule
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -119,27 +124,50 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector, p: SymbolParams,
     return 2.0 * ((cosmat * phase) @ vec)
 
 
-def _radial_kernels(r: np.ndarray, rho: np.ndarray, lam: float, part: str):
-    z = np.outer(r, rho)
-    w = r[:, None] * rho[None, :] - lam * (0.5 * math.pi) - 0.25 * math.pi
-    if part == "main":
-        return _SQRT_2_OVER_PI * np.cos(w)
-    full = np.sqrt(z) * np.asarray(bessel_j(lam, z))
-    if part == "full":
-        return full
-    if part == "remainder":
-        return full - _SQRT_2_OVER_PI * np.cos(w)
-    raise ValueError("part must be 'full', 'main' or 'remainder'")
+# The last triple: content key -> {full, main, remainder}.  One entry, since
+# callers ask for the three parts of one operator back to back.
+_SELECTOR_MEMO: dict = {}
+_PARTS = ("full", "main", "remainder")
 
 
-def apply_selector_radial(f: Profile, sel: TimeSelector, p: SymbolParams,
-                          part: str = "full",
-                          cutoffs: CutoffFamily | None = None) -> np.ndarray:
-    """The psi-localized radial linearized operator, or one of its pieces.
+def _selector_pass(r, t, rho, weights, lam, a):
+    """Full, main and remainder before the range cutoff, in row blocks.
 
-    part "main" keeps the cosine main term of the Bessel kernel, part
-    "remainder" keeps the difference; main + remainder recomposes the full
-    operator node by node.
+    Each block builds (r rho)^(1/2) J_lam, the cosine and the phase once and
+    holds about 64 bytes per element, at most radial._SAMPLE_BYTES.
+    """
+    out = {part: np.empty(r.size, dtype=complex) for part in _PARTS}
+    rho_a = rho ** a
+    block = max(1, _SAMPLE_BYTES // (64 * rho.size))
+    for i0 in range(0, r.size, block):
+        rows = slice(i0, i0 + block)
+        z = np.outer(r[rows], rho)
+        full = np.sqrt(z) * bessel_j(lam, z)
+        z -= lam * (0.5 * math.pi)
+        z -= 0.25 * math.pi
+        main = np.cos(z, out=z)
+        main *= _SQRT_2_OVER_PI
+        phase = np.exp(1j * np.outer(t[rows], rho_a))
+        prod = np.empty_like(phase)
+        out["full"][rows] = np.multiply(full, phase, out=prod) @ weights
+        out["main"][rows] = np.multiply(main, phase, out=prod) @ weights
+        full -= main
+        out["remainder"][rows] = np.multiply(full, phase, out=prod) @ weights
+    return out
+
+
+def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams,
+                   cutoffs: CutoffFamily | None = None) -> dict:
+    """The psi-localized radial linearized operator and its two pieces.
+
+    Returns {"full", "main", "remainder"}: "main" keeps the cosine main term
+    of the Bessel kernel and "remainder" the difference full - main, taken
+    node by node and contracted on its own, so main + remainder recomposes
+    the full operator only up to rounding.  One row-blocked pass builds the
+    Bessel, cosine and phase matrices once for all three.  The last result
+    is memoized in one entry keyed on the exact bytes of everything it
+    depends on, so a hit returns what a recomputation would; the arrays
+    returned are always fresh copies.
     """
     cutoffs = cutoffs or make_cutoff()
     r = sel.grid
@@ -147,10 +175,28 @@ def apply_selector_radial(f: Profile, sel: TimeSelector, p: SymbolParams,
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
                           power_coeff=1.0, power=p.a)
     weights = w * rho ** (-p.s) * cutoffs.psi(rho) * f(rho)
-    kern = _radial_kernels(r, rho, p.lam, part)
-    phase = np.exp(1j * np.outer(t, rho ** p.a))
-    out = (kern * phase) @ weights
-    return cutoffs.psi(r) * out
+    psi_r = cutoffs.psi(r)
+    key = (np.array([p.lam, p.a]).tobytes(), r.tobytes(), t.tobytes(),
+           rho.tobytes(), weights.dtype.str, weights.tobytes(), psi_r.tobytes())
+    if key not in _SELECTOR_MEMO:
+        parts = _selector_pass(r, t, rho, weights, p.lam, p.a)
+        _SELECTOR_MEMO.clear()
+        _SELECTOR_MEMO[key] = {k: psi_r * v for k, v in parts.items()}
+    return {k: v.copy() for k, v in _SELECTOR_MEMO[key].items()}
+
+
+def apply_selector_radial(f: Profile, sel: TimeSelector, p: SymbolParams,
+                          part: str = "full",
+                          cutoffs: CutoffFamily | None = None) -> np.ndarray:
+    """One piece of the psi-localized radial linearized operator.
+
+    part is "full", "main" or "remainder"; the value is a copy of
+    `selector_parts(f, sel, p, cutoffs)[part]`, so asking for the three
+    parts of one operator in turn builds its matrices once.
+    """
+    if part not in _PARTS:
+        raise ValueError("part must be 'full', 'main' or 'remainder'")
+    return selector_parts(f, sel, p, cutoffs)[part]
 
 
 def l2_halfline(values: np.ndarray, weights: np.ndarray) -> float:

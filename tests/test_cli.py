@@ -138,13 +138,14 @@ def test_missing_required_reports_usage(tmp_path):
 
 
 def test_split_check_strict_flags_split_deviation(tmp_path, monkeypatch):
-    original = cli.apply_selector_radial
+    original = cli.selector_parts
 
-    def perturbed(f, sel, p, part="full", cutoffs=None):
-        out = original(f, sel, p, part, cutoffs)
-        return out + 1e-6 if part == "main" else out
+    def perturbed(f, sel, p, cutoffs=None):
+        parts = original(f, sel, p, cutoffs)
+        parts["main"] = parts["main"] + 1e-6
+        return parts
 
-    monkeypatch.setattr(cli, "apply_selector_radial", perturbed)
+    monkeypatch.setattr(cli, "selector_parts", perturbed)
     rc = cli.main(["split-check", "--out-dir", str(tmp_path), "--a", "0.5",
                    "--n", "2", "--s", "0.2", "--pairs", "1", "--strict"])
     assert rc == 3

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from oscillax.bessel import certify_asymptotic
-from oscillax.cutoffs import chi, gamma_weight, make_cutoff
+import oscillax.split as split
+from oscillax.bessel import bessel_j, certify_asymptotic
+from oscillax.cutoffs import CutoffFamily, chi, gamma_weight, make_cutoff
 from oscillax.oscillatory import SymbolParams
 from oscillax.profiles import annular, bump
 from oscillax.quadrature import oscillatory_rule
@@ -14,7 +15,7 @@ from oscillax.split import (TimeSelector, apply_selector_multiplier,
                             apply_selector_radial, l2_halfline,
                             maximal_kernel, random_test_profile,
                             recompose_residual, remainder_constant,
-                            selector_grid, tilde_field)
+                            selector_grid, selector_parts, tilde_field)
 
 CUT = make_cutoff()
 
@@ -85,6 +86,103 @@ def test_split_sum_recomposes_full_operator():
         main = apply_selector_radial(f, sel, p, "main")
         rem = apply_selector_radial(f, sel, p, "remainder")
         assert np.abs(main + rem - full).max() <= 1e-9
+
+
+def _dense_parts(f, sel, p):
+    """The three parts from whole R x J matrices, as split built them before
+    the row-blocked pass: the reference the blocked pass must reproduce."""
+    r, t = sel.grid, sel.values
+    rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
+                          power_coeff=1.0, power=p.a)
+    weights = w * rho ** (-p.s) * CUT.psi(rho) * f(rho)
+    z = np.outer(r, rho)
+    arg = r[:, None] * rho[None, :] - p.lam * (0.5 * math.pi) - 0.25 * math.pi
+    full = np.sqrt(z) * np.asarray(bessel_j(p.lam, z))
+    kernels = {"full": full,
+               "main": math.sqrt(2.0 / math.pi) * np.cos(arg),
+               "remainder": full - math.sqrt(2.0 / math.pi) * np.cos(arg)}
+    phase = np.exp(1j * np.outer(t, rho ** p.a))
+    return {part: CUT.psi(r) * ((kern * phase) @ weights)
+            for part, kern in kernels.items()}, z.size
+
+
+def _counting_bessel(monkeypatch):
+    """Patch split.bessel_j to record the size of each argument it gets."""
+    sizes = []
+    original = split.bessel_j
+
+    def counted(lam, x):
+        sizes.append(np.size(x))
+        return original(lam, x)
+
+    monkeypatch.setattr(split, "bessel_j", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_selector_parts_match_dense_formula(monkeypatch, n, a):
+    # Elementwise kernels and one gemv per row give each row the same
+    # operations in the same order in any row block, so equality is bitwise.
+    monkeypatch.setattr(split, "_SAMPLE_BYTES", 2 ** 22)
+    monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
+    sizes = _counting_bessel(monkeypatch)
+    p = SymbolParams(a=a, n=n, s=0.2)
+    grid, _ = selector_grid(12.0, 8.0)
+    f = random_test_profile(n)
+    sel = TimeSelector.random(grid, seed=10 * n + int(a))
+    parts = selector_parts(f, sel, p)
+    ref, elements = _dense_parts(f, sel, p)
+    assert len(sizes) >= 3 and sum(sizes) == elements
+    for part in ("full", "main", "remainder"):
+        assert np.array_equal(parts[part], ref[part]), part
+
+
+def test_selector_triple_builds_kernels_once(monkeypatch):
+    monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
+    sizes = _counting_bessel(monkeypatch)
+    p = SymbolParams(a=0.5, n=2, s=0.2)
+    grid, _ = selector_grid(12.0, 8.0)
+    f = random_test_profile(3)
+    sel = TimeSelector.random(grid, seed=5)
+    base = {part: apply_selector_radial(f, sel, p, part)
+            for part in ("full", "main", "remainder")}
+    rho, _ = profile_rule(f, 1, osc_rate=float(grid.max()),
+                          power_coeff=1.0, power=p.a)
+    assert sum(sizes) == grid.size * rho.size
+
+    def fresh(*args):
+        split._SELECTOR_MEMO.clear()
+        return selector_parts(*args)
+
+    wide_psi = CutoffFamily(psi=lambda x: CUT.psi(np.asarray(x) / 1.1))
+    variants = [(f, TimeSelector.random(grid, seed=6), p),
+                (random_test_profile(4), sel, p),
+                (f, sel, SymbolParams(a=0.5, n=2, s=0.3)),
+                (f, sel, p, wide_psi)]
+    for args in variants:
+        selector_parts(f, sel, p)
+        got = selector_parts(*args)
+        ref = fresh(*args)
+        assert not np.array_equal(got["full"], base["full"])
+        for part in ("full", "main", "remainder"):
+            assert np.array_equal(got[part], ref[part]), part
+
+    for part in ("full", "main", "remainder"):
+        out = apply_selector_radial(f, sel, p, part)
+        out[:] = 0.0
+        assert np.array_equal(apply_selector_radial(f, sel, p, part), base[part])
+    parts = selector_parts(f, sel, p)
+    parts["main"] += 1.0
+    assert np.array_equal(selector_parts(f, sel, p)["main"], base["main"])
+
+
+def test_apply_selector_radial_rejects_unknown_part():
+    grid, _ = selector_grid(12.0, 8.0)
+    sel = TimeSelector.random(grid, seed=0)
+    with pytest.raises(ValueError):
+        apply_selector_radial(random_test_profile(0), sel,
+                              SymbolParams(a=0.5, n=2, s=0.2), "both")
 
 
 def test_pieces_vanish_where_cutoff_kills_data():
