@@ -36,6 +36,7 @@ import numpy as np
 from scipy import special
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SAMPLES_PER_OCTAVE = 512
 
 # Closed trigonometric forms, exact for half-integer orders (used for
 # arguments >= 0.5; below that they cancel and scipy takes over).
@@ -45,19 +46,6 @@ _HALF_INTEGER_FORMS = {
     1.5: lambda x: np.sin(x) / x - np.cos(x),
     2.5: lambda x: (3.0 / (x * x) - 1.0) * np.sin(x) - (3.0 / x) * np.cos(x),
 }
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order lam of J_lam; only lam >= -1/2 is admitted."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.lam):
-            raise ValueError("order must be finite")
-        if self.lam < -0.5:
-            raise ValueError(f"order {self.lam} < -1/2 is not supported")
 
 
 @dataclass(frozen=True)
@@ -81,8 +69,14 @@ class AsymptoticCertificate:
             raise ValueError("certified range must stay above 1")
 
 
-def _lam(order: BesselOrder | float) -> float:
-    return order.lam if isinstance(order, BesselOrder) else BesselOrder(float(order)).lam
+def _lam(order: float) -> float:
+    """The order as a float; only finite lam >= -1/2 is admitted."""
+    lam = float(order)
+    if not math.isfinite(lam):
+        raise ValueError("order must be finite")
+    if lam < -0.5:
+        raise ValueError(f"order {lam} < -1/2 is not supported")
+    return lam
 
 
 def _validated(x) -> tuple[np.ndarray, bool]:
@@ -109,7 +103,7 @@ def _scipy_j(lam: float, x: np.ndarray) -> np.ndarray:
     return special.jv(lam, x)
 
 
-def bessel_j(order: BesselOrder | float, rho) -> np.ndarray | float:
+def bessel_j(order: float, rho) -> np.ndarray | float:
     """J_lam(rho) for rho >= 0.
 
     Within 1e-11 * min(1, sqrt(2/(pi rho))) of the 40-digit value for
@@ -130,7 +124,7 @@ def bessel_j(order: BesselOrder | float, rho) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def bessel_main_term(order: BesselOrder | float, rho) -> np.ndarray | float:
+def bessel_main_term(order: float, rho) -> np.ndarray | float:
     """Leading term sqrt(2/pi) rho^(-1/2) cos(rho - lam*pi/2 - pi/4).
 
     The shifted cosine is expanded by angle addition so that no large
@@ -151,7 +145,7 @@ def bessel_main_term(order: BesselOrder | float, rho) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def bessel_kernel_reduced(order: BesselOrder | float, z) -> np.ndarray:
+def bessel_kernel_reduced(order: float, z) -> np.ndarray:
     """The entire kernel k_lam(z) = J_lam(z) / z^lam, finite at z = 0.
 
     k_lam(0) = 2^(-lam)/Gamma(lam+1); this is the kernel through which every
@@ -195,14 +189,15 @@ def bessel_kernel_reduced(order: BesselOrder | float, z) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def certify_asymptotic(order: BesselOrder | float, rho_min: float, rho_max: float,
-                       samples_per_octave: int = 512) -> AsymptoticCertificate:
+def certify_asymptotic(order: float, rho_min: float,
+                       rho_max: float) -> AsymptoticCertificate:
     """Measure sup rho^(3/2) |J_lam - main term| over [rho_min, rho_max].
 
     The range must sit strictly above 1 and span at least 8 dyadic octaves.
     Per-octave suprema are recorded; a growth trend across octaves would
     contradict the O(rho^(-3/2)) remainder and is reported via the
-    certificate rather than silently absorbed.
+    certificate rather than silently absorbed.  Each octave is sampled at
+    _SAMPLES_PER_OCTAVE log-spaced points.
     """
     lam = _lam(order)
     if rho_min <= 1.0:
@@ -216,7 +211,7 @@ def certify_asymptotic(order: BesselOrder | float, rho_min: float, rho_max: floa
     lo = rho_min
     while lo < rho_max * (1 - 1e-12):
         hi = min(lo * 2.0, rho_max)
-        grid = np.exp(np.linspace(np.log(lo), np.log(hi), samples_per_octave,
+        grid = np.exp(np.linspace(np.log(lo), np.log(hi), _SAMPLES_PER_OCTAVE,
                                   endpoint=False))
         rem = np.abs(np.asarray(bessel_j(lam, grid)) - np.asarray(bessel_main_term(lam, grid)))
         scaled = grid ** 1.5 * rem

@@ -31,10 +31,9 @@ from .cutoffs import make_cutoff
 from .norms import InsufficientCoverage
 from .oscillatory import SymbolParams, dispersive_field
 from .profiles import annular, family as make_family
-from .radial import hankel_fourier, nd_oracle, profile_rule
-from .split import (TimeSelector, l2_halfline, maximal_kernel,
-                    random_test_profile, recompose_residual, remainder_constant,
-                    selector_grid, selector_parts)
+from .radial import hankel_fourier, nd_oracle_batch
+from .split import (kernel_sample, recompose_residual, remainder_constant,
+                    split_checks)
 from .sweep import SweepConfig, format_float, records_to_csv_lines, run_sweep
 
 EXIT_OK = 0
@@ -201,7 +200,7 @@ def _cmd_sweep(args, out_dir: Path) -> int:
 
 def _cmd_kernel(args, out_dir: Path) -> int:
     p = SymbolParams(a=args.a, n=1, s=args.s)
-    x, k_vals, l1 = maximal_kernel(args.m, args.mu, p)
+    x, k_vals, l1, t_degree, l1_bound = kernel_sample(args.m, args.mu, p)
     rows = [",".join([format_float(xx), format_float(kk)])
             for xx, kk in zip(x, k_vals)]
     _write_csv(out_dir / "kernel.csv", "x,K", rows)
@@ -209,6 +208,8 @@ def _cmd_kernel(args, out_dir: Path) -> int:
         "subcommand": "kernel",
         "config": _echo_config(args, ["m", "mu", "a", "s"]),
         "l1_estimate": l1,
+        "t_degree": t_degree,
+        "l1_bound": l1_bound,
     })
     return EXIT_OK
 
@@ -218,21 +219,10 @@ def _cmd_split_check(args, out_dir: Path) -> int:
     cut = make_cutoff()
     cert = certify_asymptotic(p.lam, 1.05, 2.0 ** 12)
     bound = remainder_constant(p, cut, cert)
-    grid, gw = selector_grid(45.0, 22.0)
     residual = recompose_residual(annular(4.0), p,
                                   np.linspace(0.0, 6.0, 13),
                                   np.array([-0.7, 0.0, 0.5]))
-    max_ratio = 0.0
-    max_split_dev = 0.0
-    for seed in range(args.pairs):
-        f = random_test_profile(seed)
-        sel = TimeSelector.random(grid, seed=1000 + seed)
-        rho_f, w_f = profile_rule(f, 1)
-        fnorm = float(np.sqrt(np.sum(w_f * np.abs(f(rho_f)) ** 2)))
-        parts = selector_parts(f, sel, p)
-        dev = np.abs(parts["main"] + parts["remainder"] - parts["full"]).max()
-        max_split_dev = max(max_split_dev, float(dev))
-        max_ratio = max(max_ratio, l2_halfline(parts["remainder"], gw) / fnorm)
+    max_split_dev, max_ratio = split_checks(p, args.pairs, 1000)
     report = {
         "subcommand": "split-check",
         "config": _echo_config(args, ["a", "n", "s", "pairs"]),
@@ -275,15 +265,13 @@ def _cmd_bessel_check(args, out_dir: Path) -> int:
 def _cmd_oracle_compare(args, out_dir: Path) -> int:
     f0 = _profile_from_args(args)
     rhos = _parse_grid(args.rho_grid)
-    rows = []
-    worst = 0.0
-    for rho in rhos:
-        hv = float(hankel_fourier(f0, args.n, float(rho)))
-        ov = nd_oracle(f0, args.n, float(rho))
-        rel = abs(hv - ov) / max(abs(ov), 1e-300)
-        worst = max(worst, rel)
-        rows.append(",".join([format_float(rho), format_float(hv),
-                              format_float(ov.real), format_float(rel)]))
+    hv = hankel_fourier(f0, args.n, rhos)
+    ov = nd_oracle_batch(f0, args.n, rhos)
+    rel = np.abs(hv - ov) / np.maximum(np.abs(ov), 1e-300)
+    worst = float(np.max(rel))
+    rows = [",".join([format_float(r), format_float(h), format_float(o.real),
+                      format_float(e)])
+            for r, h, o, e in zip(rhos, hv, ov, rel)]
     _write_csv(out_dir / "oracle_compare.csv", "rho,hankel,oracle,rel_err", rows)
     _write_summary(out_dir / "oracle_compare_summary.json", {
         "subcommand": "oracle-compare",

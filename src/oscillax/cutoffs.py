@@ -5,7 +5,7 @@ chi is an even C-infinity plateau function with
     chi = 1 on [-1, 1],   chi = 0 outside [-2, 2],   0 <= chi <= 1,
 
 built by integrating the standard compactly supported mollifier
-b(u) = exp(-1/(1-u^2)).  psi = 1 - chi and chi_m(x) = chi(x/m) for m > 1.
+b(u) = exp(-1/(1-u^2)).  psi = 1 - chi.
 
 eta(x) = chi(x) - chi(2x) is an even bump supported in 1/2 <= |x| <= 2 whose
 dyadic dilates telescope to a smooth partition of unity away from 0:
@@ -75,11 +75,6 @@ def psi(x) -> np.ndarray:
 class CutoffFamily:
     chi: Callable = field(default=chi)
     psi: Callable = field(default=psi)
-
-    def chi_m(self, m: float) -> Callable:
-        if m <= 1.0:
-            raise ValueError("dilate parameter must exceed 1")
-        return lambda x: self.chi(np.asarray(x, dtype=float) / m)
 
 
 def make_cutoff() -> CutoffFamily:
@@ -159,12 +154,3 @@ def gamma_weight(s: float, xi) -> np.ndarray | float:
         return float(out[0])
     return out
 
-
-@dataclass(frozen=True)
-class LPWeight:
-    """The weight gamma_{2s} packaged with its regularity index."""
-
-    s: float
-
-    def __call__(self, xi):
-        return gamma_weight(self.s, xi)

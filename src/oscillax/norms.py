@@ -41,9 +41,11 @@ from .radial import (chebyshev_degree, chebyshev_times, profile_rule,
                      sphere_factor)
 
 _MAX_LEVEL = 13          # Chebyshev degree <= 2^13
+_REL_TOL = 5e-3          # range-norm tolerance of the t and r checks
+_TAIL_TOL = 1e-4         # largest radial tail share of a global field
 # A-priori target of the Bernstein bound relative to A_i = (|kernel| @ |base|)_i.
 # The range norm's certificate is this times ||A|| / ||sup|| (about 2-3 on the
-# sweep families), far inside rel_tol / 2.
+# sweep families), far inside _REL_TOL / 2.
 _CHEB_TOL = 1e-6
 
 
@@ -69,8 +71,8 @@ class TimeGrid:
     def chebyshev(degree: int) -> "TimeGrid":
         """The degree + 1 Chebyshev-Lobatto times on [-1, 1], increasing.
 
-        The level is the least L with degree <= 2^L, the cap it shares with
-        `converged_maximal_field`'s max_level.
+        The level is the least L with degree <= 2^L, on the scale of
+        _MAX_LEVEL, the cap on `converged_maximal_field`'s degree.
         """
         return TimeGrid(points=chebyshev_times(degree)[::-1],
                         level=(degree - 1).bit_length(), closed=True)
@@ -98,9 +100,6 @@ class MaximalField:
     t_bound: Optional[float] = None   # certified relative range-norm error
     rho_points: int = 0               # nodes of the rho rule the field used
 
-    def squared_density(self) -> np.ndarray:
-        return self.sup_values ** 2 * self.radii ** (self.p.n - 1)
-
 
 def _range_norm_from(radii, weights, sup, n, local: bool) -> float:
     dens = sup ** 2 * radii ** (n - 1)
@@ -123,38 +122,28 @@ def _tail_fraction(radii, weights, sup, n, r_max) -> float:
 
 def converged_maximal_field(g: Profile, p: SymbolParams, *,
                             local: bool = False,
-                            rel_tol: float = 5e-3,
-                            max_level: int = _MAX_LEVEL,
-                            r_max: Optional[float] = None,
-                            tail_tol: float = 1e-4,
                             _shared: Optional[tuple] = None) -> MaximalField:
     """Maximal field with a certified continuous sup in t.
 
     The sup over t in [-1, 1] comes from one Chebyshev interpolant per
     radius, of the degree the Bernstein bound asks for (at most
-    2^max_level); the field is t-converged when the certified interpolation
-    error moves the range norm by at most rel_tol / 2.  The radial density
-    is then doubled once as an independent check.  For global fields the
-    radial truncation is grown until the tail carries less than tail_tol of
-    the norm.
+    2^_MAX_LEVEL); the field is t-converged when the certified
+    interpolation error moves the range norm by at most _REL_TOL / 2.  The
+    radial density is then doubled once as an independent check.  For
+    global fields the radial truncation starts at the arrival radius and is
+    grown until the tail carries less than _TAIL_TOL of the norm.
 
     _shared, from `_local_kernels`, lends a local field the rho rule and
     the kernel layers of a wider modulation of the same profile.
     """
     if _shared is not None and not local:
         raise ValueError("shared kernel layers serve local fields only")
-    if local:
-        r_max_eff = 1.0
-    else:
-        r_max_eff = (r_max if r_max is not None
-                     else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0))
-
+    r_max = 1.0 if local else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0)
     for _growth in range(4):
-        field_obj = _converge_on_range(g, p, r_max_eff, local, rel_tol,
-                                       max_level, _shared)
-        if local or field_obj.tail_fraction < tail_tol:
+        field_obj = _converge_on_range(g, p, r_max, local, _shared)
+        if local or field_obj.tail_fraction < _TAIL_TOL:
             return field_obj
-        r_max_eff *= 1.5
+        r_max *= 1.5
     return replace(field_obj, r_converged=False)
 
 
@@ -179,7 +168,7 @@ def _local_kernels(g, p, y_max):
                                       rho_rule) for level in (0, 1))
 
 
-def _converge_on_range(g, p, r_max, local, rel_tol, max_level, shared=None):
+def _converge_on_range(g, p, r_max, local, shared=None):
     if shared is None:
         shared = (frequency_rule(g, p, r_max=r_max + g.modulation_rate,
                                  t_max=1.0), (None, None))
@@ -189,7 +178,7 @@ def _converge_on_range(g, p, r_max, local, rel_tol, max_level, shared=None):
         nodes, weights = _range_grid(g, r_max, level)
         layer = propagator(g, p, nodes, rho_rule, like=layers[level])
         # The degree depends on the rho rule only, so both grids share it.
-        degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** max_level)
+        degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
         layer.chebyshev_sup(degree)
         norm = _range_norm_from(nodes, weights, layer.sup, p.n, local)
         # Minkowski: |sup_i - true sup_i| <= bound_i moves the norm by at
@@ -202,14 +191,14 @@ def _converge_on_range(g, p, r_max, local, rel_tol, max_level, shared=None):
     norm_coarse, bound_coarse = run(0)[-2:]
     # One radial-density doubling as an a-posteriori resolution audit.
     nodes, weights, layer, degree, norm_fine, bound_fine = run(1)
-    r_ok = abs(norm_fine - norm_coarse) <= rel_tol * max(norm_fine, 1e-300)
+    r_ok = abs(norm_fine - norm_coarse) <= _REL_TOL * max(norm_fine, 1e-300)
     t_bound = max(bound_coarse, bound_fine)
     tail = 0.0 if local else _tail_fraction(nodes, weights, layer.sup, p.n, r_max)
     return MaximalField(p=p, radii=nodes, weights=weights,
                         sup_values=layer.sup, argmax_t=layer.arg,
                         t_grid=TimeGrid.chebyshev(degree),
                         r_max=r_max, tail_fraction=tail,
-                        t_converged=t_bound <= 0.5 * rel_tol, r_converged=r_ok,
+                        t_converged=t_bound <= 0.5 * _REL_TOL, r_converged=r_ok,
                         norm_history=(norm_coarse, norm_fine), t_bound=t_bound,
                         rho_points=rho_rule[0].size)
 

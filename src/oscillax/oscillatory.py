@@ -52,12 +52,10 @@ class SymbolParams:
         return self.n / 2.0 - 1.0
 
 
-def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float,
-                   tol: float = 1e-12, budget: float = 8.0):
+def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float):
     """rho-quadrature resolving both the kernel and time oscillations."""
     return profile_rule(g, p.n, osc_rate=abs(r_max),
-                        power_coeff=abs(t_max), power=p.a,
-                        tol=tol, budget=budget)
+                        power_coeff=abs(t_max), power=p.a)
 
 
 def propagator(g: Profile, p: SymbolParams, r, rho_rule,
@@ -173,8 +171,7 @@ def arrival_radius(g: Profile, p: SymbolParams, t_max: float, tol: float,
     return spatial_extent(g, p, tol=tol) + speed + pad / g.scale
 
 
-def isometry_ratios(g: Profile, p: SymbolParams, ts,
-                    r_max: float | None = None) -> np.ndarray:
+def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
     """|| u(., t) ||_{L2(R^n)} / || f ||_{L2(R^n)} for each t, computed radially.
 
     The multiplier e^{i t rho^a} has modulus one, so every time slice is an
@@ -188,8 +185,7 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts,
     if denom == 0.0:
         raise ValueError("zero profile")
     t_max = float(np.max(np.abs(t_arr)))
-    if r_max is None:
-        r_max = arrival_radius(g, p, t_max, tol=1e-9, pad=8.0)
+    r_max = arrival_radius(g, p, t_max, tol=1e-9, pad=8.0)
     hi = g.truncation_radius(p.n)
     # Low frequencies travel fast when a < 1, leaving far-field tails that
     # decay only polynomially; grow the truncation until the audited outer

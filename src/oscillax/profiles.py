@@ -27,6 +27,8 @@ from scipy.interpolate import CubicSpline
 
 from .cutoffs import chi, eta, mollifier
 
+_BAND_TERMS = 7
+
 
 @dataclass(frozen=True, eq=False)
 class Profile:
@@ -36,7 +38,6 @@ class Profile:
     support: Optional[Tuple[float, float]]  # None means rapidly decaying tail
     scale: float                            # smallest feature size
     modulation_rate: float = 0.0
-    complex_valued: bool = False
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -53,14 +54,12 @@ class Profile:
             fn=(lambda rho, _b=base, _y=y:
                 np.exp(1j * _y * np.asarray(rho, dtype=float)) * _b(np.asarray(rho, dtype=float))),
             modulation_rate=self.modulation_rate + abs(y),
-            complex_valued=True,
         )
 
     def scaled(self, alpha: complex) -> "Profile":
         base = self.fn
         return replace(self, params={**self.params, "amplitude": alpha},
-                       fn=lambda rho, _b=base, _a=alpha: _a * _b(rho),
-                       complex_valued=self.complex_valued or bool(np.iscomplexobj(alpha)))
+                       fn=lambda rho, _b=base, _a=alpha: _a * _b(rho))
 
     def plus(self, other: "Profile") -> "Profile":
         lo = 0.0
@@ -73,8 +72,7 @@ class Profile:
                        fn=lambda rho: f1(rho) + f2(rho),
                        support=(lo, hi) if hi is not None else None,
                        scale=min(self.scale, other.scale),
-                       modulation_rate=max(self.modulation_rate, other.modulation_rate),
-                       complex_valued=self.complex_valued or other.complex_valued)
+                       modulation_rate=max(self.modulation_rate, other.modulation_rate))
 
     def truncation_radius(self, n: int, tol: float = 1e-12) -> float:
         """Radius P with integral of rho^(n-1) |g| beyond P below tol of the total."""
@@ -153,26 +151,26 @@ def sampled(grid, values) -> Profile:
                    scale=float(np.min(np.diff(grid))) * 2.0)
 
 
-def bandlimited(seed: int, max_freq: float = 2.0, terms: int = 7) -> Profile:
-    """Random smooth profile supported in [0, max_freq].
+def bandlimited(seed: int) -> Profile:
+    """Random smooth profile supported in [0, 2].
 
-    A random trigonometric polynomial tapered by the plateau cutoff; used
-    for uniform-boundedness experiments over compactly supported data.
+    A random trigonometric polynomial of _BAND_TERMS terms in u = rho - 1,
+    tapered by the plateau cutoff chi(rho); used for uniform-boundedness
+    experiments over compactly supported data.
     """
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(terms) / (1.0 + np.arange(terms)) ** 1.5
-    half = max_freq / 2.0
+    coeff = rng.standard_normal(_BAND_TERMS) / (1.0 + np.arange(_BAND_TERMS)) ** 1.5
 
     def f(rho):
         rho = np.asarray(rho, dtype=float)
-        u = (rho - half) / half
+        u = rho - 1.0
         poly = np.zeros_like(rho)
         for k, c in enumerate(coeff):
             poly += c * np.cos(k * math.pi * u / 2.0)
-        return chi(2.0 * rho / max_freq) * poly
+        return chi(rho) * poly
 
     return Profile(kind="bandlimited", params={"seed": int(seed)},
-                   fn=f, support=(0.0, max_freq), scale=max_freq / (2.0 * terms))
+                   fn=f, support=(0.0, 2.0), scale=1.0 / _BAND_TERMS)
 
 
 _FAMILIES = {

@@ -48,12 +48,12 @@ def panel_rule(breakpoints, order: int = DEFAULT_ORDER):
 
 
 def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
-                      panel_cap=None, budget=PHASE_BUDGET, forced=()):
+                      panel_cap=None, forced=()):
     """Panel edges on [lo, hi] bounding accumulated phase per panel.
 
     The phase model is psi(x) = linear_rate * x + |power_coeff| * x**power,
     monotone on x >= 0.  Edges are chosen so psi increases by at most
-    `budget` across each panel; `panel_cap` additionally limits the panel
+    PHASE_BUDGET across each panel; `panel_cap` additionally limits the panel
     width (used to resolve non-oscillatory structure such as a narrow
     profile).  `forced` points are inserted as exact edges.
     """
@@ -68,9 +68,9 @@ def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
     def cost(x):
         # Panels per unit of accumulated phase plus panels per unit width;
         # strictly increasing, so inversion below is well defined.
-        out = (linear_rate * x) / budget + (x - lo) / cap
+        out = (linear_rate * x) / PHASE_BUDGET + (x - lo) / cap
         if power_coeff > 0.0:
-            out = out + (power_coeff / budget) * np.power(x, power)
+            out = out + (power_coeff / PHASE_BUDGET) * np.power(x, power)
         return out
 
     total = cost(hi) - cost(lo)
@@ -94,10 +94,9 @@ def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
 
 
 def oscillatory_rule(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
-                     panel_cap=None, order: int = DEFAULT_ORDER,
-                     budget=PHASE_BUDGET, forced=()):
+                     panel_cap=None, order: int = DEFAULT_ORDER, forced=()):
     """Nodes/weights resolving the given oscillation model on [lo, hi]."""
     edges = phase_breakpoints(lo, hi, linear_rate, power_coeff, power,
-                              panel_cap, budget, forced)
+                              panel_cap, forced)
     return panel_rule(edges, order)
 

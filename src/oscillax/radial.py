@@ -54,8 +54,7 @@ def sphere_factor(n: int) -> float:
 
 def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
                  power_coeff: float = 0.0, power: float = 1.0,
-                 tol: float = _TAIL_TOL, budget: float = 8.0,
-                 order: int = 16, include_modulation: bool = True):
+                 include_modulation: bool = True):
     """Quadrature nodes/weights over the effective support of a profile.
 
     osc_rate is the linear oscillation rate (radians per unit rho) of any
@@ -66,7 +65,7 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
     profiles share the identical rule.
     """
     lo = g.lower_support()
-    hi = g.truncation_radius(n, tol)
+    hi = g.truncation_radius(n, _TAIL_TOL)
     if not hi > lo:
         raise ValueError("profile has empty effective support")
     forced = ()
@@ -80,8 +79,7 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
     rate = osc_rate + (g.modulation_rate if include_modulation else 0.0)
     return oscillatory_rule(lo, hi, linear_rate=rate,
                             power_coeff=power_coeff, power=power,
-                            panel_cap=g.scale / 2.0,
-                            order=order, budget=budget, forced=forced)
+                            panel_cap=g.scale / 2.0, forced=forced)
 
 
 def chebyshev_times(degree: int) -> np.ndarray:
@@ -305,8 +303,8 @@ def hankel_fourier(f0: Profile, n: int, rho) -> np.ndarray | float:
     return out
 
 
-def _axis_rule(f: Profile, n: int, xi_component: float, tol: float):
-    half = f.truncation_radius(n, tol)
+def _axis_rule(f: Profile, n: int, xi_component: float):
+    half = f.truncation_radius(n, _TAIL_TOL)
     return oscillatory_rule(-half, half, linear_rate=abs(xi_component),
                             panel_cap=f.scale / 2.0)
 
@@ -314,22 +312,17 @@ def _axis_rule(f: Profile, n: int, xi_component: float, tol: float):
 def nd_oracle(f: Profile, n: int, xi) -> complex:
     """Direct tensor-product quadrature of int e^{-i x.xi} f(|x|) dx.
 
-    Only n = 2 and n = 3 are supported; the cost of larger n buys nothing
-    for validation.  xi may be a magnitude (placed on the first axis) or a
-    full n-vector.
+    xi is an n-vector.  Only n = 2 and n = 3 are supported; the cost of
+    larger n buys nothing for validation.  Each axis gets a rule resolving
+    its own component of xi.
     """
     if n not in (2, 3):
         raise ValueError("oracle supports n in {2, 3} only")
-    xi_vec = np.zeros(n)
-    if np.ndim(xi) == 0:
-        xi_vec[0] = float(xi)
-    else:
-        xi_arr = np.asarray(xi, dtype=float)
-        if xi_arr.shape != (n,):
-            raise ValueError("xi must be a scalar or an n-vector")
-        xi_vec = xi_arr
+    xi_vec = np.asarray(xi, dtype=float)
+    if xi_vec.shape != (n,):
+        raise ValueError("xi must be an n-vector")
 
-    rules = [_axis_rule(f, n, xi_vec[k], _TAIL_TOL) for k in range(n)]
+    rules = [_axis_rule(f, n, xi_vec[k]) for k in range(n)]
     if n == 2:
         (x1, w1), (x2, w2) = rules
         r = np.hypot(x1[:, None], x2[None, :])
@@ -350,20 +343,20 @@ def nd_oracle(f: Profile, n: int, xi) -> complex:
 
 
 def nd_oracle_batch(f: Profile, n: int, rho_list) -> np.ndarray:
-    """nd_oracle at several magnitudes, sharing one tensor grid.
+    """The tensor-quadrature transform at xi = (rho, 0, ...) for several rho.
 
-    For axis-aligned frequency vectors (rho, 0, ...) the transverse axes
-    carry no phase, so their contraction H(x1) = int int f(|x|) dx2 dx3 is
-    computed once on a grid sized for the largest requested rho; each rho
-    then costs a single 1-D phase contraction.  Identical nodes and weights
-    to nd_oracle, just factored.
+    The transverse axes carry no phase, so their contraction
+    H(x1) = int int f(|x|) dx2 dx3 is computed once and each rho costs a
+    single 1-D phase contraction.  The first axis gets one rule, sized for
+    the largest |rho|; `nd_oracle` sizes it for each xi, so at smaller rho
+    the two use different nodes and agree to quadrature accuracy only.
     """
     if n not in (2, 3):
         raise ValueError("oracle supports n in {2, 3} only")
     rho_arr = np.atleast_1d(np.asarray(rho_list, dtype=float))
     rate = float(np.max(np.abs(rho_arr)))
-    x1, w1 = _axis_rule(f, n, rate, _TAIL_TOL)
-    x2, w2 = _axis_rule(f, n, 0.0, _TAIL_TOL)
+    x1, w1 = _axis_rule(f, n, rate)
+    x2, w2 = _axis_rule(f, n, 0.0)
     if n == 2:
         r = np.hypot(x1[:, None], x2[None, :])
         h = f(r) @ w2

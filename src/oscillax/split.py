@@ -28,10 +28,11 @@ with C_lam taken from an empirical asymptotic certificate.
 blocks of the selector grid, each block building the Bessel, cosine and
 phase matrices once; the last triple is kept in a one-entry memo keyed on
 the bytes of its inputs, so asking for the three parts in turn costs one
-build.  The kernel
+build.  `split_checks` measures main + remainder - full and the
+remainder's norm ratio over random profile/selector pairs.  The kernel
 
-    K(x) = chi_m(x) sup_{|t|<=2} | int e^{i x xi} e^{i t |xi|^a}
-                                    gamma_{-2s}(xi) chi_mu(xi)^2 dxi |
+    K(x) = chi(x/m) sup_{|t|<=2} | int e^{i x xi} e^{i t |xi|^a}
+                                    gamma_{-2s}(xi) chi(xi/mu)^2 dxi |
 
 is sampled on [-2m, 2m], its sup over |t| <= 2 taken as a certified
 Chebyshev sup with power 2 rho^a, with a trapezoidal L1 estimate; its
@@ -48,7 +49,7 @@ import numpy as np
 
 # bessel_kernel_reduced: unused; perfbench/spans.py traces it.
 from .bessel import AsymptoticCertificate, bessel_j, bessel_kernel_reduced
-from .cutoffs import CutoffFamily, gamma_weight, make_cutoff
+from .cutoffs import CutoffFamily, chi, gamma_weight, psi
 from .norms import _CHEB_TOL, _MAX_LEVEL
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
@@ -76,10 +77,10 @@ class TimeSelector:
         object.__setattr__(self, "values", v)
 
     @staticmethod
-    def random(grid, seed: int, scale: float = 0.999) -> "TimeSelector":
+    def random(grid, seed: int) -> "TimeSelector":
         rng = np.random.default_rng(seed)
         g = np.asarray(grid, dtype=float)
-        return TimeSelector(grid=g, values=scale * rng.uniform(-1, 1, g.size))
+        return TimeSelector(grid=g, values=0.999 * rng.uniform(-1, 1, g.size))
 
     @staticmethod
     def constant(grid, t: float) -> "TimeSelector":
@@ -93,11 +94,10 @@ class TimeSelector:
         return self.values
 
 
-def selector_grid(r_max: float, rho_max: float, order: int = 16):
+def selector_grid(r_max: float, rho_max: float):
     """Radial evaluation grid resolving kernels oscillating up to rho_max."""
     return oscillatory_rule(0.0, r_max, linear_rate=rho_max,
-                            panel_cap=r_max / 16.0, order=order,
-                            forced=(1.0, 2.0))
+                            panel_cap=r_max / 16.0, forced=(1.0, 2.0))
 
 
 def apply_selector_multiplier(f: Profile, sel: TimeSelector, p: SymbolParams,
@@ -156,8 +156,7 @@ def _selector_pass(r, t, rho, weights, lam, a):
     return out
 
 
-def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams,
-                   cutoffs: CutoffFamily | None = None) -> dict:
+def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     """The psi-localized radial linearized operator and its two pieces.
 
     Returns {"full", "main", "remainder"}: "main" keeps the cosine main term
@@ -169,38 +168,64 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams,
     depends on, so a hit returns what a recomputation would; the arrays
     returned are always fresh copies.
     """
-    cutoffs = cutoffs or make_cutoff()
     r = sel.grid
     t = sel.match(sel.grid)
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
                           power_coeff=1.0, power=p.a)
-    weights = w * rho ** (-p.s) * cutoffs.psi(rho) * f(rho)
-    psi_r = cutoffs.psi(r)
+    weights = w * rho ** (-p.s) * psi(rho) * f(rho)
     key = (np.array([p.lam, p.a]).tobytes(), r.tobytes(), t.tobytes(),
-           rho.tobytes(), weights.dtype.str, weights.tobytes(), psi_r.tobytes())
+           rho.tobytes(), weights.dtype.str, weights.tobytes())
     if key not in _SELECTOR_MEMO:
         parts = _selector_pass(r, t, rho, weights, p.lam, p.a)
+        psi_r = psi(r)
         _SELECTOR_MEMO.clear()
         _SELECTOR_MEMO[key] = {k: psi_r * v for k, v in parts.items()}
     return {k: v.copy() for k, v in _SELECTOR_MEMO[key].items()}
 
 
 def apply_selector_radial(f: Profile, sel: TimeSelector, p: SymbolParams,
-                          part: str = "full",
-                          cutoffs: CutoffFamily | None = None) -> np.ndarray:
+                          part: str = "full") -> np.ndarray:
     """One piece of the psi-localized radial linearized operator.
 
     part is "full", "main" or "remainder"; the value is a copy of
-    `selector_parts(f, sel, p, cutoffs)[part]`, so asking for the three
-    parts of one operator in turn builds its matrices once.
+    `selector_parts(f, sel, p)[part]`, so asking for the three parts of one
+    operator in turn builds its matrices once.
     """
     if part not in _PARTS:
         raise ValueError("part must be 'full', 'main' or 'remainder'")
-    return selector_parts(f, sel, p, cutoffs)[part]
+    return selector_parts(f, sel, p)[part]
 
 
 def l2_halfline(values: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(float(np.sum(weights * np.abs(values) ** 2)))
+
+
+def profile_l2(f: Profile) -> float:
+    """L2 norm of the profile f on the half-line, on its own rule."""
+    rho, w = profile_rule(f, 1)
+    return l2_halfline(f(rho), w)
+
+
+def split_checks(p: SymbolParams, pairs: int,
+                 selector_seed0: int) -> tuple[float, float]:
+    """The cosine split and its remainder bound over random pairs.
+
+    Pair k < pairs applies the radial operator on selector_grid(45, 22) to
+    random_test_profile(k) along TimeSelector.random(grid, selector_seed0 + k).
+    Returns the largest |main + remainder - full| and the largest
+    ||remainder|| / ||f||, the ratio `remainder_constant` bounds.
+    """
+    grid, gw = selector_grid(45.0, 22.0)
+    max_dev = max_ratio = 0.0
+    for k in range(pairs):
+        f = random_test_profile(k)
+        sel = TimeSelector.random(grid, selector_seed0 + k)
+        parts = selector_parts(f, sel, p)
+        dev = np.abs(parts["main"] + parts["remainder"] - parts["full"]).max()
+        max_dev = max(max_dev, float(dev))
+        ratio = l2_halfline(parts["remainder"], gw) / profile_l2(f)
+        max_ratio = max(max_ratio, ratio)
+    return max_dev, max_ratio
 
 
 def remainder_constant(p: SymbolParams, cutoffs: CutoffFamily,
@@ -223,72 +248,77 @@ def remainder_constant(p: SymbolParams, cutoffs: CutoffFamily,
     return cert.c_lambda_empirical * math.sqrt(int_range) * math.sqrt(int_freq)
 
 
-def maximal_kernel(m: float, mu: float, p: SymbolParams,
-                   cutoffs: CutoffFamily | None = None):
-    """Sample K(x) on [-2m, 2m] and estimate its L1 norm.
+def kernel_sample(m: float, mu: float, p: SymbolParams):
+    """Sample K(x) on [-2m, 2m] and estimate its L1 norm, with its audit.
 
     The sup over |t| <= 2 is the certified continuous sup of
     `RadialKernel.chebyshev_sup` with power 2 rho^a, which maps t in [-1, 1]
     onto [-2, 2]; its degree comes from the Bernstein bound at the tolerance
     and cap of `converged_maximal_field`.  The even integrand on the line is
     the radial kernel at n = 1: 2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).
-    Returns (x, K, l1_estimate), l1 by the trapezoidal rule.
+    Returns (x, K, l1_estimate, t_degree, l1_bound): l1 by the trapezoidal
+    rule, t_degree the Chebyshev degree in t, and l1_bound the same
+    trapezoid of chi(x/m) times the certified error of the sup at x, so the
+    sup's error moves l1_estimate by at most l1_bound.
     """
     if m <= 1 or mu <= 1:
         raise ValueError("localization parameters must exceed 1")
-    cutoffs = cutoffs or make_cutoff()
     hi = 2.0 * mu
     x_half = np.linspace(0.0, 2.0 * m, max(512, int(64 * m) + 1))
     rho, w = oscillatory_rule(0.0, hi, linear_rate=float(x_half[-1]),
                               power_coeff=2.0, power=p.a, panel_cap=0.25)
-    vec = w * gamma_weight(-2.0 * p.s, rho) * cutoffs.chi(rho / mu) ** 2
+    vec = w * gamma_weight(-2.0 * p.s, rho) * chi(rho / mu) ** 2
     layer = RadialKernel(-0.5, x_half, rho, math.sqrt(2.0 * math.pi) * vec,
                          2.0 * rho ** p.a)
-    layer.chebyshev_sup(chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL))
-    k_half = cutoffs.chi(x_half / m) * layer.sup
+    degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
+    layer.chebyshev_sup(degree)
+    chi_x = chi(x_half / m)
+    k_half = chi_x * layer.sup
     l1 = 2.0 * float(np.trapezoid(k_half, x_half))
+    l1_bound = 2.0 * float(np.trapezoid(chi_x * layer.bound, x_half))
     x_full = np.concatenate([-x_half[:0:-1], x_half])
     k_full = np.concatenate([k_half[:0:-1], k_half])
-    return x_full, k_full, l1
+    return x_full, k_full, l1, degree, l1_bound
+
+
+def maximal_kernel(m: float, mu: float, p: SymbolParams):
+    """(x, K, l1_estimate) of `kernel_sample`."""
+    return kernel_sample(m, mu, p)[:3]
 
 
 def tilde_field(g: Profile, p: SymbolParams, r, t,
-                freq_cut=None, range_cut=None,
-                cutoffs: CutoffFamily | None = None) -> np.ndarray:
+                freq_cut=None, range_cut=None) -> np.ndarray:
     """The weighted propagator int e^{i(x.xi + t|xi|^a)} <xi>^{-s/2} zeta g dxi.
 
     freq_cut / range_cut select the frequency and range localizations from
     {None, "chi", "psi"}; None means no cutoff on that variable.  Radially
     reduced like the main propagator, shape (len(r), len(t)).
     """
-    cutoffs = cutoffs or make_cutoff()
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     rho, w = profile_rule(g, p.n, osc_rate=float(np.max(r_arr)),
                           power_coeff=1.0, power=p.a)
-    zeta = {"chi": cutoffs.chi, "psi": cutoffs.psi, None: lambda v: 1.0}[freq_cut]
+    zeta = {"chi": chi, "psi": psi, None: lambda v: 1.0}[freq_cut]
     base = w * rho ** (p.n - 1) * (1.0 + rho * rho) ** (-p.s / 2.0) * g(rho)
     base = (2.0 * math.pi) ** (p.n / 2.0) * base * zeta(rho)
     out = RadialKernel(p.lam, r_arr, rho, base, rho ** p.a).field(t_arr)
     if range_cut is not None:
-        zr = {"chi": cutoffs.chi, "psi": cutoffs.psi}[range_cut]
+        zr = {"chi": chi, "psi": psi}[range_cut]
         out = zr(r_arr)[:, None] * out
     return out
 
 
-def recompose_residual(g: Profile, p: SymbolParams, r, t,
-                       cutoffs: CutoffFamily | None = None) -> float:
+def recompose_residual(g: Profile, p: SymbolParams, r, t) -> float:
     """Max deviation between the whole weighted propagator and its 4 pieces.
 
     The pieces are indexed by (freq_cut, range_cut) in {chi, psi}^2 and must
     recompose exactly because chi + psi = 1 in both variables.
     """
-    cutoffs = cutoffs or make_cutoff()
-    whole = tilde_field(g, p, r, t, None, None, cutoffs)
+    whole = tilde_field(g, p, r, t, None, None)
     total = np.zeros_like(whole)
     for fc in ("chi", "psi"):
         for rc in ("chi", "psi"):
-            total = total + tilde_field(g, p, r, t, fc, rc, cutoffs)
+            total = total + tilde_field(g, p, r, t, fc, rc)
     return float(np.max(np.abs(whole - total)))
 
 

@@ -3,7 +3,6 @@ import time
 import pytest
 
 import oscillax.norms as norms
-import oscillax.sweep as sweep
 from oscillax.sweep import SweepConfig, run_sweep
 
 FULL_SCALES = (2, 4, 8, 16, 32, 64, 128)
@@ -12,18 +11,13 @@ SAMPLE_CAP_LEVEL = 1     # at most 2^1 Chebyshev degrees, below the certified on
 
 @pytest.fixture
 def no_time_refinement(monkeypatch):
-    """converged_maximal_field with its Chebyshev degree capped below the
-    certified one, so its time sup never certifies.  Returns the cap level.
+    """Lower norms._MAX_LEVEL so converged_maximal_field caps its Chebyshev
+    degree below the certified one and its time sup never certifies.
+    Returns the cap level.
 
     Only in-process sweeps (workers=0) see the cap: spawned workers import
     the unpatched module."""
-    original = norms.converged_maximal_field
-
-    def capped(g, p, **kw):
-        return original(g, p, **{**kw, "max_level": SAMPLE_CAP_LEVEL})
-
-    monkeypatch.setattr(norms, "converged_maximal_field", capped)
-    monkeypatch.setattr(sweep, "converged_maximal_field", capped)
+    monkeypatch.setattr(norms, "_MAX_LEVEL", SAMPLE_CAP_LEVEL)
     return SAMPLE_CAP_LEVEL
 
 

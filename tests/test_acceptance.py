@@ -20,12 +20,8 @@ from oscillax.norms import converged_maximal_field, range_norm
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   gaussian_free_evolution, isometry_ratios)
 from oscillax.profiles import annular, bandlimited, bump, gaussian
-from oscillax.radial import (hankel_fourier, l2_norm_frequency, nd_oracle,
-                             nd_oracle_batch)
-from oscillax.split import (TimeSelector, apply_selector_radial, l2_halfline,
-                            random_test_profile, recompose_residual,
-                            remainder_constant, selector_grid)
-from oscillax.radial import profile_rule
+from oscillax.radial import hankel_fourier, l2_norm_frequency, nd_oracle_batch
+from oscillax.split import recompose_residual, remainder_constant, split_checks
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -140,15 +136,7 @@ def test_criterion_5_decomposition_exactness():
     residual = recompose_residual(annular(4.0), p, np.linspace(0.0, 6.0, 13),
                                   np.array([-0.7, 0.0, 0.5]))
     ok = residual <= 1e-9
-    grid, _ = selector_grid(45.0, 22.0)
-    worst = 0.0
-    for seed in range(20):
-        f = random_test_profile(seed)
-        sel = TimeSelector.random(grid, seed=1000 + seed)
-        full = apply_selector_radial(f, sel, p, "full")
-        main = apply_selector_radial(f, sel, p, "main")
-        rem = apply_selector_radial(f, sel, p, "remainder")
-        worst = max(worst, float(np.abs(main + rem - full).max()))
+    worst, _ = split_checks(p, 20, 1000)
     ok &= worst <= 1e-9
     elapsed = time.monotonic() - t0
     _report(5, "cutoff recomposition and cosine split", ok, elapsed,
@@ -160,19 +148,11 @@ def test_criterion_6_remainder_bound():
     cut = make_cutoff()
     ok = True
     details = []
-    grid, gw = selector_grid(45.0, 22.0)
     for a, s in ((0.5, 0.2), (2.0, 0.6)):
         p = SymbolParams(a=a, n=2, s=s)
         cert = certify_asymptotic(p.lam, 1.05, 2.0 ** 12)
         bound = remainder_constant(p, cut, cert)
-        worst = 0.0
-        for seed in range(20):
-            f = random_test_profile(seed)
-            sel = TimeSelector.random(grid, seed=2000 + seed)
-            rem = apply_selector_radial(f, sel, p, "remainder")
-            rho_f, w_f = profile_rule(f, 1)
-            fnorm = math.sqrt(float(np.sum(w_f * np.abs(f(rho_f)) ** 2)))
-            worst = max(worst, l2_halfline(rem, gw) / fnorm)
+        _, worst = split_checks(p, 20, 2000)
         ok &= worst <= bound
         details.append(f"(a={a},s={s}): bound {bound:.4f}, worst {worst:.4f}")
     elapsed = time.monotonic() - t0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from oscillax.bessel import (BesselOrder, bessel_j, bessel_kernel_reduced,
+from oscillax.bessel import (bessel_j, bessel_kernel_reduced,
                              bessel_main_term, certify_asymptotic)
 
 # Independent series oracle for J_1: sum_{k<=40} (-1)^k (x/2)^(2k+1)/(k!(k+1)!)
@@ -98,7 +98,9 @@ def test_certify_rejects_narrow_range():
 
 def test_order_below_minus_half_rejected():
     with pytest.raises(ValueError):
-        BesselOrder(-0.6)
+        bessel_j(-0.6, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        bessel_j(np.nan, 1.0)
     with pytest.raises(ValueError):
         bessel_j(-0.75, 1.0)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oscillax.split as split
 import oscillax.sweep as sweep
 from oscillax import cli
 from oscillax.norms import InsufficientCoverage
@@ -114,6 +115,15 @@ def test_oracle_compare_csv(tmp_path):
     assert rel.max() <= 1e-6
 
 
+def test_kernel_summary_carries_sup_certificate(tmp_path):
+    rc = cli.main(["kernel", "--out-dir", str(tmp_path), "--m", "4", "--mu", "4",
+                   "--a", "0.5", "--s", "0.2"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "kernel_summary.json").read_text())
+    assert summary["t_degree"] == 12
+    assert 0.0 < summary["l1_bound"] <= 1e-4 * summary["l1_estimate"]
+
+
 def test_usage_error_exit_code(tmp_path):
     res = run_cli(["sweep", "--out-dir", str(tmp_path), "--a", "2", "--n", "2",
                    "--s-list", "0.25"])
@@ -138,14 +148,14 @@ def test_missing_required_reports_usage(tmp_path):
 
 
 def test_split_check_strict_flags_split_deviation(tmp_path, monkeypatch):
-    original = cli.selector_parts
+    original = split.selector_parts
 
-    def perturbed(f, sel, p, cutoffs=None):
-        parts = original(f, sel, p, cutoffs)
+    def perturbed(f, sel, p):
+        parts = original(f, sel, p)
         parts["main"] = parts["main"] + 1e-6
         return parts
 
-    monkeypatch.setattr(cli, "selector_parts", perturbed)
+    monkeypatch.setattr(split, "selector_parts", perturbed)
     rc = cli.main(["split-check", "--out-dir", str(tmp_path), "--a", "0.5",
                    "--n", "2", "--s", "0.2", "--pairs", "1", "--strict"])
     assert rc == 3

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillax.cutoffs import (LPWeight, chi, eta, gamma_weight, make_cutoff,
-                              make_dyadic_bump, psi)
+from oscillax.cutoffs import chi, eta, gamma_weight, make_dyadic_bump, psi
 
 
 def test_plateau_values():
@@ -21,19 +20,6 @@ def test_complement_identity(x):
     assert float(chi(x)) + float(psi(x)) == pytest.approx(1.0, abs=1e-14)
     assert 0.0 <= float(chi(x)) <= 1.0
     assert float(chi(x)) == float(chi(-x))
-
-
-@given(st.floats(min_value=-300.0, max_value=300.0),
-       st.sampled_from([2.0, 10.0, 100.0]))
-@settings(max_examples=60, deadline=None)
-def test_dilate_is_rescaled_plateau(x, m):
-    fam = make_cutoff()
-    assert float(fam.chi_m(m)(x)) == pytest.approx(float(chi(x / m)), abs=1e-15)
-
-
-def test_dilate_requires_m_above_one():
-    with pytest.raises(ValueError):
-        make_cutoff().chi_m(1.0)
 
 
 def test_bump_support():
@@ -93,9 +79,3 @@ def test_comparability_band_stable_under_range_doubling(s):
     lo2, hi2 = band(2.0 ** 15)
     assert abs(lo2 - lo1) <= 0.01 * lo1
     assert abs(hi2 - hi1) <= 0.01 * hi1
-
-
-def test_lp_weight_callable():
-    w = LPWeight(s=0.5)
-    xi = np.array([0.3, 2.0, 17.0])
-    assert np.allclose(w(xi), gamma_weight(0.5, xi))

@@ -45,14 +45,14 @@ def test_transform_at_zero_is_total_integral():
 def test_bump_matches_oracle(n, rho):
     f0 = bump(1.0, 0.7)
     hv = hankel_fourier(f0, n, rho)
-    ov = nd_oracle(f0, n, rho)
+    ov = nd_oracle(f0, n, np.array([rho] + [0.0] * (n - 1)))
     assert abs(hv - ov) <= 1e-6 * abs(ov)
 
 
 def test_oracle_zero_profile():
     zero = Profile(kind="zero", params={}, fn=lambda r: np.zeros_like(r),
                    support=(0.0, 1.0), scale=0.5)
-    assert nd_oracle(zero, 2, 1.0) == 0.0
+    assert nd_oracle(zero, 2, np.array([1.0, 0.0])) == 0.0
 
 
 def test_oracle_rotation_invariance():
@@ -64,7 +64,7 @@ def test_oracle_rotation_invariance():
 
 def test_oracle_rejects_large_dimension():
     with pytest.raises(ValueError):
-        nd_oracle(gaussian(1.0), 4, 1.0)
+        nd_oracle(gaussian(1.0), 4, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
