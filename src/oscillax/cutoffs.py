@@ -52,12 +52,17 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     mid = (x > -1.0) & (x < 1.0)
     if np.any(mid):
         xm = x[mid]
+        # b is even, so the mass right of x equals the mass left of -x.  Only
+        # the short tail [-1, -|x|] is integrated: the step then stays inside
+        # [0, 1] and step(x) + step(-x) = 1 holds exactly, which a rule over
+        # the whole of [-1, x] divided by the mass does not give.
+        t = -np.abs(xm)
         nodes, w = np.polynomial.legendre.leggauss(64)
-        # Map the 64 reference nodes onto each [-1, xm] individually.
-        half = 0.5 * (xm + 1.0)
+        # Map the 64 reference nodes onto each [-1, t] individually.
+        half = 0.5 * (t + 1.0)
         u = -1.0 + half[None, :] * (nodes[:, None] + 1.0)
-        vals = np.sum(w[:, None] * mollifier(u), axis=0) * half
-        out[mid] = vals / _mollifier_mass()
+        tail = np.sum(w[:, None] * mollifier(u), axis=0) * half / _mollifier_mass()
+        out[mid] = np.where(xm > 0.0, 1.0 - tail, tail)
     return out
 
 

@@ -22,6 +22,15 @@ def test_complement_identity(x):
     assert float(chi(x)) == float(chi(-x))
 
 
+def test_plateau_stays_in_unit_interval_near_edges():
+    # Dense grid over both transition bands, including 1.0078125, where the
+    # plateau once overshot 1 by about 1e-12.
+    x = np.concatenate([np.linspace(0.9, 2.1, 120001), [1.0078125]])
+    vals = chi(x)
+    assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+    assert np.all(np.diff(vals[:-1]) <= 0.0)
+
+
 def test_bump_support():
     assert eta(3.0) == 0.0
     assert eta(0.4) == 0.0
