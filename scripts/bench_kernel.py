@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the Bessel kernel layer: ns per element and RadialKernel row blocks.
+"""Time the Bessel kernel layer: ns per element and streamed RadialKernel fields.
 
     python3 scripts/bench_kernel.py --label change --out BENCH_kernel.json
 
@@ -10,9 +10,11 @@ REPEATS runs:
 
 - `bessel_kernel_reduced` in ns per element, for each order on a 1024 x 1024
   array of arguments spread over [0, 12) and over [12, 1024);
-- `RadialKernel` construction for the largest row blocks of the higher-dim
-  benchmark workload (lam = 1/2 for n = 3, lam = 1 for n = 4), with their
-  shapes and argument ranges.
+- one `RadialKernel.field` at the single time t = 0, for the three largest
+  kernels of the higher-dim benchmark workload (lam = 1/2 for n = 3,
+  lam = 1 for n = 4), with their shapes and argument ranges.  The field
+  streams the kernel through row chunks, so this times every kernel element
+  once plus one matrix-vector product per chunk.
 
 Each run, with nproc, the BLAS thread count and the numpy and scipy
 versions, is appended to the list runs[label] of the --out file, so runs of
@@ -44,8 +46,8 @@ BANDS = ((0.0, 12.0), (12.0, 1024.0))
 SIDE = 1024
 REPEATS = 7
 # (lam, rows, columns, largest radius); frequency nodes span [0.3, 1.7].
-BLOCKS = ((0.5, 3808, 1312, 328.0), (0.5, 3792, 1296, 326.0),
-          (1.0, 5176, 704, 142.0))
+KERNELS = ((0.5, 3808, 1312, 328.0), (0.5, 3792, 1296, 326.0),
+           (1.0, 5176, 704, 142.0))
 
 
 def _median_s(fn) -> float:
@@ -64,17 +66,18 @@ def measure() -> dict:
             z = np.linspace(lo, hi, SIDE * SIDE, endpoint=False).reshape(SIDE, SIDE)
             s = _median_s(lambda: bessel_kernel_reduced(lam, z))
             ns[f"lam={lam:g} z in [{lo:g}, {hi:g})"] = round(1e9 * s / z.size, 2)
-    builds = {}
-    for lam, rows, cols, r_max in BLOCKS:
+    fields = {}
+    for lam, rows, cols, r_max in KERNELS:
         x = np.linspace(0.0, r_max, rows)
         nodes = np.linspace(0.3, 1.7, cols)
-        s = _median_s(lambda: RadialKernel(lam, x, nodes, np.ones(cols), nodes))
-        builds[f"lam={lam:g} {rows}x{cols}"] = round(s, 4)
+        layer = RadialKernel(lam, x, nodes, np.ones(cols), nodes)
+        s = _median_s(lambda: layer.field(np.zeros(1)))
+        fields[f"lam={lam:g} {rows}x{cols}"] = round(s, 4)
     return {"env": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "repeats": REPEATS},
             "kernel_ns_per_element": ns,
-            "radial_kernel_build_s": builds}
+            "radial_kernel_field_s": fields}
 
 
 def main(argv=None) -> int:

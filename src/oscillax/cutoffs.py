@@ -1,4 +1,4 @@
-"""Smooth cutoff family, dyadic bump, and the dyadic Sobolev weight.
+"""Smooth cutoff family, the dyadic bump eta, and the dyadic Sobolev weight.
 
 chi is an even C-infinity plateau function with
 
@@ -22,7 +22,6 @@ empirically by the test suite rather than asserted with explicit constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -91,46 +90,6 @@ def eta(x) -> np.ndarray:
     """Even bump supported in [1/2, 2] on the positive axis: chi(x) - chi(2x)."""
     x = np.asarray(x, dtype=float)
     return chi(x) - chi(2.0 * x)
-
-
-def dyadic_scales(x: float):
-    """The dyadic integers N >= 1 with x/N inside the support of eta."""
-    ax = abs(float(x))
-    if ax == 0.0:
-        return []
-    # eta(x/N) != 0 requires N in [|x|/2, 2|x|].
-    k_lo = max(0, math.ceil(math.log2(ax / 2.0) - 1e-12))
-    k_hi = math.floor(math.log2(2.0 * ax) + 1e-12)
-    return [2 ** k for k in range(k_lo, k_hi + 1) if 2 ** k >= 1]
-
-
-@dataclass(frozen=True, eq=False)
-class DyadicBump:
-    eta: Callable = field(default=eta)
-
-    def partition_sum(self, x) -> np.ndarray:
-        """sum_{N>1} eta(Nx) + sum_{N>=1} eta(x/N), truncated to the support."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        for i, xi in enumerate(x):
-            axi = abs(xi)
-            if axi == 0.0:
-                continue
-            total = 0.0
-            for N in dyadic_scales(axi):
-                total += float(self.eta(axi / N))
-            # Downward scales: eta(N x) != 0 requires N in [1/(2|x|), 2/|x|].
-            if axi < 2.0:
-                k_lo = max(1, math.ceil(math.log2(0.5 / axi) - 1e-12))
-                k_hi = math.floor(math.log2(2.0 / axi) + 1e-12)
-                for k in range(k_lo, k_hi + 1):
-                    total += float(self.eta((2 ** k) * axi))
-            out[i] = total
-        return out
-
-
-def make_dyadic_bump() -> DyadicBump:
-    return DyadicBump()
 
 
 def gamma_weight(s: float, xi) -> np.ndarray | float:

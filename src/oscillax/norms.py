@@ -133,11 +133,13 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     global fields the radial truncation starts at the arrival radius and is
     grown until the tail carries less than _TAIL_TOL of the norm.
 
-    _shared, from `_local_kernels`, lends a local field the rho rule and
-    the kernel layers of a wider modulation of the same profile.
+    _shared, from `modulated_numerators`, lends a local field the rho rule
+    of a wider modulation of the same profile and this field's rows of the
+    certified sups that one stacked pass per radial level took for every
+    modulation.
     """
     if _shared is not None and not local:
-        raise ValueError("shared kernel layers serve local fields only")
+        raise ValueError("shared sups serve local fields only")
     r_max = 1.0 if local else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0)
     for _growth in range(4):
         field_obj = _converge_on_range(g, p, r_max, local, _shared)
@@ -154,48 +156,43 @@ def _range_grid(g, r_max, level):
                             forced=(1.0,) if r_max > 1.0 else ())
 
 
-def _local_kernels(g, p, y_max):
-    """The rho rule and the coarse and fine local layers of g e^{i y_max rho}.
+def _certified_sup(g, p, nodes, rho_rule):
+    """(sup, arg, bound, degree) of the continuous sup in t of g's propagator.
 
-    They serve every modulation |y| <= y_max of g: e^{i y rho} has modulus
-    1, so it changes only the base, and the rule, whose phase budget only
-    gets finer as the linear rate grows, resolves every smaller |y|.
+    g may be a sequence of profiles; sup, arg and bound are then stacked,
+    one row per profile, from one streamed pass over the kernel.
     """
-    wide = g.modulate(y_max)
-    rho_rule = frequency_rule(wide, p, r_max=1.0 + wide.modulation_rate,
-                              t_max=1.0)
-    return rho_rule, tuple(propagator(wide, p, _range_grid(g, 1.0, level)[0],
-                                      rho_rule) for level in (0, 1))
+    layer = propagator(g, p, nodes, rho_rule)
+    # The degree depends on the rho rule only, so both grids share it.
+    degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
+    layer.chebyshev_sup(degree)
+    return layer.sup, layer.arg, layer.bound, degree
 
 
 def _converge_on_range(g, p, r_max, local, shared=None):
     if shared is None:
         shared = (frequency_rule(g, p, r_max=r_max + g.modulation_rate,
-                                 t_max=1.0), (None, None))
-    rho_rule, layers = shared
+                                 t_max=1.0), None)
+    rho_rule, sups = shared
 
     def run(level):
         nodes, weights = _range_grid(g, r_max, level)
-        layer = propagator(g, p, nodes, rho_rule, like=layers[level])
-        # The degree depends on the rho rule only, so both grids share it.
-        degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
-        layer.chebyshev_sup(degree)
-        norm = _range_norm_from(nodes, weights, layer.sup, p.n, local)
+        sup, arg, bound, degree = (sups[level] if sups is not None else
+                                   _certified_sup(g, p, nodes, rho_rule))
+        norm = _range_norm_from(nodes, weights, sup, p.n, local)
         # Minkowski: |sup_i - true sup_i| <= bound_i moves the norm by at
         # most the norm of the bounds.
-        error = _range_norm_from(nodes, weights, layer.bound, p.n, local)
-        return nodes, weights, layer, degree, norm, error / max(norm, 1e-300)
+        error = _range_norm_from(nodes, weights, bound, p.n, local)
+        return nodes, weights, sup, arg, degree, norm, error / max(norm, 1e-300)
 
-    # Only the coarse norms are kept, so an unshared coarse kernel is freed
-    # before the fine one is built.
     norm_coarse, bound_coarse = run(0)[-2:]
     # One radial-density doubling as an a-posteriori resolution audit.
-    nodes, weights, layer, degree, norm_fine, bound_fine = run(1)
+    nodes, weights, sup, arg, degree, norm_fine, bound_fine = run(1)
     r_ok = abs(norm_fine - norm_coarse) <= _REL_TOL * max(norm_fine, 1e-300)
     t_bound = max(bound_coarse, bound_fine)
-    tail = 0.0 if local else _tail_fraction(nodes, weights, layer.sup, p.n, r_max)
+    tail = 0.0 if local else _tail_fraction(nodes, weights, sup, p.n, r_max)
     return MaximalField(p=p, radii=nodes, weights=weights,
-                        sup_values=layer.sup, argmax_t=layer.arg,
+                        sup_values=sup, argmax_t=arg,
                         t_grid=TimeGrid.chebyshev(degree),
                         r_max=r_max, tail_fraction=tail,
                         t_converged=t_bound <= 0.5 * _REL_TOL, r_converged=r_ok,
@@ -275,20 +272,30 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     """Squared local maximal norms of the modulated data e^{iy rho} g.
 
     Returns the numerators together with the maximal field of each
-    modulation, whose convergence flags the caller aggregates.  All
-    modulations share one rho rule and one evaluation of the kernel layers.
+    modulation, whose convergence flags the caller aggregates.  e^{i y rho}
+    has modulus 1, so it changes only the base, and the rho rule of the
+    widest |y|, whose phase budget only gets finer as the linear rate
+    grows, resolves every smaller |y|.  So all modulations share that rule
+    and one streamed kernel pass per radial level, which stacks their bases.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_arr.size == 0:
         raise ValueError("the modulation grid must be nonempty")
     if np.any(np.abs(y_arr) >= 1):
         raise ValueError("modulations must satisfy |y| < 1")
-    shared = _local_kernels(g, p, float(np.max(np.abs(y_arr))))
+    wide = g.modulate(float(np.max(np.abs(y_arr))))
+    rho_rule = frequency_rule(wide, p, r_max=1.0 + wide.modulation_rate,
+                              t_max=1.0)
+    profiles = [g.modulate(float(y)) for y in y_arr]
+    stacked = [_certified_sup(profiles, p, _range_grid(g, 1.0, level)[0],
+                              rho_rule) for level in (0, 1)]
     out = np.empty(y_arr.size)
     fields = []
-    for i, y in enumerate(y_arr):
-        fld = converged_maximal_field(g.modulate(float(y)), p, local=True,
-                                      _shared=shared)
+    for i, gy in enumerate(profiles):
+        sups = [(sup[i], arg[i], bound[i], degree)
+                for sup, arg, bound, degree in stacked]
+        fld = converged_maximal_field(gy, p, local=True,
+                                      _shared=(rho_rule, sups))
         out[i] = range_norm(fld, p, "local") ** 2
         fields.append(fld)
     return out, fields

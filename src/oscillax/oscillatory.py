@@ -58,18 +58,17 @@ def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float):
                         power_coeff=abs(t_max), power=p.a)
 
 
-def propagator(g: Profile, p: SymbolParams, r, rho_rule,
-               like: RadialKernel | None = None) -> RadialKernel:
+def propagator(g, p: SymbolParams, r, rho_rule) -> RadialKernel:
     """The propagator at radii r on a rho rule: its `field(t)` is u(r, t).
 
-    `like`, a propagator of the same p at the same radii on the same rule,
-    lends its kernel blocks, so only the base of g is formed.
+    g is a profile, or a sequence of profiles that share the rule: the
+    layer then stacks one base per profile, and every kernel chunk serves
+    them all.
     """
     rho, w = rho_rule
-    base = (2.0 * math.pi) ** (-p.n / 2.0) * w * rho ** (p.n - 1) * g(rho)
-    if like is not None:
-        return like.rebased(base)
-    return RadialKernel(p.lam, r, rho, base, rho ** p.a)
+    weight = (2.0 * math.pi) ** (-p.n / 2.0) * w * rho ** (p.n - 1)
+    vals = g(rho) if isinstance(g, Profile) else np.stack([gi(rho) for gi in g])
+    return RadialKernel(p.lam, r, rho, weight * vals, rho ** p.a)
 
 
 def dispersive_field(g: Profile, p: SymbolParams, r, t, *, rho_rule=None):

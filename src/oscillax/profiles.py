@@ -32,8 +32,6 @@ _BAND_TERMS = 7
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    kind: str
-    params: dict
     fn: Callable
     support: Optional[Tuple[float, float]]  # None means rapidly decaying tail
     scale: float                            # smallest feature size
@@ -49,8 +47,6 @@ class Profile:
         base = self.fn
         return replace(
             self,
-            kind=f"{self.kind}*e^(iy rho)",
-            params={**self.params, "y": y},
             fn=(lambda rho, _b=base, _y=y:
                 np.exp(1j * _y * np.asarray(rho, dtype=float)) * _b(np.asarray(rho, dtype=float))),
             modulation_rate=self.modulation_rate + abs(y),
@@ -58,8 +54,7 @@ class Profile:
 
     def scaled(self, alpha: complex) -> "Profile":
         base = self.fn
-        return replace(self, params={**self.params, "amplitude": alpha},
-                       fn=lambda rho, _b=base, _a=alpha: _a * _b(rho))
+        return replace(self, fn=lambda rho, _b=base, _a=alpha: _a * _b(rho))
 
     def plus(self, other: "Profile") -> "Profile":
         lo = 0.0
@@ -68,8 +63,7 @@ class Profile:
             lo = min(self.support[0], other.support[0])
             hi = max(self.support[1], other.support[1])
         f1, f2 = self.fn, other.fn
-        return Profile(kind=f"{self.kind}+{other.kind}", params={},
-                       fn=lambda rho: f1(rho) + f2(rho),
+        return Profile(fn=lambda rho: f1(rho) + f2(rho),
                        support=(lo, hi) if hi is not None else None,
                        scale=min(self.scale, other.scale),
                        modulation_rate=max(self.modulation_rate, other.modulation_rate))
@@ -99,8 +93,7 @@ def gaussian(sigma: float = 1.0) -> Profile:
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return Profile(kind="gaussian", params={"sigma": sigma},
-                   fn=lambda rho: np.exp(-0.5 * (sigma * rho) ** 2),
+    return Profile(fn=lambda rho: np.exp(-0.5 * (sigma * rho) ** 2),
                    support=None, scale=1.0 / sigma)
 
 
@@ -109,8 +102,7 @@ def bump(center: float = 0.0, width: float = 1.0) -> Profile:
     if width <= 0 or center < 0:
         raise ValueError("need width > 0 and center >= 0")
     lo = max(0.0, center - width)
-    return Profile(kind="bump", params={"center": center, "width": width},
-                   fn=lambda rho: mollifier((rho - center) / width),
+    return Profile(fn=lambda rho: mollifier((rho - center) / width),
                    support=(lo, center + width), scale=width / 2.0)
 
 
@@ -118,8 +110,7 @@ def annular(N: float) -> Profile:
     N = float(N)
     if N <= 0:
         raise ValueError("scale must be positive")
-    return Profile(kind="annular", params={"N": N},
-                   fn=lambda rho: eta(rho / N),
+    return Profile(fn=lambda rho: eta(rho / N),
                    support=(N / 2.0, 2.0 * N), scale=N / 4.0)
 
 
@@ -128,8 +119,7 @@ def shell(N: float, width: float) -> Profile:
     N, width = float(N), float(width)
     if N <= 0 or width <= 0 or width > N:
         raise ValueError("need 0 < width <= N")
-    return Profile(kind="shell", params={"N": N, "width": width},
-                   fn=lambda rho: mollifier((rho - N) / width),
+    return Profile(fn=lambda rho: mollifier((rho - N) / width),
                    support=(N - width, N + width), scale=width / 2.0)
 
 
@@ -146,8 +136,7 @@ def sampled(grid, values) -> Profile:
         out = spline(rho)
         return np.where(np.isnan(out), 0.0, out)
 
-    return Profile(kind="sampled", params={"points": int(grid.size)},
-                   fn=f, support=(float(grid[0]), float(grid[-1])),
+    return Profile(fn=f, support=(float(grid[0]), float(grid[-1])),
                    scale=float(np.min(np.diff(grid))) * 2.0)
 
 
@@ -169,8 +158,7 @@ def bandlimited(seed: int) -> Profile:
             poly += c * np.cos(k * math.pi * u / 2.0)
         return chi(rho) * poly
 
-    return Profile(kind="bandlimited", params={"seed": int(seed)},
-                   fn=f, support=(0.0, 2.0), scale=1.0 / _BAND_TERMS)
+    return Profile(fn=f, support=(0.0, 2.0), scale=1.0 / _BAND_TERMS)
 
 
 _FAMILIES = {

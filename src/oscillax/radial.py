@@ -13,12 +13,15 @@ k_lam(z) = J_lam(z)/z^lam (lam = n/2 - 1),
 is used so that rho = 0 needs no special casing: k_lam(0) = 2^(-lam)/Gamma(lam+1)
 makes fhat(0) = sphere_factor(n) * int f0 r^(n-1) dr, the integral of f.
 
-`RadialKernel` builds and contracts k_lam(x_i * nodes_j) for the propagator,
-the maximal fields, the weighted split fields and the 1-D sup-in-t kernel
-(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  Every library sup
-over times is the certified continuous sup over [-1, 1] from one Chebyshev
-interpolant per row; a running sup over given time grids remains as the
-oracle the tests compare it against.
+`RadialKernel` contracts k_lam(x_i * nodes_j) for the propagator, the
+maximal fields, the weighted split fields and the 1-D sup-in-t kernel
+(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  It streams the
+kernel: each call evaluates one chunk of rows, contracts it and drops it,
+so no call holds more than one chunk, and a stack of bases on the same
+nodes (the modulations of one profile) shares every chunk.  Every library
+sup over times is the certified continuous sup over [-1, 1] from one
+Chebyshev interpolant per row; a running sup over given time grids remains
+as the oracle the tests compare it against.
 
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
 over a truncated box; it exists purely as an independent cross-check.
@@ -26,7 +29,6 @@ over a truncated box; it exists purely as an independent cross-check.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -37,9 +39,9 @@ from .profiles import Profile
 from .quadrature import oscillatory_rule
 
 _TAIL_TOL = 1e-12
-_KERNEL_BYTES = 2 ** 28  # soft cap on one kernel row block
+_PHASE_BYTES = 2 ** 28   # cap on the phase matrices held across row chunks
 _T_CHUNK = 384           # times per phase matrix in running sups
-_SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's |kernel| and dense values
+_SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
 _DENSE = 8               # dense search points per Chebyshev degree
 _NEWTON_STEPS = 3
 _ELLIPSE_R = 1.0 + np.logspace(-6.0, 4.0, 2048)  # Bernstein ellipse parameters
@@ -186,71 +188,102 @@ def _interpolant_max(samples: np.ndarray, t: np.ndarray):
 class RadialKernel:
     """u(x_i, t) = sum_j k_lam(x_i nodes_j) base_j e^{i t power_j}.
 
-    The kernel is evaluated once, in row blocks of at most _KERNEL_BYTES.
+    The layer keeps (lam, x, nodes, base, power) and no kernel: each method
+    evaluates k_lam(x_i nodes_j) for one row chunk, contracts it and drops
+    it, so a call evaluates every kernel element once and holds at most
+    _SAMPLE_BYTES of kernel rows and their values.  base may be a (B, J)
+    stack of bases on the same nodes; each kernel chunk then serves all B
+    of them, and `sup`, `arg`, `bound` and `field(t)` gain a leading axis
+    of length B.
     `field(t)` returns u for the times t, shape (len(x), len(t)).
     `add_times(t)` folds t into the running per-row sup |u| and its argmax
-    time (`sup`, `arg`) block by block, never holding all rows x times.
+    time (`sup`, `arg`) chunk by chunk, never holding all rows x times.
     `chebyshev_sup(K)` sets `sup`, `arg` to the continuous sup over [-1, 1]
     instead, with a certified per-row error bound `bound`.
-    `rebased(base)` is the same kernel with another base, at no kernel cost.
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
                  base: np.ndarray, power: np.ndarray):
+        if base.shape[-1] != nodes.size:
+            raise ValueError("a base must match the kernel's columns")
+        self.lam = lam
+        self.x = x
+        self.nodes = nodes
         self.base = base
         self.power = power
-        block = max(1, int(_KERNEL_BYTES // (8 * nodes.size)))
-        self.blocks = [(i0, bessel_kernel_reduced(
-            lam, np.outer(x[i0:i0 + block], nodes)))
-            for i0 in range(0, x.size, block)]
-        self._start(x.size)
-
-    def _start(self, rows: int) -> None:
-        self.sup = np.full(rows, -1.0)
-        self.arg = np.zeros(rows)
+        self.sup = np.full(base.shape[:-1] + x.shape, -1.0)
+        self.arg = np.zeros(self.sup.shape)
         self.bound = None
-
-    def rebased(self, base: np.ndarray) -> "RadialKernel":
-        """This layer's kernel blocks and powers with another base.
-
-        The blocks are shared, not evaluated again; the sups start afresh.
-        """
-        if base.shape != self.base.shape:
-            raise ValueError("a new base must match the kernel's columns")
-        twin = copy.copy(self)
-        twin.base = base
-        twin._start(self.sup.size)
-        return twin
 
     @property
     def tau(self) -> float:
         """Exponential type of u in t once demodulated: half the spread of power."""
         return 0.5 * float(np.max(self.power) - np.min(self.power))
 
+    def _rows(self, a: np.ndarray) -> np.ndarray:
+        """a, shaped base.shape[:-1] + (len(x), ...), as (B, len(x), ...)."""
+        return a.reshape((-1, self.x.size) + a.shape[self.base.ndim:])
+
+    def _chunks(self, value_bytes: int):
+        """(row slice, kernel rows) per row chunk.
+
+        A chunk holds at most _SAMPLE_BYTES of kernel rows plus value_bytes
+        per row for what the caller makes of them.  The chunks have nearly
+        equal rows and each starts on a multiple of 16 rows, so BLAS rounds
+        every row alike whatever the chunk size: its matrix-vector products
+        group rows from the start of each call, and a short tail chunk could
+        take its small-matrix path.
+        """
+        rows = self.x.size
+        cap = max(1, _SAMPLE_BYTES // (8 * self.nodes.size + value_bytes))
+        align = 16 if cap >= 64 else 1
+        count = -(-rows // (cap - align + 1))
+        edges = [align * (k * rows // (align * count)) for k in range(count)]
+        for i0, i1 in zip(edges, edges[1:] + [rows]):
+            yield slice(i0, i1), bessel_kernel_reduced(
+                self.lam, np.outer(self.x[i0:i1], self.nodes))
+
     def _phases(self, t: np.ndarray, power: np.ndarray):
-        """Real and imaginary parts of base_j e^{i t_k power_j}, each contiguous."""
-        m = self.base[:, None] * np.exp(1j * np.outer(power, t))
+        """Real and imaginary parts of base_j e^{i t_k power_j}, one contiguous
+        (J, len(t)) matrix per base."""
+        m = self.base[..., None] * np.exp(1j * np.outer(power, t))
+        m = m.reshape((-1,) + m.shape[-2:])
         return np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
 
-    def _products(self, t: np.ndarray):
-        """(row slice, kernel block @ phased base) for each row block."""
-        m_re, m_im = self._phases(t, self.power)
-        for i0, kern in self.blocks:
-            yield slice(i0, i0 + kern.shape[0]), kern @ m_re + 1j * (kern @ m_im)
+    def _time_chunks(self, t: np.ndarray, power: np.ndarray):
+        """A function giving (column slice, phases) for t in chunks of _T_CHUNK.
+
+        The phase matrices are built once and held across row chunks when
+        they fit in _PHASE_BYTES; otherwise every call builds them again.
+        """
+        cols = [slice(j0, j0 + _T_CHUNK) for j0 in range(0, t.size, _T_CHUNK)]
+        if 16 * self.base.size * t.size > _PHASE_BYTES:
+            return lambda: ((c, self._phases(t[c], power)) for c in cols)
+        held = [(c, self._phases(t[c], power)) for c in cols]
+        return lambda: held
 
     def field(self, t: np.ndarray) -> np.ndarray:
-        return np.concatenate([vals for _, vals in self._products(t)])
+        m_re, m_im = self._phases(t, self.power)
+        out = np.empty(self.sup.shape + t.shape, dtype=complex)
+        stack = self._rows(out)
+        for rows, kern in self._chunks(16 * len(m_re) * t.size):
+            for b in range(len(m_re)):
+                stack[b, rows] = kern @ m_re[b] + 1j * (kern @ m_im[b])
+        return out
 
     def add_times(self, t: np.ndarray) -> None:
-        for j0 in range(0, t.size, _T_CHUNK):
-            tc = t[j0:j0 + _T_CHUNK]
-            for rows, vals in self._products(tc):
-                mag = np.abs(vals)
-                col = np.argmax(mag, axis=1)
-                best = mag[np.arange(mag.shape[0]), col]
-                upd = best > self.sup[rows]
-                self.sup[rows][upd] = best[upd]
-                self.arg[rows][upd] = tc[col[upd]]
+        sup, arg = self._rows(self.sup), self._rows(self.arg)
+        chunks = self._time_chunks(t, self.power)
+        for rows, kern in self._chunks(16 * len(sup) * min(t.size, _T_CHUNK)):
+            for cols, (m_re, m_im) in chunks():
+                tc = t[cols]
+                for b in range(len(sup)):
+                    mag = np.abs(kern @ m_re[b] + 1j * (kern @ m_im[b]))
+                    col = np.argmax(mag, axis=1)
+                    best = mag[np.arange(mag.shape[0]), col]
+                    upd = best > sup[b, rows]
+                    sup[b, rows][upd] = best[upd]
+                    arg[b, rows][upd] = tc[col[upd]]
 
     def chebyshev_sup(self, degree: int) -> None:
         """Sup of |u| over t in [-1, 1] from its degree-K Chebyshev interpolant.
@@ -258,32 +291,30 @@ class RadialKernel:
         Demodulating by e^{-i t p0}, p0 the midpoint of power, leaves |u|
         unchanged and makes u of exponential type `tau`.  Each row is
         sampled once at chebyshev_times(K) and maximized by
-        `_interpolant_max`.  `bound` gets bernstein_bound(tau, K) * A_i,
-        A_i = (|kernel| @ |base|)_i, which bounds |u - p_K| on row i.  Rows
-        go in chunks inside each block, so no rows x times array is ever
-        held for all rows.
+        `_interpolant_max`, one base at a time.  `bound` gets
+        bernstein_bound(tau, K) * A_i, A_i = (|kernel| @ |base|)_i, which
+        bounds |u - p_K| on row i.  A row chunk holds its kernel rows, the
+        samples of every base and one base's dense search values; once the
+        samples are taken, |kernel| overwrites the kernel rows.
         """
         t = chebyshev_times(degree)
         shifted = self.power - 0.5 * (np.max(self.power) + np.min(self.power))
-        chunks = [t[j0:j0 + _T_CHUNK] for j0 in range(0, t.size, _T_CHUNK)]
-        # The phase matrix is kept across row chunks unless it is too big.
-        held = ([self._phases(tc, shifted) for tc in chunks]
-                if 16 * shifted.size * t.size <= _KERNEL_BYTES else None)
-        row_bytes = 8 * shifted.size + 16 * (_DENSE * degree + 1)
-        per_chunk = max(1, _SAMPLE_BYTES // row_bytes)
+        chunks = self._time_chunks(t, shifted)
         error = bernstein_bound(self.tau, degree)
-        abs_base = np.abs(self.base)
-        self.bound = np.empty(self.sup.size)
-        for i0, kern in self.blocks:
-            for s0 in range(0, kern.shape[0], per_chunk):
-                sub = kern[s0:s0 + per_chunk]
-                rows = slice(i0 + s0, i0 + s0 + sub.shape[0])
-                self.bound[rows] = error * (np.abs(sub) @ abs_base)
-                phases = held if held is not None else (
-                    self._phases(tc, shifted) for tc in chunks)
-                samples = np.concatenate([sub @ m_re + 1j * (sub @ m_im)
-                                          for m_re, m_im in phases], axis=1)
-                self.sup[rows], self.arg[rows] = _interpolant_max(samples, t)
+        sup, arg = self._rows(self.sup), self._rows(self.arg)
+        abs_base = np.abs(self.base.reshape(len(sup), -1))
+        self.bound = np.empty(self.sup.shape)
+        bound = self._rows(self.bound)
+        row_bytes = 16 * len(sup) * t.size + 16 * (_DENSE * degree + 1)
+        for rows, kern in self._chunks(row_bytes):
+            samples = np.empty((len(sup), kern.shape[0], t.size), dtype=complex)
+            for cols, (m_re, m_im) in chunks():
+                for b in range(len(sup)):
+                    samples[b, :, cols] = kern @ m_re[b] + 1j * (kern @ m_im[b])
+            abs_kern = np.abs(kern, out=kern)
+            for b in range(len(sup)):
+                bound[b, rows] = error * (abs_kern @ abs_base[b])
+                sup[b, rows], arg[b, rows] = _interpolant_max(samples[b], t)
 
 
 def hankel_fourier(f0: Profile, n: int, rho) -> np.ndarray | float:

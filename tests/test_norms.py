@@ -250,7 +250,7 @@ def test_ratio_monotone_below_threshold(a2_global_shell_sweep):
 
 def test_sharpness_profile_families():
     g = sharpness_profile("shell", 16.0, 2.0)
-    assert g.params["width"] == pytest.approx(1.0)
+    assert g.support == pytest.approx((15.0, 17.0))
     g2 = sharpness_profile("annular", 16.0, 2.0)
     assert g2.support == (8.0, 32.0)
     with pytest.raises(ValueError):

@@ -139,7 +139,7 @@ def test_isometry_nontrivial_slices(g, a, t):
 
 
 def test_isometry_rejects_zero_profile():
-    zero = Profile(kind="zero", params={}, fn=lambda r: np.zeros_like(r),
+    zero = Profile(fn=lambda r: np.zeros_like(r),
                    support=(0.5, 1.5), scale=0.5)
     with pytest.raises(ValueError):
         isometry_ratios(zero, SymbolParams(a=2.0, n=2), [0.3])

@@ -8,6 +8,8 @@ from scipy.optimize import minimize_scalar
 
 import oscillax.radial as radial
 from oscillax.bessel import bessel_kernel_reduced
+from oscillax.norms import (converged_maximal_field, range_norm,
+                            sharpness_profile)
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
@@ -50,7 +52,7 @@ def test_bump_matches_oracle(n, rho):
 
 
 def test_oracle_zero_profile():
-    zero = Profile(kind="zero", params={}, fn=lambda r: np.zeros_like(r),
+    zero = Profile(fn=lambda r: np.zeros_like(r),
                    support=(0.0, 1.0), scale=0.5)
     assert nd_oracle(zero, 2, np.array([1.0, 0.0])) == 0.0
 
@@ -71,8 +73,7 @@ def test_oracle_rejects_large_dimension():
 def test_parseval(n):
     # ||fhat||^2 = (2 pi)^n ||f||^2, checked radially for the unit gaussian
     g_spatial = gaussian(1.0)
-    ghat = Profile(kind="gaussian-hat", params={},
-                   fn=lambda rho, c=(2.0 * math.pi) ** (n / 2.0):
+    ghat = Profile(fn=lambda rho, c=(2.0 * math.pi) ** (n / 2.0):
                        c * np.exp(-rho * rho / 2.0),
                    support=None, scale=1.0)
     lhs = l2_norm_frequency(ghat, n)
@@ -109,7 +110,7 @@ def test_sampled_requires_increasing_grid():
 
 
 def test_divergent_profile_rejected():
-    flat = Profile(kind="flat", params={}, fn=lambda r: np.ones_like(r),
+    flat = Profile(fn=lambda r: np.ones_like(r),
                    support=None, scale=1.0)
     with pytest.raises(ValueError):
         hankel_fourier(flat, 2, 1.0)
@@ -117,7 +118,7 @@ def test_divergent_profile_rejected():
 
 @pytest.fixture
 def kernel_blocks(monkeypatch):
-    """Shapes of the kernel blocks the radial layer evaluates."""
+    """Shapes of the kernel chunks the radial layer evaluates."""
     shapes = []
     original = radial.bessel_kernel_reduced
 
@@ -131,7 +132,7 @@ def kernel_blocks(monkeypatch):
 
 def _split_rows_in_three(monkeypatch, shape):
     rows, cols = shape
-    monkeypatch.setattr(radial, "_KERNEL_BYTES", 8 * cols * -(-rows // 3))
+    monkeypatch.setattr(radial, "_SAMPLE_BYTES", 8 * cols * -(-rows // 3))
 
 
 def test_row_blocks_reproduce_single_block_field(monkeypatch, kernel_blocks):
@@ -178,12 +179,13 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
     whole.chebyshev_sup(degree)
     assert len(kernel_blocks) == 1
     rows, cols = kernel_blocks.pop()
-    _split_rows_in_three(monkeypatch, (rows, cols))
-    # The phase matrix no longer fits under the cap, and each block runs in
+    # The phase matrix no longer fits under its cap, and the rows run in
     # two-row chunks.
-    assert 16 * cols * (degree + 1) > radial._KERNEL_BYTES
+    monkeypatch.setattr(radial, "_PHASE_BYTES", 8 * cols * -(-rows // 3))
+    assert 16 * cols * (degree + 1) > radial._PHASE_BYTES
     monkeypatch.setattr(radial, "_SAMPLE_BYTES",
-                        2 * (8 * cols + 16 * (radial._DENSE * degree + 1)))
+                        2 * (8 * cols + 16 * (degree + 1)
+                             + 16 * (radial._DENSE * degree + 1)))
     chunked = propagator(g, p, r, rule)
     chunked.chebyshev_sup(degree)
     assert len(kernel_blocks) >= 3
@@ -198,28 +200,84 @@ def test_kernel_blocks_equal_one_whole_kernel(monkeypatch, lam):
     x = np.linspace(0.0, 6.0, 50)
     nodes = np.linspace(0.1, 40.0, 64)
     whole = bessel_kernel_reduced(lam, np.outer(x, nodes))
+    chunks = []
+
+    def recorded(lam, z):
+        chunks.append(bessel_kernel_reduced(lam, z))
+        return chunks[-1]
+
+    monkeypatch.setattr(radial, "bessel_kernel_reduced", recorded)
     _split_rows_in_three(monkeypatch, whole.shape)
-    layer = radial.RadialKernel(lam, x, nodes, np.ones(nodes.size), nodes)
-    assert len(layer.blocks) >= 3
-    np.testing.assert_array_equal(
-        np.concatenate([block for _, block in layer.blocks]), whole)
+    radial.RadialKernel(lam, x, nodes, np.ones(nodes.size), nodes).field(
+        np.zeros(1))
+    assert len(chunks) >= 3
+    np.testing.assert_array_equal(np.concatenate(chunks), whole)
 
 
-def test_rebased_layer_matches_a_fresh_layer():
+def test_streamed_field_bounds_kernel_chunks(monkeypatch, kernel_blocks):
+    # A global a = 2 field at N = 8 evaluates a 6328 x 816 fine kernel
+    # (41 MB); with a 1 MB chunk cap no kernel call may exceed it, and
+    # nothing the field reports may move.
+    g = sharpness_profile("shell", 8.0, 2.0)
+    p = SymbolParams(a=2.0, n=2)
+    whole = converged_maximal_field(g, p)
+    kernel_blocks.clear()
+    monkeypatch.setattr(radial, "_SAMPLE_BYTES", 2 ** 20)
+    chunked = converged_maximal_field(g, p)
+    assert max(rows * cols for rows, cols in kernel_blocks) \
+        <= radial._SAMPLE_BYTES // 8
+    np.testing.assert_array_equal(chunked.sup_values, whole.sup_values)
+    np.testing.assert_array_equal(chunked.argmax_t, whole.argmax_t)
+    assert chunked.t_bound == whole.t_bound
+    assert range_norm(chunked, p, "global") == range_norm(whole, p, "global")
+
+
+def test_stacked_bases_match_single_base_layers():
+    rng = np.random.default_rng(5)
+    rho, w = frequency_rule(annular(4.0), SymbolParams(a=2.0, n=2),
+                            r_max=6.0, t_max=1.0)
+    x = np.linspace(0.0, 6.0, 50)
+    bases = w * (rng.standard_normal((3, rho.size))
+                 + 1j * rng.standard_normal((3, rho.size)))
+    stacked = radial.RadialKernel(0.0, x, rho, bases, rho ** 2)
+    singles = [radial.RadialKernel(0.0, x, rho, b, rho ** 2) for b in bases]
+    t = np.linspace(-0.9, 0.9, 7)
+    field = stacked.field(t)
+    assert field.shape == (3, x.size, t.size)
+    for i, single in enumerate(singles):
+        np.testing.assert_array_equal(field[i], single.field(t))
+    grid = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
+    degree = chebyshev_degree(stacked.tau, 1e-6, 2 ** 13)
+    for layer in [stacked] + singles:
+        layer.add_times(grid)
+    for i, single in enumerate(singles):
+        np.testing.assert_array_equal(stacked.sup[i], single.sup)
+        np.testing.assert_array_equal(stacked.arg[i], single.arg)
+    for layer in [stacked] + singles:
+        layer.chebyshev_sup(degree)
+    assert stacked.bound.shape == (3, x.size)
+    for i, single in enumerate(singles):
+        for name in ("sup", "arg", "bound"):
+            np.testing.assert_array_equal(getattr(stacked, name)[i],
+                                          getattr(single, name))
+
+
+def test_stacked_propagator_matches_fresh_propagators():
     g = annular(4.0)
     p = SymbolParams(a=2.0, n=2)
     r = np.linspace(0.0, 1.0, 12)
     rule = frequency_rule(g.modulate(0.5), p, r_max=2.5, t_max=1.0)
-    layer = propagator(g, p, r, rule)
     t = np.linspace(-1.0, 1.0, 9)
-    for y in (-0.5, 0.25):
-        gy = g.modulate(y)
-        twin = propagator(gy, p, r, rule, like=layer)
-        assert twin.blocks is layer.blocks
-        np.testing.assert_array_equal(twin.field(t),
-                                      propagator(gy, p, r, rule).field(t))
+    ys = (-0.5, 0.25)
+    stacked = propagator([g.modulate(y) for y in ys], p, r, rule)
+    assert stacked.base.shape == (len(ys), rule[0].size)
+    field = stacked.field(t)
+    for i, y in enumerate(ys):
+        np.testing.assert_array_equal(
+            field[i], propagator(g.modulate(y), p, r, rule).field(t))
     with pytest.raises(ValueError):
-        layer.rebased(layer.base[1:])
+        radial.RadialKernel(p.lam, r, rule[0], stacked.base[:, 1:],
+                            stacked.power)
 
 
 def _gaussian_layer():
