@@ -3,16 +3,23 @@
 Subcommands: eval, eval-grid, transform, sweep, kernel, split-check,
 bessel-check, oracle-compare.  Every run writes its data as CSV (header row,
 comma separated, '.' decimal separator, scientific notation with 14
-significant digits) plus a JSON summary echoing the full configuration, the
-library version, and any convergence flags, so a run can be reproduced from
-its summary alone.
+significant digits) plus a JSON summary echoing the subcommand's own options,
+the library version, and any convergence flags, so a run can be reproduced
+from its summary alone.
 
-Configuration can come from a plain key=value file (--config) with command
-line flags taking precedence.  OSCILLAX_WORKERS overrides the worker count.
-Exit codes: 0 success, 2 usage error (including a bad or missing config
-file and a non-integer OSCILLAX_WORKERS), 3 flagged non-convergence under
---strict, 4 failed numerical certification (a global range norm whose
-radial truncation leaves too much of the norm in its tail).
+Configuration can come from a plain key=value file (--config).  Each entry
+that names an option of the chosen subcommand (by its dest: y_count or
+y-count, lam for --lambda) is parsed as that option, before the command line
+flags, so flags, abbreviated ones included, override it; keys of other
+subcommands and unknown keys are ignored.  A store_true option (modulated,
+strict) is set by 1/true/yes/on and left off by any other value.
+OSCILLAX_WORKERS overrides the worker count.  Exit codes: 0 success,
+2 usage error (including a bad or missing config file, a config value its
+option rejects, and a non-integer OSCILLAX_WORKERS), 3 flagged
+non-convergence under --strict, 4 a numerical failure: a global range norm
+whose radial truncation leaves too much of the norm in its tail, a diverging
+Sobolev integral, a profile or field that does not decay, or an isometry
+check whose truncation would not certify.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ import numpy as np
 from . import __version__
 from .bessel import bessel_j, bessel_main_term, certify_asymptotic
 from .cutoffs import make_cutoff
-from .norms import InsufficientCoverage
 from .oscillatory import SymbolParams, dispersive_field
-from .profiles import annular, family as make_family
+from .profiles import (NumericalFailure, annular, bandlimited, bump,
+                       gaussian, shell)
 from .radial import hankel_fourier, nd_oracle_batch
 from .split import (kernel_sample, recompose_residual, remainder_constant,
                     split_checks)
@@ -71,24 +78,18 @@ def _parse_floats(spec: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad float list {spec!r}")
 
 
-def _profile_from_args(args) -> object:
-    kw = {}
-    if args.family == "gaussian":
-        kw["sigma"] = args.sigma
-    elif args.family == "bump":
-        kw["center"], kw["width"] = args.center, args.width
-    elif args.family == "annular":
-        kw["N"] = args.N
-    elif args.family == "shell":
-        kw["N"] = args.N
-        kw["width"] = args.width
-    elif args.family == "bandlimited":
-        kw["seed"] = args.seed
-    return make_family(args.family, **kw)
+# Profile families of eval, eval-grid, transform and oracle-compare.
+_PROFILES = {
+    "gaussian": lambda args: gaussian(args.sigma),
+    "bump": lambda args: bump(args.center, args.width),
+    "annular": lambda args: annular(args.N),
+    "shell": lambda args: shell(args.N, args.width),
+    "bandlimited": lambda args: bandlimited(args.seed),
+}
 
 
 def _add_family_flags(sp):
-    sp.add_argument("--family", choices=["gaussian", "bump", "annular", "shell", "bandlimited"])
+    sp.add_argument("--family", choices=list(_PROFILES), required=True)
     sp.add_argument("--sigma", type=float, default=1.0,
                     help="gaussian width parameter (default 1.0)")
     sp.add_argument("--center", type=float, default=1.0, help="bump center")
@@ -101,13 +102,18 @@ def _write_csv(path: Path, header: str, rows: list[str]):
     path.write_text("\n".join([header] + rows) + "\n")
 
 
-def _write_summary(path: Path, payload: dict):
-    payload = {"version": __version__, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _echo_config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+def _write_summary(args, out_dir: Path, **fields) -> dict:
+    """Write <command>_summary.json: the version, the subcommand, fields and
+    the subcommand's own options as parsed (float lists as 'v1,v2') under
+    "config".  Returns the report without the version."""
+    skip = vars(_common_parser().parse_args([])).keys() | {"command", "func"}
+    config = {k: ",".join(f"{v:g}" for v in val) if isinstance(val, tuple) else val
+              for k, val in vars(args).items() if k not in skip}
+    report = {"subcommand": args.command, "config": config, **fields}
+    path = out_dir / f"{args.command.replace('-', '_')}_summary.json"
+    path.write_text(json.dumps({"version": __version__, **report}, indent=2,
+                               sort_keys=True) + "\n")
+    return report
 
 
 def _workers(args) -> int:
@@ -121,7 +127,7 @@ def _workers(args) -> int:
 
 
 def _cmd_eval(args, out_dir: Path) -> int:
-    g = _profile_from_args(args)
+    g = _PROFILES[args.family](args)
     p = SymbolParams(a=args.a, n=args.n)
     val = dispersive_field(g, p, args.r, args.t)
     print(f"re={val.real:.14e} im={val.imag:.14e} abs={abs(val):.14e}")
@@ -129,7 +135,7 @@ def _cmd_eval(args, out_dir: Path) -> int:
 
 
 def _cmd_eval_grid(args, out_dir: Path) -> int:
-    g = _profile_from_args(args)
+    g = _PROFILES[args.family](args)
     p = SymbolParams(a=args.a, n=args.n)
     rs = _parse_grid(args.r_grid)
     ts = _parse_grid(args.t_grid)
@@ -142,55 +148,33 @@ def _cmd_eval_grid(args, out_dir: Path) -> int:
                                   format_float(v.real), format_float(v.imag),
                                   format_float(abs(v))]))
     _write_csv(out_dir / "eval_grid.csv", "r,t,re,im,abs", rows)
-    _write_summary(out_dir / "eval_grid_summary.json", {
-        "subcommand": "eval-grid",
-        "config": _echo_config(args, ["family", "sigma", "center", "width", "N",
-                                      "seed", "a", "n", "r_grid", "t_grid"]),
-    })
+    _write_summary(args, out_dir)
     return EXIT_OK
 
 
 def _cmd_transform(args, out_dir: Path) -> int:
-    f0 = _profile_from_args(args)
+    f0 = _PROFILES[args.family](args)
     rhos = _parse_grid(args.rho_grid)
     vals = np.atleast_1d(hankel_fourier(f0, args.n, rhos))
     rows = [",".join([format_float(r), format_float(v)])
             for r, v in zip(rhos, vals)]
     _write_csv(out_dir / "transform.csv", "rho,fhat", rows)
-    _write_summary(out_dir / "transform_summary.json", {
-        "subcommand": "transform",
-        "config": _echo_config(args, ["family", "sigma", "center", "width", "N",
-                                      "seed", "n", "rho_grid"]),
-    })
+    _write_summary(args, out_dir)
     return EXIT_OK
 
 
 def _cmd_sweep(args, out_dir: Path) -> int:
-    cfg = SweepConfig(a=args.a, n=args.n, s_list=tuple(args.s_list),
-                      N_list=tuple(args.N_list), range_kind=args.range,
+    cfg = SweepConfig(a=args.a, n=args.n, s_list=args.s_list,
+                      N_list=args.N_list, range_kind=args.range,
                       family=args.family, modulated=args.modulated,
                       y_count=args.y_count)
     records, exponents = run_sweep(cfg, workers=_workers(args))
     header, *rows = records_to_csv_lines(records)
     _write_csv(out_dir / "sweep.csv", header, rows)
-    all_converged = all(r.converged for r in records)
-    _write_summary(out_dir / "sweep_summary.json", {
-        "subcommand": "sweep",
-        "config": {"a": args.a, "n": args.n,
-                   "s_list": ",".join(f"{s:g}" for s in args.s_list),
-                   "N_list": ",".join(f"{N:g}" for N in args.N_list),
-                   "range": args.range, "family": args.family,
-                   "modulated": args.modulated, "y_count": args.y_count},
-        "exponents": exponents,
-        "converged": all_converged,
-        "cells": [{"family": r.family, "N": r.N, "s": r.p.s,
-                   "converged": bool(r.converged), "t_level": r.t_level,
-                   "r_points": r.r_points, "r_max": r.r_max,
-                   "rho_points": r.rho_points,
-                   "tail_fraction": r.tail_fraction,
-                   "t_samples": r.t_samples, "t_bound": r.t_bound}
-                  for r in records],
-    })
+    all_converged = all(r.diagnostics["converged"] for r in records)
+    _write_summary(args, out_dir, exponents=exponents, converged=all_converged,
+                   cells=[{"family": r.family, "N": r.N, "s": r.p.s,
+                           **r.diagnostics} for r in records])
     if args.strict and not all_converged:
         print("sweep: flagged non-convergence (see sweep_summary.json)",
               file=sys.stderr)
@@ -204,13 +188,8 @@ def _cmd_kernel(args, out_dir: Path) -> int:
     rows = [",".join([format_float(xx), format_float(kk)])
             for xx, kk in zip(x, k_vals)]
     _write_csv(out_dir / "kernel.csv", "x,K", rows)
-    _write_summary(out_dir / "kernel_summary.json", {
-        "subcommand": "kernel",
-        "config": _echo_config(args, ["m", "mu", "a", "s"]),
-        "l1_estimate": l1,
-        "t_degree": t_degree,
-        "l1_bound": l1_bound,
-    })
+    _write_summary(args, out_dir, l1_estimate=l1, t_degree=t_degree,
+                   l1_bound=l1_bound)
     return EXIT_OK
 
 
@@ -223,16 +202,10 @@ def _cmd_split_check(args, out_dir: Path) -> int:
                                   np.linspace(0.0, 6.0, 13),
                                   np.array([-0.7, 0.0, 0.5]))
     max_split_dev, max_ratio = split_checks(p, args.pairs, 1000)
-    report = {
-        "subcommand": "split-check",
-        "config": _echo_config(args, ["a", "n", "s", "pairs"]),
-        "recompose_residual": residual,
-        "split_sum_deviation": max_split_dev,
-        "remainder_bound": bound,
-        "remainder_max_ratio": max_ratio,
-        "bound_satisfied": bool(max_ratio <= bound),
-    }
-    _write_summary(out_dir / "split_check_summary.json", report)
+    report = _write_summary(
+        args, out_dir, recompose_residual=residual,
+        split_sum_deviation=max_split_dev, remainder_bound=bound,
+        remainder_max_ratio=max_ratio, bound_satisfied=bool(max_ratio <= bound))
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.strict and not (residual <= 1e-9 and max_split_dev <= 1e-9
                             and max_ratio <= bound):
@@ -253,65 +226,32 @@ def _cmd_bessel_check(args, out_dir: Path) -> int:
     _write_csv(out_dir / "bessel_check.csv",
                "rho,j,main,remainder,scaled_remainder", rows)
     cert = certify_asymptotic(lam, args.rho_min, args.rho_max)
-    _write_summary(out_dir / "bessel_check_summary.json", {
-        "subcommand": "bessel-check",
-        "config": _echo_config(args, ["lam", "rho_min", "rho_max", "count"]),
-        "c_lambda_empirical": cert.c_lambda_empirical,
-        "octave_sups": list(cert.octave_sups),
-    })
+    _write_summary(args, out_dir, c_lambda_empirical=cert.c_lambda_empirical,
+                   octave_sups=list(cert.octave_sups))
     return EXIT_OK
 
 
 def _cmd_oracle_compare(args, out_dir: Path) -> int:
-    f0 = _profile_from_args(args)
+    f0 = _PROFILES[args.family](args)
     rhos = _parse_grid(args.rho_grid)
     hv = hankel_fourier(f0, args.n, rhos)
     ov = nd_oracle_batch(f0, args.n, rhos)
     rel = np.abs(hv - ov) / np.maximum(np.abs(ov), 1e-300)
-    worst = float(np.max(rel))
     rows = [",".join([format_float(r), format_float(h), format_float(o.real),
                       format_float(e)])
             for r, h, o, e in zip(rhos, hv, ov, rel)]
     _write_csv(out_dir / "oracle_compare.csv", "rho,hankel,oracle,rel_err", rows)
-    _write_summary(out_dir / "oracle_compare_summary.json", {
-        "subcommand": "oracle-compare",
-        "config": _echo_config(args, ["family", "sigma", "center", "width", "N",
-                                      "seed", "n", "rho_grid"]),
-        "max_rel_err": worst,
-    })
+    _write_summary(args, out_dir, max_rel_err=float(np.max(rel)))
     return EXIT_OK
 
 
-def _load_config_defaults(argv):
-    """Pull --config FILE out of argv and parse its key=value pairs."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", type=str, default=None)
-    known, _ = pre.parse_known_args(argv)
-    if known.config is None:
-        return {}
-    try:
-        text = Path(known.config).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
-    defaults = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    return defaults
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every subcommand takes.
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oscillax",
-        description="Numerical experiments on maximal oscillatory integrals "
-                    "of radial data: field evaluation, radial transforms, "
-                    "threshold sweeps, kernel and split checks.")
-    common = argparse.ArgumentParser(add_help=False)
+    exit_on_error=False lets `_config_tokens` read --config alone and leave
+    every error to the full parse; a parent parser passes on only its options.
+    """
+    common = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     common.add_argument("--config", type=str, default=None,
                         help="key=value config file; flags override")
     common.add_argument("--out-dir", type=str, default=".",
@@ -321,144 +261,150 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1,
                         help="worker processes for sweeps "
                              "(OSCILLAX_WORKERS overrides)")
+    return common
+
+
+def _config_tokens(sp, argv) -> list[str]:
+    """'--option=value' tokens for the --config entries naming sp's options.
+
+    argv is the command line after the subcommand name.  Other keys are
+    ignored; a store_true option gets its bare flag when the value is
+    1/true/yes/on and nothing otherwise.
+    """
+    try:
+        path = _common_parser().parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return []          # the full parse reports it
+    if path is None:
+        return []
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}")
+    options = {a.dest: a for a in sp._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return tokens
+
+
+def build_parser():
+    """The oscillax parser and its subcommand parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="oscillax",
+        description="Numerical experiments on maximal oscillatory integrals "
+                    "of radial data: field evaluation, radial transforms, "
+                    "threshold sweeps, kernel and split checks.")
+    common = _common_parser()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, func, **kw):
+        sp = sub.add_parser(name, parents=[common], **kw)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = add_parser("eval", help="single point: prints re/im/abs")
+    sp = add_parser("eval", _cmd_eval, help="single point: prints re/im/abs")
     _add_family_flags(sp)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--t", type=float)
-    sp.set_defaults(func=_cmd_eval)
+    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--t", type=float, required=True)
 
-    sp = add_parser("eval-grid", help="CSV field values r,t,re,im,abs")
+    sp = add_parser("eval-grid", _cmd_eval_grid,
+                    help="CSV field values r,t,re,im,abs")
     _add_family_flags(sp)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r-grid", type=str, help="lo:hi:count or log:lo:hi:count")
-    sp.add_argument("--t-grid", type=str)
-    sp.set_defaults(func=_cmd_eval_grid)
+    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--r-grid", type=str, required=True,
+                    help="lo:hi:count or log:lo:hi:count")
+    sp.add_argument("--t-grid", type=str, required=True)
 
-    sp = add_parser("transform", help="CSV radial transform rho,fhat")
+    sp = add_parser("transform", _cmd_transform,
+                    help="CSV radial transform rho,fhat")
     _add_family_flags(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--rho-grid", type=str)
-    sp.set_defaults(func=_cmd_transform)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--rho-grid", type=str, required=True)
 
-    sp = add_parser("sweep", help="threshold sweep over (s, N) cells")
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--s-list", type=_parse_floats)
-    sp.add_argument("--N-list", type=_parse_floats)
+    sp = add_parser("sweep", _cmd_sweep,
+                    help="threshold sweep over (s, N) cells")
+    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--s-list", type=_parse_floats, required=True)
+    sp.add_argument("--N-list", type=_parse_floats, required=True)
     sp.add_argument("--range", choices=["local", "global"], default="global")
     sp.add_argument("--family", choices=["shell", "annular"], default="shell")
     sp.add_argument("--modulated", action="store_true",
                     help="average squared local ratios over radial "
                          "modulations (requires a < 1)")
     sp.add_argument("--y-count", type=int, default=16)
-    sp.set_defaults(func=_cmd_sweep)
 
-    sp = add_parser("kernel", help="sample the localized sup-in-t kernel")
-    sp.add_argument("--m", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--s", type=float)
-    sp.set_defaults(func=_cmd_kernel)
+    sp = add_parser("kernel", _cmd_kernel,
+                    help="sample the localized sup-in-t kernel")
+    sp.add_argument("--m", type=float, required=True)
+    sp.add_argument("--mu", type=float, required=True)
+    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--s", type=float, required=True)
 
-    sp = add_parser("split-check",
-                        help="JSON report: recomposition residuals and the "
-                             "remainder operator bound")
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--s", type=float)
+    sp = add_parser("split-check", _cmd_split_check,
+                    help="JSON report: recomposition residuals and the "
+                         "remainder operator bound")
+    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--pairs", type=int, default=20)
-    sp.set_defaults(func=_cmd_split_check)
 
-    sp = add_parser("bessel-check",
-                        help="CSV of J_lam vs its large-argument main term")
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--rho-min", type=float)
-    sp.add_argument("--rho-max", type=float)
+    sp = add_parser("bessel-check", _cmd_bessel_check,
+                    help="CSV of J_lam vs its large-argument main term")
+    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--rho-min", type=float, required=True)
+    sp.add_argument("--rho-max", type=float, required=True)
     sp.add_argument("--count", type=int, default=4096)
-    sp.set_defaults(func=_cmd_bessel_check)
 
-    sp = add_parser("oracle-compare",
-                        help="CSV comparing the radial transform with the "
-                             "direct tensor-quadrature oracle")
+    sp = add_parser("oracle-compare", _cmd_oracle_compare,
+                    help="CSV comparing the radial transform with the "
+                         "direct tensor-quadrature oracle")
     _add_family_flags(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--rho-grid", type=str)
-    sp.set_defaults(func=_cmd_oracle_compare)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--rho-grid", type=str, required=True)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser, subcommands = build_parser()
+    sp = subcommands.get(argv[0]) if argv else None
     try:
-        defaults = _load_config_defaults(argv)
+        tokens = _config_tokens(sp, argv[1:]) if sp is not None else []
     except UsageError as exc:
         print(f"oscillax: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args = parser.parse_args(argv)
-    # A config entry applies unless the same option appeared on the command
-    # line (full option names; abbreviations are not honoured for overrides).
-    given = {tok.split("=", 1)[0][2:].replace("-", "_")
-             for tok in argv if tok.startswith("--")}
-    for key, raw in defaults.items():
-        if hasattr(args, key) and key not in given:
-            try:
-                setattr(args, key, _coerce_value(key, raw))
-            except (ValueError, argparse.ArgumentTypeError):
-                print(f"oscillax: bad config value {key}={raw!r}", file=sys.stderr)
-                return EXIT_USAGE
-    missing = [k for k in _REQUIRED.get(args.command, ())
-               if getattr(args, k, None) is None]
-    if missing:
-        print(f"oscillax {args.command}: missing required settings: "
-              + ", ".join("--" + m.replace("_", "-") for m in missing),
-              file=sys.stderr)
-        return EXIT_USAGE
+    # Config entries go first, so every command line flag overrides them.
+    args = parser.parse_args(argv[:1] + tokens + argv[1:])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args, out_dir)
-    except InsufficientCoverage as exc:
+    except NumericalFailure as exc:
         print(f"oscillax: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     except (UsageError, ValueError, OSError) as exc:
         print(f"oscillax: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-_REQUIRED = {
-    "eval": ("family", "a", "n", "r", "t"),
-    "eval-grid": ("family", "a", "n", "r_grid", "t_grid"),
-    "transform": ("family", "n", "rho_grid"),
-    "sweep": ("a", "n", "s_list", "N_list"),
-    "kernel": ("m", "mu", "a", "s"),
-    "split-check": ("a", "n", "s"),
-    "bessel-check": ("lam", "rho_min", "rho_max"),
-    "oracle-compare": ("family", "n", "rho_grid"),
-}
-
-_COERCERS = {
-    "a": float, "n": int, "r": float, "t": float, "s": float,
-    "m": float, "mu": float, "lam": float, "rho_min": float, "rho_max": float,
-    "count": int, "pairs": int, "seed": int, "y_count": int, "workers": int,
-    "N": float, "sigma": float, "center": float, "width": float,
-    "s_list": _parse_floats, "N_list": _parse_floats,
-    "modulated": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "strict": lambda v: v.lower() in ("1", "true", "yes", "on"),
-}
-
-
-def _coerce_value(key, raw):
-    return _COERCERS.get(key, str)(raw)
 
 
 if __name__ == "__main__":

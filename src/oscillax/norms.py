@@ -35,7 +35,7 @@ import numpy as np
 from .bessel import bessel_kernel_reduced
 from .oscillatory import (SymbolParams, arrival_radius, frequency_rule,
                           propagator, spatial_extent)
-from .profiles import Profile, annular, shell
+from .profiles import NumericalFailure, Profile, annular, shell
 from .quadrature import oscillatory_rule
 from .radial import (chebyshev_degree, chebyshev_times, profile_rule,
                      sphere_factor)
@@ -200,7 +200,7 @@ def _converge_on_range(g, p, r_max, local, shared=None):
                         rho_points=rho_rule[0].size)
 
 
-class InsufficientCoverage(ValueError):
+class InsufficientCoverage(NumericalFailure):
     """Raised when a global norm is requested from an under-truncated field."""
 
 
@@ -223,7 +223,7 @@ def sobolev_norm(g: Profile, n: int, s: float) -> float:
     dens = (1.0 + rho * rho) ** s * np.abs(g(rho)) ** 2 * rho ** (n - 1)
     total = sphere_factor(n) * float(np.sum(w * dens))
     if not np.isfinite(total):
-        raise ValueError("Sobolev integral diverged")
+        raise NumericalFailure("Sobolev integral diverged")
     return (2.0 * math.pi) ** (-n / 2.0) * math.sqrt(total)
 
 
@@ -252,15 +252,8 @@ class SweepRecord:
     p: SymbolParams
     range_kind: str
     Q: float
+    diagnostics: dict     # the cell's flag, grid sizes and t certificate
     A: Optional[float] = None
-    converged: bool = True
-    t_level: int = -1
-    r_points: int = 0
-    r_max: float = 0.0
-    tail_fraction: float = 0.0
-    t_samples: int = 0
-    t_bound: Optional[float] = None
-    rho_points: int = 0
 
     @property
     def fit_value(self) -> float:

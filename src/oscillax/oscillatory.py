@@ -28,7 +28,7 @@ import numpy as np
 
 # bessel_kernel_reduced: unused; perfbench/spans.py traces it.
 from .bessel import bessel_kernel_reduced
-from .profiles import Profile
+from .profiles import NumericalFailure, Profile
 from .quadrature import oscillatory_rule
 from .radial import RadialKernel, l2_norm_frequency, profile_rule, sphere_factor
 
@@ -141,7 +141,7 @@ def gaussian_free_evolution(sigma: float, p: SymbolParams, r, t):
     return out
 
 
-def spatial_extent(g: Profile, p: SymbolParams, tol: float = 1e-8) -> float:
+def spatial_extent(g: Profile, p: SymbolParams, tol: float) -> float:
     """Radius beyond which |f| = |u(., 0)| stays below tol times its peak."""
     radius = 6.0 / g.scale + g.modulation_rate + 6.0
     for _ in range(10):
@@ -154,7 +154,7 @@ def spatial_extent(g: Profile, p: SymbolParams, tol: float = 1e-8) -> float:
         if alive.size and alive[-1] < 0.7 * grid.size:
             return float(grid[min(alive[-1] + grid.size // 16, grid.size - 1)])
         radius *= 1.7
-    return radius
+    raise NumericalFailure("field does not decay within the spatial extent search")
 
 
 def arrival_radius(g: Profile, p: SymbolParams, t_max: float, tol: float,
@@ -201,4 +201,4 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
         if np.all(tails <= 2e-6 * np.maximum(totals, 1e-300)):
             return np.sqrt(totals) / denom
         r_max *= 1.7
-    raise ValueError("radial truncation would not certify the isometry check")
+    raise NumericalFailure("radial truncation would not certify the isometry check")

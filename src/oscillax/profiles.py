@@ -30,6 +30,10 @@ from .cutoffs import chi, eta, mollifier
 _BAND_TERMS = 7
 
 
+class NumericalFailure(ValueError):
+    """A computation that could not reach its accuracy target; not bad input."""
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     fn: Callable
@@ -83,7 +87,7 @@ class Profile:
             tail = np.trapezoid(w[grid >= hi * 0.75], grid[grid >= hi * 0.75])
             if total > 0 and tail < tol * total:
                 return hi * 0.75
-        raise ValueError("profile does not appear to decay")
+        raise NumericalFailure("profile does not appear to decay")
 
     def lower_support(self) -> float:
         return 0.0 if self.support is None else self.support[0]
@@ -160,19 +164,3 @@ def bandlimited(seed: int) -> Profile:
 
     return Profile(fn=f, support=(0.0, 2.0), scale=1.0 / _BAND_TERMS)
 
-
-_FAMILIES = {
-    "gaussian": lambda **kw: gaussian(kw.get("sigma", 1.0)),
-    "bump": lambda **kw: bump(kw.get("center", 1.0), kw.get("width", 1.0)),
-    "annular": lambda **kw: annular(kw["N"]),
-    "shell": lambda **kw: shell(kw["N"], kw["width"]),
-    "bandlimited": lambda **kw: bandlimited(kw.get("seed", 0)),
-}
-
-
-def family(name: str, **kw) -> Profile:
-    try:
-        ctor = _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
-    return ctor(**kw)

@@ -77,16 +77,18 @@ def _cell_task(args):
         fld = converged_maximal_field(g, p, local=(cfg.range_kind == "local"))
         out["norm"] = range_norm(fld, p, cfg.range_kind)
         fields = [fld]
-    # A cell is as converged as its worst field.
-    out["converged"] = all(f.t_converged and f.r_converged for f in fields)
-    out["t_level"] = max(f.t_grid.level for f in fields)
-    out["r_points"] = max(f.radii.size for f in fields)
-    out["r_max"] = max(f.r_max for f in fields)
-    out["rho_points"] = max(f.rho_points for f in fields)
-    out["tail_fraction"] = max(f.tail_fraction for f in fields)
     worst = max(fields, key=lambda f: f.t_bound)
-    out["t_samples"] = worst.t_grid.count
-    out["t_bound"] = worst.t_bound
+    out["diagnostics"] = {
+        # A cell is as converged as its worst field.
+        "converged": all(f.t_converged and f.r_converged for f in fields),
+        "t_level": max(f.t_grid.level for f in fields),
+        "r_points": max(f.radii.size for f in fields),
+        "r_max": max(f.r_max for f in fields),
+        "rho_points": max(f.rho_points for f in fields),
+        "tail_fraction": max(f.tail_fraction for f in fields),
+        "t_samples": worst.t_grid.count,
+        "t_bound": worst.t_bound,
+    }
     return out
 
 
@@ -127,11 +129,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
                 Q, A = res["norm"] / hs, None
             records.append(SweepRecord(
                 family=cfg.family, N=N, p=p, range_kind=cfg.range_kind,
-                Q=Q, A=A, converged=res["converged"], t_level=res["t_level"],
-                r_points=res["r_points"], r_max=res["r_max"],
-                tail_fraction=res["tail_fraction"],
-                t_samples=res["t_samples"], t_bound=res["t_bound"],
-                rho_points=res["rho_points"]))
+                Q=Q, A=A, diagnostics=res["diagnostics"]))
 
     records.sort(key=lambda r: (r.family, r.p.s, r.N))
     exponents = {}
@@ -159,6 +157,6 @@ def records_to_csv_lines(records) -> list[str]:
             r.range_kind,
             format_float(r.Q),
             format_float(r.A) if r.A is not None else "nan",
-            str(int(r.converged)),
+            str(int(r.diagnostics["converged"])),
         ]))
     return lines

@@ -211,3 +211,65 @@ def test_empty_modulation_grid_is_usage_error(tmp_path, y_count):
                                  "--out-dir", str(tmp_path)])
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+_SWEEP_CONF = "a=0.5\nn=2\ns_list=0.0625\nN_list=2\nrange=local\n"
+
+
+def _record_sweeps(monkeypatch):
+    """Replace the CLI's sweep by one that records its config and runs no cell."""
+    seen = []
+
+    def record(cfg, workers=0):
+        seen.append(cfg)
+        return [], {}
+
+    monkeypatch.setattr(cli, "run_sweep", record)
+    return seen
+
+
+def test_abbreviated_flag_overrides_config_entry(tmp_path, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text(_SWEEP_CONF + "modulated=true\ny_count=4\n")
+    seen = _record_sweeps(monkeypatch)
+    rc = cli.main(["sweep", "--config", str(conf), "--y-c", "2",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert seen[0].y_count == 2
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert summary["config"]["y_count"] == 2
+
+
+@pytest.mark.parametrize("line", ["func=x", "command=eval"])
+def test_config_keys_that_name_no_option_are_ignored(tmp_path, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(_SWEEP_CONF + line + "\n")
+    res = run_cli(["sweep", "--config", str(conf), "--out-dir", str(tmp_path)])
+    assert res.returncode == 0
+    assert "Traceback" not in res.stderr
+    assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 2
+
+
+def test_false_config_boolean_leaves_flag_off(tmp_path, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text(_SWEEP_CONF + "modulated=false\n")
+    seen = _record_sweeps(monkeypatch)
+    for flags in ([], ["--mod"]):
+        assert cli.main(["sweep", "--config", str(conf), "--out-dir",
+                         str(tmp_path)] + flags) == 0
+    # Off from the config alone; an abbreviated flag still turns it on.
+    assert [cfg.modulated for cfg in seen] == [False, True]
+
+
+def test_config_value_outside_choices_is_argparse_usage_error(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text(_SWEEP_CONF.replace("range=local", "range=sideways"))
+    res = run_cli(["sweep", "--config", str(conf), "--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert "argument --range: invalid choice: 'sideways'" in res.stderr
+
+
+def test_diverging_sobolev_norm_exits_4(tmp_path):
+    rc = cli.main(["sweep", "--a", "2", "--n", "2", "--s-list", "400",
+                   "--N-list", "2", "--out-dir", str(tmp_path)])
+    assert rc == 4

@@ -12,7 +12,7 @@ from oscillax.norms import (MaximalField, TimeGrid, converged_maximal_field,
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
-from oscillax.profiles import annular, gaussian
+from oscillax.profiles import NumericalFailure, Profile, annular, gaussian
 from oscillax.quadrature import oscillatory_rule
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
@@ -255,3 +255,10 @@ def test_sharpness_profile_families():
     assert g2.support == (8.0, 32.0)
     with pytest.raises(ValueError):
         sharpness_profile("unknown", 4.0, 2.0)
+
+
+def test_non_decaying_profile_is_a_numerical_failure():
+    # The CLI maps NumericalFailure to exit 4 and other ValueErrors to exit 2.
+    flat = Profile(fn=np.ones_like, support=None, scale=1.0)
+    with pytest.raises(NumericalFailure, match="does not appear to decay"):
+        flat.truncation_radius(2)

@@ -14,8 +14,8 @@ def test_unconverged_fields_flag_their_cells(no_time_refinement, modulated):
                       range_kind="local", modulated=modulated, y_count=2)
     records, _ = run_sweep(cfg, workers=0)
     assert records
-    assert not any(r.converged for r in records)
-    assert all(r.t_level == no_time_refinement for r in records)
+    assert not any(r.diagnostics["converged"] for r in records)
+    assert all(r.diagnostics["t_level"] == no_time_refinement for r in records)
 
 
 def test_records_carry_radial_grid_size():
@@ -23,12 +23,11 @@ def test_records_carry_radial_grid_size():
                       range_kind="local")
     records, _ = run_sweep(cfg, workers=0)
     assert records
-    assert all(r.r_points > 0 and r.r_max == 1.0 and r.rho_points > 0
-               for r in records)
-    for r in records:
+    for d in (r.diagnostics for r in records):
+        assert d["r_points"] > 0 and d["r_max"] == 1.0 and d["rho_points"] > 0
         # t_level is the least L with degree t_samples - 1 <= 2^L
-        assert 2 ** (r.t_level - 1) < r.t_samples - 1 <= 2 ** r.t_level
-        assert 0.0 < r.t_bound <= 0.5 * 5e-3
+        assert 2 ** (d["t_level"] - 1) < d["t_samples"] - 1 <= 2 ** d["t_level"]
+        assert 0.0 < d["t_bound"] <= 0.5 * 5e-3
 
 
 def test_modulated_config_rejects_empty_modulation_grid():
