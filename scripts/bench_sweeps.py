@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Time the two criterion-7 threshold sweeps end to end: wall time and peak RSS.
+"""Time the criterion-7 threshold sweeps and one a = 3 cell: wall time and peak RSS.
 
     python3 scripts/bench_sweeps.py --label change --out BENCH_sweeps.json
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-The sweeps are the session fixtures of tests/conftest.py, over
-N in {2, 4, ..., 128}:
+The first two sweeps are the session fixtures of tests/conftest.py, over
+N in {2, 4, ..., 128}; the third is the costliest cell of the slow a = 3
+sweep:
 
 - a = 2, n = 2, shell family, global range, s in {0.25, 0.75, 1.5};
 - a = 1/2, n = 2, shell family, local range, 16 modulations,
-  s in {0.0625, 0.375}.
+  s in {0.0625, 0.375};
+- a = 3, n = 2, shell family, global range, N = 32, s = 0.75.
 
 Each sweep runs in-process (`workers=0`) in a child process of its own, with
 BLAS pinned to one thread, so the peak resident set size that the child
@@ -40,11 +42,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCALES = tuple(2.0 ** k for k in range(1, 8))
 SWEEPS = {
     "a=2 global shell": dict(a=2.0, n=2, s_list=(0.25, 0.75, 1.5),
-                             range_kind="global", family="shell",
-                             modulated=False),
+                             N_list=SCALES, range_kind="global",
+                             family="shell", modulated=False),
     "a=0.5 modulated local shell": dict(a=0.5, n=2, s_list=(0.0625, 0.375),
-                                        range_kind="local", family="shell",
-                                        modulated=True, y_count=16),
+                                        N_list=SCALES, range_kind="local",
+                                        family="shell", modulated=True,
+                                        y_count=16),
+    "a=3 N=32 global shell": dict(a=3.0, n=2, s_list=(0.75,), N_list=(32.0,),
+                                  range_kind="global", family="shell",
+                                  modulated=False),
 }
 
 
@@ -53,7 +59,7 @@ def run_child(name: str) -> None:
     sys.path.insert(0, str(SRC))
     from oscillax.sweep import SweepConfig, run_sweep
 
-    cfg = SweepConfig(N_list=SCALES, **SWEEPS[name])
+    cfg = SweepConfig(**SWEEPS[name])
     t0 = time.perf_counter()
     run_sweep(cfg, workers=0)
     wall = time.perf_counter() - t0

@@ -10,6 +10,10 @@ truncation of R^n ("global"):
 
     range_norm = ( sphere_factor(n) * int_I sup(r)^2 r^(n-1) dr )^(1/2).
 
+The radii are the nodes of G7/K15 Gauss-Kronrod panels, so one pass gives
+the norm (K15) and its radial audit (G7, on the same rows), and a global
+range grows by appending panels, never recomputing a row.
+
 The inhomogeneous Sobolev norm of f is computed on the frequency side,
 
     sobolev_norm = (2 pi)^(-n/2) ( sphere_factor(n)
@@ -26,17 +30,18 @@ sign change locates the admissible-regularity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-# bessel_kernel_reduced, spatial_extent: unused; perfbench/spans.py traces them.
+# Unused here; perfbench/spans.py traces these bindings: bessel_kernel_reduced,
+# spatial_extent, oscillatory_rule.
 from .bessel import bessel_kernel_reduced
 from .oscillatory import (SymbolParams, arrival_radius, frequency_rule,
                           propagator, spatial_extent)
 from .profiles import NumericalFailure, Profile, annular, shell
-from .quadrature import oscillatory_rule
+from .quadrature import kronrod_rule, oscillatory_rule, phase_breakpoints
 from .radial import (chebyshev_degree, chebyshev_times, profile_rule,
                      sphere_factor)
 
@@ -98,26 +103,14 @@ class MaximalField:
     r_converged: bool = True
     norm_history: tuple = ()
     t_bound: Optional[float] = None   # certified relative range-norm error
-    rho_points: int = 0               # nodes of the rho rule the field used
+    rho_points: int = 0               # nodes of the largest rho rule used
+    r_audit: float = 0.0              # relative |K15 - G7| range-norm gap
 
 
-def _range_norm_from(radii, weights, sup, n, local: bool) -> float:
-    dens = sup ** 2 * radii ** (n - 1)
-    if local:
-        mask = radii <= 1.0
-        dens = dens[mask]
-        weights = weights[mask]
-    return math.sqrt(sphere_factor(n) * float(np.sum(weights * dens)))
-
-
-def _tail_fraction(radii, weights, sup, n, r_max) -> float:
-    dens = sup ** 2 * radii ** (n - 1)
-    total = float(np.sum(weights * dens))
-    if total <= 0:
-        return 0.0
-    outer = radii >= 0.9 * r_max
-    tail = float(np.sum(weights[outer] * dens[outer]))
-    return math.sqrt(max(tail, 0.0) / total)
+def _range_norm_from(radii, weights, sup, n, keep=slice(None)) -> float:
+    """( sphere_factor(n) sum_i w_i sup_i^2 r_i^(n-1) )^(1/2) over the rows kept."""
+    dens = sup[keep] ** 2 * radii[keep] ** (n - 1)
+    return math.sqrt(sphere_factor(n) * float(np.sum(weights[keep] * dens)))
 
 
 def converged_maximal_field(g: Profile, p: SymbolParams, *,
@@ -129,31 +122,65 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     radius, of the degree the Bernstein bound asks for (at most
     2^_MAX_LEVEL); the field is t-converged when the certified
     interpolation error moves the range norm by at most _REL_TOL / 2.  The
-    radial density is then doubled once as an independent check.  For
-    global fields the radial truncation starts at the arrival radius and is
-    grown until the tail carries less than _TAIL_TOL of the norm.
+    radii are the nodes of G7/K15 Gauss-Kronrod panels (`_range_grid`):
+    the norm takes the K15 weights, and the field is r-converged when the
+    G7 norm on the same rows agrees within _REL_TOL.  A global range starts
+    at the arrival radius and grows by 1.5x until the tail carries less
+    than _TAIL_TOL of the norm.  A growth keeps every row and appends
+    panels on the new stretch only, with a rho rule sized for the new
+    r_max; a kept row's rule resolves rate r_old, at least its own r.
 
     _shared, from `modulated_numerators`, lends a local field the rho rule
     of a wider modulation of the same profile and this field's rows of the
-    certified sups that one stacked pass per radial level took for every
-    modulation.
+    certified sups that one stacked pass took for every modulation.
     """
     if _shared is not None and not local:
         raise ValueError("shared sups serve local fields only")
-    r_max = 1.0 if local else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0)
-    for _growth in range(4):
-        field_obj = _converge_on_range(g, p, r_max, local, _shared)
-        if local or field_obj.tail_fraction < _TAIL_TOL:
-            return field_obj
-        r_max *= 1.5
-    return replace(field_obj, r_converged=False)
+    r_first = 1.0 if local else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0)
+    lo, r_max = 0.0, r_first
+    rows = [()] * 6        # radii, K15 and G7 weights, sup, arg, bound
+    history, rho_points, degree = [], 0, 0
+    for growth in range(4):
+        if growth:
+            lo, r_max = r_max, 1.5 * r_max
+        nodes, k_w, g_w = _range_grid(g, r_first, lo, r_max)
+        if _shared is None:
+            rho_rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate,
+                                      t_max=1.0)
+            cert = _certified_sup(g, p, nodes, rho_rule)
+        else:
+            rho_rule, cert = _shared
+        rho_points = max(rho_points, rho_rule[0].size)
+        degree = max(degree, cert[3])
+        rows = [np.concatenate(pair)
+                for pair in zip(rows, (nodes, k_w, g_w) + cert[:3])]
+        radii, k_w, g_w, sup, arg, bound = rows
+        norm = _range_norm_from(radii, k_w, sup, p.n)
+        history.append((r_max, _range_norm_from(radii, g_w, sup, p.n), norm))
+        tail = 0.0 if local else _range_norm_from(
+            radii, k_w, sup, p.n, radii >= 0.9 * r_max) / max(norm, 1e-300)
+        if tail < _TAIL_TOL:
+            break
+    # Minkowski: |sup_i - true sup_i| <= bound_i moves the norm by at most
+    # the norm of the bounds.
+    t_bound = _range_norm_from(radii, k_w, bound, p.n) / max(norm, 1e-300)
+    r_audit = abs(norm - history[-1][1]) / max(norm, 1e-300)
+    return MaximalField(
+        p=p, radii=radii, weights=k_w, sup_values=sup, argmax_t=arg,
+        t_grid=TimeGrid.chebyshev(degree), r_max=r_max, tail_fraction=tail,
+        t_converged=t_bound <= 0.5 * _REL_TOL,
+        r_converged=tail < _TAIL_TOL and r_audit <= _REL_TOL,
+        norm_history=tuple(history), t_bound=t_bound, rho_points=rho_points,
+        r_audit=r_audit)
 
 
-def _range_grid(g, r_max, level):
-    """Radial grid of `_converge_on_range`; level 1 doubles the density of 0."""
-    cap = min(0.125 / g.scale, r_max / 16.0)
-    return oscillatory_rule(0.0, r_max, panel_cap=cap / 2.0 ** level, order=8,
-                            forced=(1.0,) if r_max > 1.0 else ())
+def _range_grid(g, r_first, lo, hi):
+    """(nodes, K15 weights, G7 weights) on [lo, hi], with 1 as an edge and
+    panels at most min(0.125 / scale, r_first / 16) wide, r_first the
+    field's first r_max."""
+    cap = min(0.125 / g.scale, r_first / 16.0)
+    return kronrod_rule(phase_breakpoints(lo, hi, panel_cap=cap,
+                                          forced=(1.0,)))
 
 
 def _certified_sup(g, p, nodes, rho_rule):
@@ -163,41 +190,9 @@ def _certified_sup(g, p, nodes, rho_rule):
     one row per profile, from one streamed pass over the kernel.
     """
     layer = propagator(g, p, nodes, rho_rule)
-    # The degree depends on the rho rule only, so both grids share it.
     degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
     layer.chebyshev_sup(degree)
     return layer.sup, layer.arg, layer.bound, degree
-
-
-def _converge_on_range(g, p, r_max, local, shared=None):
-    if shared is None:
-        shared = (frequency_rule(g, p, r_max=r_max + g.modulation_rate,
-                                 t_max=1.0), None)
-    rho_rule, sups = shared
-
-    def run(level):
-        nodes, weights = _range_grid(g, r_max, level)
-        sup, arg, bound, degree = (sups[level] if sups is not None else
-                                   _certified_sup(g, p, nodes, rho_rule))
-        norm = _range_norm_from(nodes, weights, sup, p.n, local)
-        # Minkowski: |sup_i - true sup_i| <= bound_i moves the norm by at
-        # most the norm of the bounds.
-        error = _range_norm_from(nodes, weights, bound, p.n, local)
-        return nodes, weights, sup, arg, degree, norm, error / max(norm, 1e-300)
-
-    norm_coarse, bound_coarse = run(0)[-2:]
-    # One radial-density doubling as an a-posteriori resolution audit.
-    nodes, weights, sup, arg, degree, norm_fine, bound_fine = run(1)
-    r_ok = abs(norm_fine - norm_coarse) <= _REL_TOL * max(norm_fine, 1e-300)
-    t_bound = max(bound_coarse, bound_fine)
-    tail = 0.0 if local else _tail_fraction(nodes, weights, sup, p.n, r_max)
-    return MaximalField(p=p, radii=nodes, weights=weights,
-                        sup_values=sup, argmax_t=arg,
-                        t_grid=TimeGrid.chebyshev(degree),
-                        r_max=r_max, tail_fraction=tail,
-                        t_converged=t_bound <= 0.5 * _REL_TOL, r_converged=r_ok,
-                        norm_history=(norm_coarse, norm_fine), t_bound=t_bound,
-                        rho_points=rho_rule[0].size)
 
 
 class InsufficientCoverage(NumericalFailure):
@@ -212,16 +207,19 @@ def range_norm(field_obj: MaximalField, p: SymbolParams,
     if range_kind == "global" and field_obj.tail_fraction > 1e-3:
         raise InsufficientCoverage(
             f"radial tail carries {field_obj.tail_fraction:.2e} of the norm")
-    return _range_norm_from(field_obj.radii, field_obj.weights,
-                            field_obj.sup_values, p.n,
-                            local=(range_kind == "local"))
+    radii = field_obj.radii
+    return _range_norm_from(radii, field_obj.weights, field_obj.sup_values,
+                            p.n, radii <= 1.0 if range_kind == "local"
+                            else slice(None))
 
 
 def sobolev_norm(g: Profile, n: int, s: float) -> float:
     """Inhomogeneous Sobolev norm of f from its frequency profile."""
     rho, w = profile_rule(g, n, include_modulation=False)
-    dens = (1.0 + rho * rho) ** s * np.abs(g(rho)) ** 2 * rho ** (n - 1)
-    total = sphere_factor(n) * float(np.sum(w * dens))
+    # A diverging integral is reported below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = (1.0 + rho * rho) ** s * np.abs(g(rho)) ** 2 * rho ** (n - 1)
+        total = sphere_factor(n) * float(np.sum(w * dens))
     if not np.isfinite(total):
         raise NumericalFailure("Sobolev integral diverged")
     return (2.0 * math.pi) ** (-n / 2.0) * math.sqrt(total)
@@ -269,7 +267,7 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     has modulus 1, so it changes only the base, and the rho rule of the
     widest |y|, whose phase budget only gets finer as the linear rate
     grows, resolves every smaller |y|.  So all modulations share that rule
-    and one streamed kernel pass per radial level, which stacks their bases.
+    and one streamed kernel pass, which stacks their bases.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_arr.size == 0:
@@ -280,15 +278,14 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     rho_rule = frequency_rule(wide, p, r_max=1.0 + wide.modulation_rate,
                               t_max=1.0)
     profiles = [g.modulate(float(y)) for y in y_arr]
-    stacked = [_certified_sup(profiles, p, _range_grid(g, 1.0, level)[0],
-                              rho_rule) for level in (0, 1)]
+    sup, arg, bound, degree = _certified_sup(
+        profiles, p, _range_grid(g, 1.0, 0.0, 1.0)[0], rho_rule)
     out = np.empty(y_arr.size)
     fields = []
     for i, gy in enumerate(profiles):
-        sups = [(sup[i], arg[i], bound[i], degree)
-                for sup, arg, bound, degree in stacked]
-        fld = converged_maximal_field(gy, p, local=True,
-                                      _shared=(rho_rule, sups))
+        fld = converged_maximal_field(
+            gy, p, local=True,
+            _shared=(rho_rule, (sup[i], arg[i], bound[i], degree)))
         out[i] = range_norm(fld, p, "local") ** 2
         fields.append(fld)
     return out, fields

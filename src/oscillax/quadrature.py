@@ -27,24 +27,50 @@ def _gl_reference(order: int):
     return x, w
 
 
+def _composite(breakpoints, x, *weights):
+    """A reference rule (nodes x and weight sets on [-1, 1]) mapped to each
+    panel, as flat arrays in increasing node order."""
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.ndim != 1 or bp.size < 2:
+        raise ValueError("need at least two panel edges")
+    if np.any(np.diff(bp) <= 0):
+        raise ValueError("panel edges must be strictly increasing")
+    mid = 0.5 * (bp[1:] + bp[:-1])[:, None]
+    half = 0.5 * np.diff(bp)[:, None]
+    return ((mid + half * x).ravel(),) + tuple((half * w).ravel() for w in weights)
+
+
 def panel_rule(breakpoints, order: int = DEFAULT_ORDER):
     """Composite Gauss-Legendre nodes/weights over consecutive panels.
 
     breakpoints: increasing 1-D array of panel edges (>= 2 entries).
     Returns (nodes, weights) as flat arrays in increasing node order.
     """
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.ndim != 1 or bp.size < 2:
-        raise ValueError("need at least two panel edges")
-    if np.any(np.diff(bp) <= 0):
-        raise ValueError("panel edges must be strictly increasing")
-    x, w = _gl_reference(order)
-    lo = bp[:-1][:, None]
-    hi = bp[1:][:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo) + half * x).ravel()
-    weights = (half * w).ravel()
-    return nodes, weights
+    return _composite(breakpoints, *_gl_reference(order))
+
+
+# QUADPACK's qk15 (Piessens et al., 1983), to double precision: the Kronrod
+# abscissae in [0, 1), decreasing, their K15 weights, and the G7 weights of
+# the Gauss subset (0 at the four Kronrod-only abscissae here).
+_GK15_X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+           0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+           0.20778495500789848, 0.0)
+_K15_W = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+          0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+          0.20443294007529889, 0.20948214108472782)
+_G7_W = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664,
+         0.0, 0.3818300505051189, 0.0, 0.4179591836734694)
+
+
+def kronrod_rule(breakpoints):
+    """Composite G7/K15 Gauss-Kronrod (nodes, K15 weights, G7 weights).
+
+    15 nodes per panel, increasing; the G7 weights vanish at the eight
+    Kronrod-only nodes, so one set of values gives both sums.
+    """
+    x = np.concatenate((np.negative(_GK15_X), _GK15_X[-2::-1]))
+    k_w, g_w = (np.concatenate((w, w[-2::-1])) for w in (_K15_W, _G7_W))
+    return _composite(breakpoints, x, k_w, g_w)
 
 
 def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,

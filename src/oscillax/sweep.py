@@ -88,6 +88,8 @@ def _cell_task(args):
         "tail_fraction": max(f.tail_fraction for f in fields),
         "t_samples": worst.t_grid.count,
         "t_bound": worst.t_bound,
+        "r_audit": max(f.r_audit for f in fields),
+        "r_growths": max(len(f.norm_history) - 1 for f in fields),
     }
     return out
 

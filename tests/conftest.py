@@ -21,6 +21,20 @@ def no_time_refinement(monkeypatch):
     return SAMPLE_CAP_LEVEL
 
 
+@pytest.fixture
+def coarse_radial_panels(monkeypatch):
+    """Widen norms._range_grid's panels 16-fold, so a field's radii no longer
+    resolve its sup and the G7/K15 audit should flag it.
+
+    Like no_time_refinement, only in-process sweeps see the patch."""
+    original = norms.phase_breakpoints
+
+    def coarse(lo, hi, panel_cap, forced):
+        return original(lo, hi, panel_cap=16.0 * panel_cap, forced=forced)
+
+    monkeypatch.setattr(norms, "phase_breakpoints", coarse)
+
+
 @pytest.fixture(scope="session")
 def a2_global_shell_sweep():
     """Shared full-scale a = 2 sweep; the numerators dominate the suite cost.

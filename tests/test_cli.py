@@ -269,7 +269,8 @@ def test_config_value_outside_choices_is_argparse_usage_error(tmp_path):
     assert "argument --range: invalid choice: 'sideways'" in res.stderr
 
 
-def test_diverging_sobolev_norm_exits_4(tmp_path):
+def test_diverging_sobolev_norm_exits_4(tmp_path, recwarn):
     rc = cli.main(["sweep", "--a", "2", "--n", "2", "--s-list", "400",
                    "--N-list", "2", "--out-dir", str(tmp_path)])
     assert rc == 4
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

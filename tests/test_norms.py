@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscillax.norms as norms
 from oscillax.norms import (MaximalField, TimeGrid, converged_maximal_field,
                             exponent_fit, modulated_numerators, range_norm,
                             sharpness_profile, sobolev_norm)
@@ -51,6 +52,87 @@ def test_local_cell_matches_deep_dyadic_sup():
     assert fld.t_converged and fld.t_bound <= 2.5e-3
     assert abs(norm - dyadic_norm(13)) <= 1e-4 * norm
     assert norm - dyadic_norm(6) > 1e-4 * norm
+
+
+def _doubled_gl8_norms(fld, g, p, range_kind):
+    """Range norms of fld's range on the GL-8 doubling grids: panels at
+    _range_grid's cap and at half of it, sups from one rho rule."""
+    cap = min(0.125 / g.scale, fld.r_max / 16.0)
+    rule = frequency_rule(g, p, r_max=fld.r_max + g.modulation_rate, t_max=1.0)
+    out = []
+    for width in (cap, cap / 2.0):
+        radii, weights = oscillatory_rule(0.0, fld.r_max, panel_cap=width,
+                                          order=8, forced=(1.0,))
+        layer = propagator(g, p, radii, rule)
+        layer.chebyshev_sup(fld.t_grid.count - 1)
+        out.append(range_norm(replace(fld, radii=radii, weights=weights,
+                                      sup_values=layer.sup), p, range_kind))
+    return out
+
+
+@pytest.mark.parametrize("a, N, range_kind", [(2.0, 8.0, "global"),
+                                              (2.0, 32.0, "global"),
+                                              (0.5, 32.0, "local")])
+def test_kronrod_norm_matches_doubled_gl8_oracle(a, N, range_kind):
+    p = SymbolParams(a=a, n=2)
+    g = sharpness_profile("shell", N, a)
+    fld = converged_maximal_field(g, p, local=(range_kind == "local"))
+    assert fld.r_converged and len(fld.norm_history) == 1
+    coarse, fine = _doubled_gl8_norms(fld, g, p, range_kind)
+    gap = max(fld.r_audit, abs(fine - coarse) / fine)
+    assert abs(range_norm(fld, p, range_kind) - fine) <= gap * fine
+
+
+def test_growth_keeps_computed_rows(monkeypatch):
+    p = SymbolParams(a=2.0, n=4)
+    g = sharpness_profile("shell", 2.0, p.a)
+    rows = []
+    original = norms._certified_sup
+
+    def counting(g_, p_, nodes, rho_rule):
+        rows.append(nodes.size)
+        return original(g_, p_, nodes, rho_rule)
+
+    monkeypatch.setattr(norms, "_certified_sup", counting)
+    grown = converged_maximal_field(g, p)
+    (r0, *_), (r1, *_) = grown.norm_history
+    assert r0 == pytest.approx(53.83, abs=0.01) and r1 == 1.5 * r0
+    assert grown.r_max == r1 and grown.r_converged
+    # The first range alone: every range meets this tail target.
+    monkeypatch.setattr(norms, "_TAIL_TOL", 1.0)
+    first = converged_maximal_field(g, p)
+    k = first.radii.size
+    assert first.r_max == r0 and rows == [k, grown.radii.size - k, k]
+    for name in ("radii", "weights", "sup_values", "argmax_t"):
+        assert np.array_equal(getattr(grown, name)[:k], getattr(first, name))
+    # Discarding the first range would evaluate its rows and a new grid.
+    redo = k + norms._range_grid(g, r1, 0.0, r1)[0].size
+    assert grown.radii.size < redo
+
+
+def test_exhausted_growth_is_flagged(monkeypatch):
+    # a tail target no range meets: four ranges, each row computed once
+    monkeypatch.setattr(norms, "_TAIL_TOL", 0.0)
+    p = SymbolParams(a=2.0, n=4)
+    fld = converged_maximal_field(sharpness_profile("shell", 2.0, p.a), p)
+    r_maxes = [h[0] for h in fld.norm_history]
+    assert r_maxes[0] == pytest.approx(53.83, abs=0.01)
+    assert r_maxes == pytest.approx([r_maxes[0] * 1.5 ** k for k in range(4)])
+    assert fld.r_max == r_maxes[-1] and fld.radii[-1] < fld.r_max
+    assert np.all(np.diff(fld.radii) > 0)
+    assert not fld.r_converged and fld.t_converged
+
+
+def test_under_resolved_field_is_flagged(coarse_radial_panels):
+    p = SymbolParams(a=2.0, n=2)
+    fld = converged_maximal_field(sharpness_profile("shell", 8.0, p.a), p)
+    assert fld.t_converged and fld.tail_fraction < 1e-4
+    assert fld.r_audit > 5e-3 and not fld.r_converged
+    cfg = SweepConfig(a=p.a, n=p.n, s_list=(0.25,), N_list=(8.0,),
+                      range_kind="global")
+    [rec], _ = run_sweep(cfg, workers=0)
+    assert not rec.diagnostics["converged"]
+    assert rec.diagnostics["r_audit"] == fld.r_audit
 
 
 def test_maximal_on_singleton_grid_is_time_slice():

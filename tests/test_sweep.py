@@ -99,3 +99,19 @@ def test_pool_never_outnumbers_cells(monkeypatch):
     assert ctx.sizes == [2]
     inline, _ = run_sweep(cfg, workers=0)
     assert sweep.records_to_csv_lines(pooled) == sweep.records_to_csv_lines(inline)
+
+
+def test_a2_cells_carry_radial_audit(a2_global_shell_sweep):
+    records, _, _ = a2_global_shell_sweep
+    assert all(r.diagnostics["r_audit"] <= 5e-3 for r in records)
+    # Only N = 128 outgrows its first range: 321.7 -> 482.6.
+    grown = {r.N: r.diagnostics["r_max"] for r in records
+             if r.diagnostics["r_growths"]}
+    assert grown == {128.0: pytest.approx(482.55, abs=0.01)}
+    assert all(r.diagnostics["r_growths"] == 1 for r in records if r.N == 128)
+
+
+def test_modulated_cells_never_grow(a05_modulated_sweep):
+    records, _, _ = a05_modulated_sweep
+    assert all(r.diagnostics["r_growths"] == 0 for r in records)
+    assert all(r.diagnostics["r_audit"] <= 5e-3 for r in records)
