@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,8 @@ from .profiles import (NumericalFailure, annular, bandlimited, bump,
 from .radial import hankel_fourier, nd_oracle_batch
 from .split import (kernel_sample, recompose_residual, remainder_constant,
                     split_checks)
-from .sweep import SweepConfig, format_float, records_to_csv_lines, run_sweep
+from .sweep import (SweepConfig, format_float, pinned_map,
+                    records_to_csv_lines, run_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -183,8 +185,10 @@ def _cmd_sweep(args, out_dir: Path) -> int:
 
 
 def _cmd_kernel(args, out_dir: Path) -> int:
+    # One pinned worker, so kernel.csv does not depend on the BLAS threads.
     p = SymbolParams(a=args.a, n=1, s=args.s)
-    x, k_vals, l1, t_degree, l1_bound = kernel_sample(args.m, args.mu, p)
+    [(x, k_vals, l1, t_degree, l1_bound)] = pinned_map(
+        partial(kernel_sample, args.m, args.mu), [p], 1)
     rows = [",".join([format_float(xx), format_float(kk)])
             for xx, kk in zip(x, k_vals)]
     _write_csv(out_dir / "kernel.csv", "x,K", rows)

@@ -10,9 +10,11 @@ truncation of R^n ("global"):
 
     range_norm = ( sphere_factor(n) * int_I sup(r)^2 r^(n-1) dr )^(1/2).
 
-The radii are the nodes of G7/K15 Gauss-Kronrod panels, so one pass gives
-the norm (K15) and its radial audit (G7, on the same rows), and a global
-range grows by appending panels, never recomputing a row.
+The radii are the nodes of adaptive G7/K15 Gauss-Kronrod panels.  The K15
+and G7 sums on a panel's 15 rows give its part of the norm and an error
+indicator, |K15 - G7|; as in QUADPACK's adaptive routines, only the panels
+whose indicator is over their width share of the target are bisected.  A
+global range grows by appending panels, never evaluating a kept row again.
 
 The inhomogeneous Sobolev norm of f is computed on the frequency side,
 
@@ -52,6 +54,11 @@ _TAIL_TOL = 1e-4         # largest radial tail share of a global field
 # The range norm's certificate is this times ||A|| / ||sup|| (about 2-3 on the
 # sweep families), far inside _REL_TOL / 2.
 _CHEB_TOL = 1e-6
+# Radial bisection target: the panels' summed |K15 - G7| gap stays within
+# _R_TOL of the K15 integral of sup^2 r^(n-1), so within _REL_TOL / 10 on
+# the norm.
+_R_TOL = _REL_TOL / 5
+_ROUNDS = 8              # bisection rounds per radial segment
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,9 @@ class MaximalField:
     norm_history: tuple = ()
     t_bound: Optional[float] = None   # certified relative range-norm error
     rho_points: int = 0               # nodes of the largest rho rule used
-    r_audit: float = 0.0              # relative |K15 - G7| range-norm gap
+    r_audit: float = 0.0              # summed |K15 - G7| panel gaps on the norm
+    r_panels: int = 0                 # G7/K15 panels of the final radii
+    r_rows_evaluated: int = 0         # radii evaluated, discarded ones included
 
 
 def _range_norm_from(radii, weights, sup, n, keep=slice(None)) -> float:
@@ -122,39 +131,43 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     radius, of the degree the Bernstein bound asks for (at most
     2^_MAX_LEVEL); the field is t-converged when the certified
     interpolation error moves the range norm by at most _REL_TOL / 2.  The
-    radii are the nodes of G7/K15 Gauss-Kronrod panels (`_range_grid`):
-    the norm takes the K15 weights, and the field is r-converged when the
-    G7 norm on the same rows agrees within _REL_TOL.  A global range starts
-    at the arrival radius and grows by 1.5x until the tail carries less
-    than _TAIL_TOL of the norm.  A growth keeps every row and appends
+    radii are the nodes of adaptive G7/K15 Gauss-Kronrod panels
+    (`_adaptive_panels`) and the norm takes their K15 weights.  r_audit is
+    the panels' summed |K15 - G7| gap relative to the norm; the field is
+    r-converged when bisection met its target, which puts r_audit within
+    _R_TOL / 2 = _REL_TOL / 10, and the tail test holds.  A global range
+    starts at the arrival radius and grows by 1.5x until the tail carries
+    less than _TAIL_TOL of the norm.  A growth keeps every row and adds
     panels on the new stretch only, with a rho rule sized for the new
-    r_max; a kept row's rule resolves rate r_old, at least its own r.
+    r_max, and bisects only those; a kept row's rule resolves rate r_old,
+    at least its own r.
 
     _shared, from `modulated_numerators`, lends a local field the rho rule
-    of a wider modulation of the same profile and this field's rows of the
-    certified sups that one stacked pass took for every modulation.
+    of a wider modulation of the same profile, the panels and certified
+    sups that one stacked pass per round took for every modulation, and
+    this field's index among them.
     """
     if _shared is not None and not local:
         raise ValueError("shared sups serve local fields only")
     r_first = 1.0 if local else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0)
-    lo, r_max = 0.0, r_first
-    rows = [()] * 6        # radii, K15 and G7 weights, sup, arg, bound
-    history, rho_points, degree = [], 0, 0
+    lo, r_max, b = 0.0, r_first, 0
+    segments, history, rho_points = [], [], 0
     for growth in range(4):
         if growth:
             lo, r_max = r_max, 1.5 * r_max
-        nodes, k_w, g_w = _range_grid(g, r_first, lo, r_max)
         if _shared is None:
             rho_rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate,
                                       t_max=1.0)
-            cert = _certified_sup(g, p, nodes, rho_rule)
+            segments.append(_adaptive_panels(
+                g, p, rho_rule, _start_edges(g, r_first, lo, r_max), segments))
         else:
-            rho_rule, cert = _shared
+            rho_rule, seg, b = _shared
+            segments.append(seg)
         rho_points = max(rho_points, rho_rule[0].size)
-        degree = max(degree, cert[3])
-        rows = [np.concatenate(pair)
-                for pair in zip(rows, (nodes, k_w, g_w) + cert[:3])]
-        radii, k_w, g_w, sup, arg, bound = rows
+        radii, k_w, g_w = (np.concatenate([getattr(s, k).ravel() for s in segments])
+                           for k in ("nodes", "k_w", "g_w"))
+        sup, arg, bound = (np.concatenate([getattr(s, k)[b].ravel() for s in segments])
+                           for k in ("sup", "arg", "bound"))
         norm = _range_norm_from(radii, k_w, sup, p.n)
         history.append((r_max, _range_norm_from(radii, g_w, sup, p.n), norm))
         tail = 0.0 if local else _range_norm_from(
@@ -164,23 +177,87 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     # Minkowski: |sup_i - true sup_i| <= bound_i moves the norm by at most
     # the norm of the bounds.
     t_bound = _range_norm_from(radii, k_w, bound, p.n) / max(norm, 1e-300)
-    r_audit = abs(norm - history[-1][1]) / max(norm, 1e-300)
+    k_sum, e_sum = (sum(float(np.sum(getattr(s, k)[b])) for s in segments)
+                    for k in ("k_p", "e_p"))
     return MaximalField(
         p=p, radii=radii, weights=k_w, sup_values=sup, argmax_t=arg,
-        t_grid=TimeGrid.chebyshev(degree), r_max=r_max, tail_fraction=tail,
+        t_grid=TimeGrid.chebyshev(max(s.degree for s in segments)),
+        r_max=r_max, tail_fraction=tail,
         t_converged=t_bound <= 0.5 * _REL_TOL,
-        r_converged=tail < _TAIL_TOL and r_audit <= _REL_TOL,
+        r_converged=tail < _TAIL_TOL and e_sum <= _R_TOL * k_sum,
         norm_history=tuple(history), t_bound=t_bound, rho_points=rho_points,
-        r_audit=r_audit)
+        r_audit=e_sum / max(2.0 * k_sum, 1e-300),
+        r_panels=sum(s.nodes.shape[0] for s in segments),
+        r_rows_evaluated=sum(s.rows for s in segments))
 
 
-def _range_grid(g, r_first, lo, hi):
-    """(nodes, K15 weights, G7 weights) on [lo, hi], with 1 as an edge and
-    panels at most min(0.125 / scale, r_first / 16) wide, r_first the
-    field's first r_max."""
-    cap = min(0.125 / g.scale, r_first / 16.0)
-    return kronrod_rule(phase_breakpoints(lo, hi, panel_cap=cap,
-                                          forced=(1.0,)))
+@dataclass(frozen=True)
+class _Panels:
+    """G7/K15 panels of one radial segment, with the certified sups of one or
+    more profiles on their rows.
+
+    Row arrays are (P, 15) and per-profile ones (B, P, 15).  k_p and e_p
+    hold, per profile and panel, the K15 integral of sup^2 r^(n-1) and its
+    gap |K15 - G7|, shape (B, P).
+    """
+
+    nodes: np.ndarray
+    k_w: np.ndarray
+    g_w: np.ndarray
+    sup: np.ndarray
+    arg: np.ndarray
+    bound: np.ndarray
+    k_p: np.ndarray
+    e_p: np.ndarray
+    degree: int
+    rows: int            # rows evaluated, discarded parents included
+
+
+def _start_edges(g, r_first, lo, hi):
+    """Starting panel edges on [lo, hi]: at most min(0.25 / scale, r_first / 8)
+    wide, with 1 as an edge, r_first the field's first r_max."""
+    return phase_breakpoints(lo, hi, panel_cap=min(0.25 / g.scale, r_first / 8.0),
+                             forced=(1.0,))
+
+
+def _adaptive_panels(g, p, rho_rule, edges, prior=()) -> _Panels:
+    """G7/K15 panels on edges, bisected where their gaps ask, with their sups.
+
+    The panels' summed gap must meet a budget: _R_TOL times their K15
+    integral, plus what the field's target leaves unspent by the segments
+    in prior.  While it does not, a round bisects every panel whose gap
+    exceeds its width share of the budget, evaluates the children in one
+    streamed pass and drops their parents' rows; at most _ROUNDS rounds.
+    g may be a sequence of profiles, stacked in every pass; a panel is
+    then bisected if any profile's gap is over its share.
+    """
+    slack = np.maximum(sum(_R_TOL * s.k_p.sum(-1) - s.e_p.sum(-1)
+                           for s in prior), 0.0)
+    *cert, degree = _certified_sup(g, p, kronrod_rule(edges)[0], rho_rule)
+    cert = [np.reshape(a, (-1, edges.size - 1, 15)) for a in cert]
+    rows = 15 * (edges.size - 1)
+    for round_ in range(_ROUNDS + 1):
+        nodes, k_w, g_w = (a.reshape(-1, 15) for a in kronrod_rule(edges))
+        dens = cert[0] ** 2 * nodes ** (p.n - 1)
+        k_p = np.sum(k_w * dens, axis=-1)
+        e_p = np.abs(k_p - np.sum(g_w * dens, axis=-1))
+        budget = _R_TOL * k_p.sum(-1) + slack
+        share = budget[:, None] * (np.diff(edges) / (edges[-1] - edges[0]))
+        split = np.any(e_p > share, axis=0)
+        if (round_ == _ROUNDS or np.all(e_p.sum(-1) <= budget)
+                or not split.any()):
+            break
+        child = np.repeat(split, 1 + split)
+        edges = np.insert(edges, np.flatnonzero(split) + 1,
+                          0.5 * (edges[:-1] + edges[1:])[split])
+        new = kronrod_rule(edges)[0].reshape(-1, 15)[child].ravel()
+        rows += new.size
+        for i, val in enumerate(_certified_sup(g, p, new, rho_rule)[:3]):
+            out = np.empty(cert[i].shape[:1] + (child.size, 15))
+            out[:, ~child] = cert[i][:, ~split]
+            out[:, child] = np.reshape(val, (len(out), -1, 15))
+            cert[i] = out
+    return _Panels(nodes, k_w, g_w, *cert, k_p, e_p, degree, rows)
 
 
 def _certified_sup(g, p, nodes, rho_rule):
@@ -267,7 +344,8 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     has modulus 1, so it changes only the base, and the rho rule of the
     widest |y|, whose phase budget only gets finer as the linear rate
     grows, resolves every smaller |y|.  So all modulations share that rule
-    and one streamed kernel pass, which stacks their bases.
+    and its adaptive panels, and every bisection round is one streamed
+    kernel pass that stacks their bases.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_arr.size == 0:
@@ -278,14 +356,13 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     rho_rule = frequency_rule(wide, p, r_max=1.0 + wide.modulation_rate,
                               t_max=1.0)
     profiles = [g.modulate(float(y)) for y in y_arr]
-    sup, arg, bound, degree = _certified_sup(
-        profiles, p, _range_grid(g, 1.0, 0.0, 1.0)[0], rho_rule)
+    seg = _adaptive_panels(profiles, p, rho_rule,
+                           _start_edges(g, 1.0, 0.0, 1.0))
     out = np.empty(y_arr.size)
     fields = []
     for i, gy in enumerate(profiles):
-        fld = converged_maximal_field(
-            gy, p, local=True,
-            _shared=(rho_rule, (sup[i], arg[i], bound[i], degree)))
+        fld = converged_maximal_field(gy, p, local=True,
+                                      _shared=(rho_rule, seg, i))
         out[i] = range_norm(fld, p, "local") ** 2
         fields.append(fld)
     return out, fields

@@ -6,10 +6,10 @@ profile, or its modulated local variants) depends on N but not on s, so it
 is computed once per N and divided by the per-s Sobolev norms afterwards.
 
 Cells are independent and may be distributed over worker processes.  When a
-pool is used, OPENBLAS/MKL threading in the children is pinned to a single
-thread before numpy loads, so cell results are bitwise independent of the
-pool size; records are merged in canonical (family, N) order, making the
-CSV output byte-identical for any worker count.
+pool is used (`pinned_map`), OPENBLAS/MKL threading in the children is
+pinned to a single thread before numpy loads, so cell results are bitwise
+independent of the pool size; records are merged in canonical (family, N)
+order, making the CSV output byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -90,8 +90,21 @@ def _cell_task(args):
         "t_bound": worst.t_bound,
         "r_audit": max(f.r_audit for f in fields),
         "r_growths": max(len(f.norm_history) - 1 for f in fields),
+        "r_panels": max(f.r_panels for f in fields),
+        "r_rows_evaluated": max(f.r_rows_evaluated for f in fields),
     }
     return out
+
+
+def pinned_map(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks] in a spawn pool of min(workers, tasks)
+    processes with single-threaded BLAS, so each result is the same bits
+    whatever the pool size or the caller's BLAS thread count."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    ctx = mp.get_context("spawn")
+    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+        return pool.map(fn, tasks)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 0):
@@ -103,12 +116,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
     """
     tasks = [{"config": asdict(cfg), "N": float(N)} for N in sorted(cfg.N_list)]
     if workers and workers > 0:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        os.environ["OMP_NUM_THREADS"] = "1"
-        os.environ["MKL_NUM_THREADS"] = "1"
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            results = pool.map(_cell_task, tasks)
+        results = pinned_map(_cell_task, tasks, workers)
     else:
         results = [_cell_task(t) for t in tasks]
     results.sort(key=lambda d: d["N"])

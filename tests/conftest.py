@@ -23,8 +23,9 @@ def no_time_refinement(monkeypatch):
 
 @pytest.fixture
 def coarse_radial_panels(monkeypatch):
-    """Widen norms._range_grid's panels 16-fold, so a field's radii no longer
-    resolve its sup and the G7/K15 audit should flag it.
+    """Widen norms._start_edges's panels 16-fold and allow no bisection round,
+    so a field's radii no longer resolve its sup and the G7/K15 audit should
+    flag it.
 
     Like no_time_refinement, only in-process sweeps see the patch."""
     original = norms.phase_breakpoints
@@ -33,6 +34,7 @@ def coarse_radial_panels(monkeypatch):
         return original(lo, hi, panel_cap=16.0 * panel_cap, forced=forced)
 
     monkeypatch.setattr(norms, "phase_breakpoints", coarse)
+    monkeypatch.setattr(norms, "_ROUNDS", 0)
 
 
 @pytest.fixture(scope="session")

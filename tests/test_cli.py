@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,20 @@ def test_kernel_summary_carries_sup_certificate(tmp_path):
     summary = json.loads((tmp_path / "kernel_summary.json").read_text())
     assert summary["t_degree"] == 12
     assert 0.0 < summary["l1_bound"] <= 1e-4 * summary["l1_estimate"]
+
+
+def test_kernel_csv_ignores_blas_threads(tmp_path):
+    # kernel samples in one worker with pinned BLAS, so the caller's BLAS
+    # thread count does not reach kernel.csv.
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        res = run_cli(["kernel", "--out-dir", str(out), "--m", "4", "--mu", "4",
+                       "--a", "0.5", "--s", "0.2"],
+                      env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        csvs.append((out / "kernel.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_usage_error_exit_code(tmp_path):

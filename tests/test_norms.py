@@ -14,7 +14,7 @@ from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
 from oscillax.profiles import NumericalFailure, Profile, annular, gaussian
-from oscillax.quadrature import oscillatory_rule
+from oscillax.quadrature import kronrod_rule, oscillatory_rule
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
 
@@ -55,8 +55,9 @@ def test_local_cell_matches_deep_dyadic_sup():
 
 
 def _doubled_gl8_norms(fld, g, p, range_kind):
-    """Range norms of fld's range on the GL-8 doubling grids: panels at
-    _range_grid's cap and at half of it, sups from one rho rule."""
+    """Range norms of fld's range on the GL-8 doubling grids: panels at most
+    min(0.125 / scale, r_max / 16) wide and at half of that, sups from one
+    rho rule."""
     cap = min(0.125 / g.scale, fld.r_max / 16.0)
     rule = frequency_rule(g, p, r_max=fld.r_max + g.modulation_rate, t_max=1.0)
     out = []
@@ -83,31 +84,82 @@ def test_kronrod_norm_matches_doubled_gl8_oracle(a, N, range_kind):
     assert abs(range_norm(fld, p, range_kind) - fine) <= gap * fine
 
 
+def _eightfold_oracle(fld, g, p, range_kind):
+    """fld's range norm with every final panel split into 8 G7/K15 panels,
+    each range's panels evaluated on that range's rho rule and degree."""
+    mid = fld.radii.reshape(-1, 15)[:, 7]
+    half = 0.5 * fld.weights.reshape(-1, 15).sum(axis=1)
+    radii, weights, sups, lo = [], [], [], 0.0
+    for r_max, *_ in fld.norm_history:
+        rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate, t_max=1.0)
+        inside = (lo < mid) & (mid < r_max)
+        nodes, k_w = (np.concatenate(part) for part in zip(*(
+            kronrod_rule(np.linspace(m - h, m + h, 9))[:2]
+            for m, h in zip(mid[inside], half[inside]))))
+        radii.append(nodes)
+        weights.append(k_w)
+        sups.append(norms._certified_sup(g, p, nodes, rule)[0])
+        lo = r_max
+    return range_norm(replace(fld, radii=np.concatenate(radii),
+                              weights=np.concatenate(weights),
+                              sup_values=np.concatenate(sups)), p, range_kind)
+
+
+@pytest.mark.parametrize("a, n, N, range_kind", [(2.0, 2, 8.0, "global"),
+                                                 (2.0, 2, 32.0, "global"),
+                                                 (2.0, 4, 2.0, "global"),
+                                                 (0.5, 2, 64.0, "local")])
+def test_radial_audit_bounds_eightfold_oracle(a, n, N, range_kind):
+    # The summed panel gaps bound the norm's distance to a grid 8x finer.
+    p = SymbolParams(a=a, n=n)
+    g = sharpness_profile("shell", N, a)
+    fld = converged_maximal_field(g, p, local=(range_kind == "local"))
+    assert fld.r_converged and fld.r_panels * 15 == fld.radii.size
+    norm = range_norm(fld, p, range_kind)
+    oracle = _eightfold_oracle(fld, g, p, range_kind)
+    assert abs(norm - oracle) <= fld.r_audit * norm
+
+
 def test_growth_keeps_computed_rows(monkeypatch):
     p = SymbolParams(a=2.0, n=4)
     g = sharpness_profile("shell", 2.0, p.a)
-    rows = []
+    evaluated = []
     original = norms._certified_sup
 
-    def counting(g_, p_, nodes, rho_rule):
-        rows.append(nodes.size)
+    def recording(g_, p_, nodes, rho_rule):
+        evaluated.append(nodes)
         return original(g_, p_, nodes, rho_rule)
 
-    monkeypatch.setattr(norms, "_certified_sup", counting)
-    grown = converged_maximal_field(g, p)
-    (r0, *_), (r1, *_) = grown.norm_history
-    assert r0 == pytest.approx(53.83, abs=0.01) and r1 == 1.5 * r0
-    assert grown.r_max == r1 and grown.r_converged
-    # The first range alone: every range meets this tail target.
-    monkeypatch.setattr(norms, "_TAIL_TOL", 1.0)
-    first = converged_maximal_field(g, p)
-    k = first.radii.size
-    assert first.r_max == r0 and rows == [k, grown.radii.size - k, k]
-    for name in ("radii", "weights", "sup_values", "argmax_t"):
-        assert np.array_equal(getattr(grown, name)[:k], getattr(first, name))
-    # Discarding the first range would evaluate its rows and a new grid.
-    redo = k + norms._range_grid(g, r1, 0.0, r1)[0].size
-    assert grown.radii.size < redo
+    monkeypatch.setattr(norms, "_certified_sup", recording)
+    tail_tol = norms._TAIL_TOL
+    # The default target bisects no panel here; 2e-5 bisects three panels
+    # of the first range and drops their 45 rows.
+    for r_tol, dropped in ((norms._R_TOL, 0), (2e-5, 45)):
+        monkeypatch.setattr(norms, "_R_TOL", r_tol)
+        monkeypatch.setattr(norms, "_TAIL_TOL", tail_tol)
+        evaluated.clear()
+        grown = converged_maximal_field(g, p)
+        (r0, *_), (r1, *_) = grown.norm_history
+        assert r0 == pytest.approx(53.83, abs=0.01) and r1 == 1.5 * r0
+        assert grown.r_max == r1 and grown.r_converged
+        # No kept row is evaluated twice, and the count covers every
+        # evaluation.
+        rows = np.concatenate(evaluated)
+        assert np.unique(rows).size == rows.size == grown.r_rows_evaluated
+        assert np.all(np.isin(grown.radii, rows))
+        assert grown.r_rows_evaluated - grown.radii.size == dropped
+        # The first range alone: every range meets this tail target.
+        monkeypatch.setattr(norms, "_TAIL_TOL", 1.0)
+        first = converged_maximal_field(g, p)
+        k = first.radii.size
+        assert first.r_max == r0
+        for name in ("radii", "weights", "sup_values", "argmax_t"):
+            assert np.array_equal(getattr(grown, name)[:k],
+                                  getattr(first, name))
+        # Discarding the first range would evaluate its rows and a new grid.
+        redo = first.r_rows_evaluated + kronrod_rule(
+            norms._start_edges(g, r1, 0.0, r1))[0].size
+        assert grown.r_rows_evaluated < redo
 
 
 def test_exhausted_growth_is_flagged(monkeypatch):

@@ -115,3 +115,13 @@ def test_modulated_cells_never_grow(a05_modulated_sweep):
     records, _, _ = a05_modulated_sweep
     assert all(r.diagnostics["r_growths"] == 0 for r in records)
     assert all(r.diagnostics["r_audit"] <= 5e-3 for r in records)
+
+
+def test_cells_count_radial_work(a2_global_shell_sweep, a05_modulated_sweep):
+    for records in (a2_global_shell_sweep[0], a05_modulated_sweep[0]):
+        for d in (r.diagnostics for r in records):
+            assert d["r_rows_evaluated"] >= d["r_points"] == 15 * d["r_panels"]
+    # Panels at most min(0.125 / scale, r_max / 16) wide took 5,940 rows.
+    rows = {r.diagnostics["r_rows_evaluated"]
+            for r in a2_global_shell_sweep[0] if r.N == 8.0}
+    assert len(rows) == 1 and rows.pop() < 5940
