@@ -114,6 +114,7 @@ class MaximalField:
     r_audit: float = 0.0              # summed |K15 - G7| panel gaps on the norm
     r_panels: int = 0                 # G7/K15 panels of the final radii
     r_rows_evaluated: int = 0         # radii evaluated, discarded ones included
+    rho_audit: float = 0.0            # centre-row gaps to a finer rho rule
 
 
 def _range_norm_from(radii, weights, sup, n, keep=slice(None)) -> float:
@@ -135,17 +136,28 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     (`_adaptive_panels`) and the norm takes their K15 weights.  r_audit is
     the panels' summed |K15 - G7| gap relative to the norm; the field is
     r-converged when bisection met its target, which puts r_audit within
-    _R_TOL / 2 = _REL_TOL / 10, and the tail test holds.  A global range
-    starts at the arrival radius and grows by 1.5x until the tail carries
-    less than _TAIL_TOL of the norm.  A growth keeps every row and adds
-    panels on the new stretch only, with a rho rule sized for the new
-    r_max, and bisects only those; a kept row's rule resolves rate r_old,
-    at least its own r.
+    _R_TOL / 2 = _REL_TOL / 10, the rho audit is within the same
+    _REL_TOL / 10, and the tail test holds.  A global range starts at the
+    arrival radius and grows by 1.5x until the tail carries less than
+    _TAIL_TOL of the norm.  A growth keeps every row and adds panels on the
+    new stretch only, with a rho rule sized for the new r_max, and bisects
+    only those; a kept row's rule resolves rate r_old, at least its own r.
 
-    _shared, from `modulated_numerators`, lends a local field the rho rule
-    of a wider modulation of the same profile, the panels and certified
-    sups that one stacked pass per round took for every modulation, and
-    this field's index among them.
+    Each radial segment's rho rule has the phase budget FREQUENCY_BUDGET
+    (`frequency_rule`).  Once its panels are final, one more streamed pass
+    takes the centre row of every panel, the x = 0 node that G7 and K15
+    share, on the rule rebuilt at half that budget.  With panel widths h_p,
+    centres c_p and the two sups s and s',
+        rho_audit = sum_p h_p c_p^(n-1) |s^2 - s'^2|
+                    / (2 sum_p h_p c_p^(n-1) s^2)
+    over every segment's panels, with no cancellation between them.  The
+    finer rule is the reference, so the audit estimates the error of the
+    rule the field used.
+
+    _shared, from `modulated_numerators`, lends a local field the rho rules
+    of a wider modulation of the same profile, the panels, certified sups
+    and audit sums that one stacked pass per round took for every
+    modulation, and this field's index among them.
     """
     if _shared is not None and not local:
         raise ValueError("shared sups serve local fields only")
@@ -156,14 +168,13 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
         if growth:
             lo, r_max = r_max, 1.5 * r_max
         if _shared is None:
-            rho_rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate,
-                                      t_max=1.0)
+            rho_rules = _rho_rules(g, p, r_max)
             segments.append(_adaptive_panels(
-                g, p, rho_rule, _start_edges(g, r_first, lo, r_max), segments))
+                g, p, rho_rules, _start_edges(g, r_first, lo, r_max), segments))
         else:
-            rho_rule, seg, b = _shared
+            rho_rules, seg, b = _shared
             segments.append(seg)
-        rho_points = max(rho_points, rho_rule[0].size)
+        rho_points = max(rho_points, rho_rules[0][0].size)
         radii, k_w, g_w = (np.concatenate([getattr(s, k).ravel() for s in segments])
                            for k in ("nodes", "k_w", "g_w"))
         sup, arg, bound = (np.concatenate([getattr(s, k)[b].ravel() for s in segments])
@@ -177,18 +188,33 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     # Minkowski: |sup_i - true sup_i| <= bound_i moves the norm by at most
     # the norm of the bounds.
     t_bound = _range_norm_from(radii, k_w, bound, p.n) / max(norm, 1e-300)
-    k_sum, e_sum = (sum(float(np.sum(getattr(s, k)[b])) for s in segments)
-                    for k in ("k_p", "e_p"))
+    k_sum, e_sum, rho_k, rho_e = (
+        sum(float(np.sum(getattr(s, k)[b])) for s in segments)
+        for k in ("k_p", "e_p", "rho_k", "rho_e"))
+    rho_audit = rho_e / max(2.0 * rho_k, 1e-300)
     return MaximalField(
         p=p, radii=radii, weights=k_w, sup_values=sup, argmax_t=arg,
         t_grid=TimeGrid.chebyshev(max(s.degree for s in segments)),
         r_max=r_max, tail_fraction=tail,
         t_converged=t_bound <= 0.5 * _REL_TOL,
-        r_converged=tail < _TAIL_TOL and e_sum <= _R_TOL * k_sum,
+        r_converged=(tail < _TAIL_TOL and e_sum <= _R_TOL * k_sum
+                     and rho_audit <= _REL_TOL / 10),
         norm_history=tuple(history), t_bound=t_bound, rho_points=rho_points,
         r_audit=e_sum / max(2.0 * k_sum, 1e-300),
         r_panels=sum(s.nodes.shape[0] for s in segments),
-        r_rows_evaluated=sum(s.rows for s in segments))
+        r_rows_evaluated=sum(s.rows for s in segments), rho_audit=rho_audit)
+
+
+def _rho_rules(g, p, r_max):
+    """The rho rule of a radial segment ending at r_max, and its audit rule
+    at half the phase budget.
+
+    The segment's own rule is built last: perfbench's traced GEMM count
+    sizes a field from the last rho rule built inside it.
+    """
+    finer, rule = (frequency_rule(g, p, r_max=r_max + g.modulation_rate,
+                                  t_max=1.0, refine=k) for k in (2, 1))
+    return rule, finer
 
 
 @dataclass(frozen=True)
@@ -198,7 +224,9 @@ class _Panels:
 
     Row arrays are (P, 15) and per-profile ones (B, P, 15).  k_p and e_p
     hold, per profile and panel, the K15 integral of sup^2 r^(n-1) and its
-    gap |K15 - G7|, shape (B, P).
+    gap |K15 - G7|, shape (B, P).  rho_k and rho_e hold, per profile, the
+    rho audit's sums over the panels: sum_p h_p c_p^(n-1) s^2 and
+    sum_p h_p c_p^(n-1) |s^2 - s'^2|, shape (B,).
     """
 
     nodes: np.ndarray
@@ -209,6 +237,8 @@ class _Panels:
     bound: np.ndarray
     k_p: np.ndarray
     e_p: np.ndarray
+    rho_k: np.ndarray
+    rho_e: np.ndarray
     degree: int
     rows: int            # rows evaluated, discarded parents included
 
@@ -220,8 +250,9 @@ def _start_edges(g, r_first, lo, hi):
                              forced=(1.0,))
 
 
-def _adaptive_panels(g, p, rho_rule, edges, prior=()) -> _Panels:
-    """G7/K15 panels on edges, bisected where their gaps ask, with their sups.
+def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
+    """G7/K15 panels on edges, bisected where their gaps ask, with their sups
+    on the first of rho_rules and the rho audit against the second.
 
     The panels' summed gap must meet a budget: _R_TOL times their K15
     integral, plus what the field's target leaves unspent by the segments
@@ -229,8 +260,10 @@ def _adaptive_panels(g, p, rho_rule, edges, prior=()) -> _Panels:
     exceeds its width share of the budget, evaluates the children in one
     streamed pass and drops their parents' rows; at most _ROUNDS rounds.
     g may be a sequence of profiles, stacked in every pass; a panel is
-    then bisected if any profile's gap is over its share.
+    then bisected if any profile's gap is over its share.  `rows` counts
+    the rows evaluated on the first rule; the audit adds one per panel.
     """
+    rho_rule, finer = rho_rules
     slack = np.maximum(sum(_R_TOL * s.k_p.sum(-1) - s.e_p.sum(-1)
                            for s in prior), 0.0)
     *cert, degree = _certified_sup(g, p, kronrod_rule(edges)[0], rho_rule)
@@ -257,7 +290,13 @@ def _adaptive_panels(g, p, rho_rule, edges, prior=()) -> _Panels:
             out[:, ~child] = cert[i][:, ~split]
             out[:, child] = np.reshape(val, (len(out), -1, 15))
             cert[i] = out
-    return _Panels(nodes, k_w, g_w, *cert, k_p, e_p, degree, rows)
+    # The rho audit: each panel's centre row, the x = 0 node of G7 and K15.
+    mid = nodes[:, 7]
+    fine = np.reshape(_certified_sup(g, p, mid, finer)[0], (len(k_p), -1))
+    mass = np.diff(edges) * mid ** (p.n - 1)
+    coarse = cert[0][..., 7] ** 2
+    return _Panels(nodes, k_w, g_w, *cert, k_p, e_p, np.sum(mass * coarse, -1),
+                   np.sum(mass * np.abs(coarse - fine ** 2), -1), degree, rows)
 
 
 def _certified_sup(g, p, nodes, rho_rule):
@@ -345,7 +384,7 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     widest |y|, whose phase budget only gets finer as the linear rate
     grows, resolves every smaller |y|.  So all modulations share that rule
     and its adaptive panels, and every bisection round is one streamed
-    kernel pass that stacks their bases.
+    kernel pass that stacks their bases, as is the rho audit.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_arr.size == 0:
@@ -353,16 +392,15 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     if np.any(np.abs(y_arr) >= 1):
         raise ValueError("modulations must satisfy |y| < 1")
     wide = g.modulate(float(np.max(np.abs(y_arr))))
-    rho_rule = frequency_rule(wide, p, r_max=1.0 + wide.modulation_rate,
-                              t_max=1.0)
+    rho_rules = _rho_rules(wide, p, 1.0)
     profiles = [g.modulate(float(y)) for y in y_arr]
-    seg = _adaptive_panels(profiles, p, rho_rule,
+    seg = _adaptive_panels(profiles, p, rho_rules,
                            _start_edges(g, 1.0, 0.0, 1.0))
     out = np.empty(y_arr.size)
     fields = []
     for i, gy in enumerate(profiles):
         fld = converged_maximal_field(gy, p, local=True,
-                                      _shared=(rho_rule, seg, i))
+                                      _shared=(rho_rules, seg, i))
         out[i] = range_norm(fld, p, "local") ** 2
         fields.append(fld)
     return out, fields

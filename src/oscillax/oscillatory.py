@@ -52,10 +52,21 @@ class SymbolParams:
         return self.n / 2.0 - 1.0
 
 
-def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float):
-    """rho-quadrature resolving both the kernel and time oscillations."""
+# Phase radians per panel of the rho rules: four times quadrature.PHASE_BUDGET.
+# Every maximal field audits its rule against one at half this budget.
+FREQUENCY_BUDGET = 32.0
+
+
+def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float,
+                   refine: int = 1):
+    """rho-quadrature resolving both the kernel and time oscillations.
+
+    Its panels accumulate at most FREQUENCY_BUDGET / refine radians of the
+    phase r_max * rho + t_max * rho^a, plus the profile's own modulation.
+    """
     return profile_rule(g, p.n, osc_rate=abs(r_max),
-                        power_coeff=abs(t_max), power=p.a)
+                        power_coeff=abs(t_max), power=p.a,
+                        budget=FREQUENCY_BUDGET / refine)
 
 
 def propagator(g, p: SymbolParams, r, rho_rule) -> RadialKernel:

@@ -4,9 +4,12 @@ All integrals in this package are 1-D integrals of smooth envelopes times
 oscillatory factors whose instantaneous frequency is known in advance
 (Bessel kernels oscillate at rate r, the time phase at rate a*t*rho^(a-1)).
 Panels are sized so that the total phase accumulated across one panel stays
-below a fixed budget, which keeps a 16-point rule in its spectral-accuracy
-regime; this is a conservative version of the usual "resolve the local
-phase derivative" step rule h <= pi / (4 * (r + a*|t|*rho^(a-1) + 1)).
+below a budget, which keeps a 16-point rule in its spectral-accuracy
+regime.  Every rule takes PHASE_BUDGET radians per panel, a conservative
+version of the usual "resolve the local phase derivative" step rule
+h <= pi / (4 * (r + a*|t|*rho^(a-1) + 1)), except the rho rules of the
+propagator (`oscillatory.frequency_rule`), whose larger budget the maximal
+fields audit against a rule at half of it.
 """
 
 from __future__ import annotations
@@ -74,13 +77,13 @@ def kronrod_rule(breakpoints):
 
 
 def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
-                      panel_cap=None, forced=()):
+                      panel_cap=None, forced=(), budget=PHASE_BUDGET):
     """Panel edges on [lo, hi] bounding accumulated phase per panel.
 
     The phase model is psi(x) = linear_rate * x + |power_coeff| * x**power,
     monotone on x >= 0.  Edges are chosen so psi increases by at most
-    PHASE_BUDGET across each panel; `panel_cap` additionally limits the panel
-    width (used to resolve non-oscillatory structure such as a narrow
+    `budget` radians across each panel; `panel_cap` additionally limits the
+    panel width (used to resolve non-oscillatory structure such as a narrow
     profile).  `forced` points are inserted as exact edges.
     """
     lo = float(lo)
@@ -94,9 +97,9 @@ def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
     def cost(x):
         # Panels per unit of accumulated phase plus panels per unit width;
         # strictly increasing, so inversion below is well defined.
-        out = (linear_rate * x) / PHASE_BUDGET + (x - lo) / cap
+        out = (linear_rate * x) / budget + (x - lo) / cap
         if power_coeff > 0.0:
-            out = out + (power_coeff / PHASE_BUDGET) * np.power(x, power)
+            out = out + (power_coeff / budget) * np.power(x, power)
         return out
 
     total = cost(hi) - cost(lo)
@@ -120,9 +123,10 @@ def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
 
 
 def oscillatory_rule(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
-                     panel_cap=None, order: int = DEFAULT_ORDER, forced=()):
+                     panel_cap=None, order: int = DEFAULT_ORDER, forced=(),
+                     budget=PHASE_BUDGET):
     """Nodes/weights resolving the given oscillation model on [lo, hi]."""
     edges = phase_breakpoints(lo, hi, linear_rate, power_coeff, power,
-                              panel_cap, forced)
+                              panel_cap, forced, budget)
     return panel_rule(edges, order)
 

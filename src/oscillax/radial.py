@@ -36,13 +36,14 @@ import scipy.fft
 
 from .bessel import bessel_kernel_reduced
 from .profiles import Profile
-from .quadrature import oscillatory_rule
+from .quadrature import PHASE_BUDGET, oscillatory_rule
 
 _TAIL_TOL = 1e-12
 _PHASE_BYTES = 2 ** 28   # cap on the phase matrices held across row chunks
 _T_CHUNK = 384           # times per phase matrix in running sups
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
 _DENSE = 8               # dense search points per Chebyshev degree
+_SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
 _NEWTON_STEPS = 3
 _ELLIPSE_R = 1.0 + np.logspace(-6.0, 4.0, 2048)  # Bernstein ellipse parameters
 
@@ -56,7 +57,7 @@ def sphere_factor(n: int) -> float:
 
 def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
                  power_coeff: float = 0.0, power: float = 1.0,
-                 include_modulation: bool = True):
+                 include_modulation: bool = True, budget: float = PHASE_BUDGET):
     """Quadrature nodes/weights over the effective support of a profile.
 
     osc_rate is the linear oscillation rate (radians per unit rho) of any
@@ -64,7 +65,8 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
     monotone phase coeff * rho^power.  The profile's own modulation rate and
     smoothness scale are folded in automatically; integrands that only see
     |g| (norms) pass include_modulation=False so that modulated and plain
-    profiles share the identical rule.
+    profiles share the identical rule.  budget is the phase in radians
+    per panel.
     """
     lo = g.lower_support()
     hi = g.truncation_radius(n, _TAIL_TOL)
@@ -81,7 +83,8 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
     rate = osc_rate + (g.modulation_rate if include_modulation else 0.0)
     return oscillatory_rule(lo, hi, linear_rate=rate,
                             power_coeff=power_coeff, power=power,
-                            panel_cap=g.scale / 2.0, forced=forced)
+                            panel_cap=g.scale / 2.0, forced=forced,
+                            budget=budget)
 
 
 def chebyshev_times(degree: int) -> np.ndarray:
@@ -291,11 +294,12 @@ class RadialKernel:
         Demodulating by e^{-i t p0}, p0 the midpoint of power, leaves |u|
         unchanged and makes u of exponential type `tau`.  Each row is
         sampled once at chebyshev_times(K) and maximized by
-        `_interpolant_max`, one base at a time.  `bound` gets
+        `_interpolant_max`, which takes as many bases at once as fit in
+        _SEARCH_ROWS rows, and at least one.  `bound` gets
         bernstein_bound(tau, K) * A_i, A_i = (|kernel| @ |base|)_i, which
         bounds |u - p_K| on row i.  A row chunk holds its kernel rows, the
-        samples of every base and one base's dense search values; once the
-        samples are taken, |kernel| overwrites the kernel rows.
+        samples of every base and the dense search values of one such call;
+        once the samples are taken, |kernel| overwrites the kernel rows.
         """
         t = chebyshev_times(degree)
         shifted = self.power - 0.5 * (np.max(self.power) + np.min(self.power))
@@ -314,7 +318,12 @@ class RadialKernel:
             abs_kern = np.abs(kern, out=kern)
             for b in range(len(sup)):
                 bound[b, rows] = error * (abs_kern @ abs_base[b])
-                sup[b, rows], arg[b, rows] = _interpolant_max(samples[b], t)
+            step = max(1, _SEARCH_ROWS // kern.shape[0])
+            for b in range(0, len(sup), step):
+                group = samples[b:b + step].reshape(-1, t.size)
+                sup[b:b + step, rows], arg[b:b + step, rows] = (
+                    v.reshape(-1, kern.shape[0])
+                    for v in _interpolant_max(group, t))
 
 
 def hankel_fourier(f0: Profile, n: int, rho) -> np.ndarray | float:

@@ -27,6 +27,7 @@ from .norms import (SweepRecord, converged_maximal_field, exponent_fit,
 from .oscillatory import SymbolParams
 
 _CSV_COLUMNS = ("family", "a", "n", "s", "N", "range", "Q", "A", "converged")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ def _cell_task(args):
         "r_growths": max(len(f.norm_history) - 1 for f in fields),
         "r_panels": max(f.r_panels for f in fields),
         "r_rows_evaluated": max(f.r_rows_evaluated for f in fields),
+        "rho_audit": max(f.rho_audit for f in fields),
     }
     return out
 
@@ -99,12 +101,21 @@ def _cell_task(args):
 def pinned_map(fn, tasks: list, workers: int) -> list:
     """[fn(task) for task in tasks] in a spawn pool of min(workers, tasks)
     processes with single-threaded BLAS, so each result is the same bits
-    whatever the pool size or the caller's BLAS thread count."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    ctx = mp.get_context("spawn")
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+    whatever the pool size or the caller's BLAS thread count.  The children
+    inherit the pinning through the environment, which is restored
+    afterwards."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    try:
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        ctx = mp.get_context("spawn")
+        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+            return pool.map(fn, tasks)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 0):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscillax.norms as norms
+import oscillax.oscillatory as oscillatory
 from oscillax.norms import (MaximalField, TimeGrid, converged_maximal_field,
                             exponent_fit, modulated_numerators, range_norm,
                             sharpness_profile, sobolev_norm)
@@ -14,7 +15,7 @@ from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
 from oscillax.profiles import NumericalFailure, Profile, annular, gaussian
-from oscillax.quadrature import kronrod_rule, oscillatory_rule
+from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
 
@@ -123,13 +124,20 @@ def test_radial_audit_bounds_eightfold_oracle(a, n, N, range_kind):
 def test_growth_keeps_computed_rows(monkeypatch):
     p = SymbolParams(a=2.0, n=4)
     g = sharpness_profile("shell", 2.0, p.a)
-    evaluated = []
-    original = norms._certified_sup
+    evaluated, audited, audit_rules = [], [], []
+    original, original_rules = norms._certified_sup, norms._rho_rules
+
+    def rules(*args):
+        out = original_rules(*args)
+        audit_rules.append(out[1])
+        return out
 
     def recording(g_, p_, nodes, rho_rule):
-        evaluated.append(nodes)
+        audit = any(rho_rule is rule for rule in audit_rules)
+        (audited if audit else evaluated).append(nodes)
         return original(g_, p_, nodes, rho_rule)
 
+    monkeypatch.setattr(norms, "_rho_rules", rules)
     monkeypatch.setattr(norms, "_certified_sup", recording)
     tail_tol = norms._TAIL_TOL
     # The default target bisects no panel here; 2e-5 bisects three panels
@@ -138,6 +146,7 @@ def test_growth_keeps_computed_rows(monkeypatch):
         monkeypatch.setattr(norms, "_R_TOL", r_tol)
         monkeypatch.setattr(norms, "_TAIL_TOL", tail_tol)
         evaluated.clear()
+        audited.clear()
         grown = converged_maximal_field(g, p)
         (r0, *_), (r1, *_) = grown.norm_history
         assert r0 == pytest.approx(53.83, abs=0.01) and r1 == 1.5 * r0
@@ -148,6 +157,11 @@ def test_growth_keeps_computed_rows(monkeypatch):
         assert np.unique(rows).size == rows.size == grown.r_rows_evaluated
         assert np.all(np.isin(grown.radii, rows))
         assert grown.r_rows_evaluated - grown.radii.size == dropped
+        # The rho audit takes one pass per range, over the final panels'
+        # centre rows.
+        assert len(audited) == len(grown.norm_history)
+        assert np.array_equal(np.concatenate(audited),
+                              grown.radii.reshape(-1, 15)[:, 7])
         # The first range alone: every range meets this tail target.
         monkeypatch.setattr(norms, "_TAIL_TOL", 1.0)
         first = converged_maximal_field(g, p)
@@ -160,6 +174,33 @@ def test_growth_keeps_computed_rows(monkeypatch):
         redo = first.r_rows_evaluated + kronrod_rule(
             norms._start_edges(g, r1, 0.0, r1))[0].size
         assert grown.r_rows_evaluated < redo
+
+
+@pytest.mark.parametrize("a, n, N, range_kind", [(2.0, 2, 8.0, "global"),
+                                                 (2.0, 2, 32.0, "global"),
+                                                 (2.0, 4, 2.0, "global"),
+                                                 (0.5, 2, 64.0, "local")])
+def test_rho_audit_certifies_the_coarse_rule(monkeypatch, a, n, N, range_kind):
+    # The rho rule at FREQUENCY_BUDGET moves the norm by no more than
+    # rounding from the rule at quadrature.PHASE_BUDGET, and its audit says so.
+    p = SymbolParams(a=a, n=n)
+    g = sharpness_profile("shell", N, a)
+    local = range_kind == "local"
+    fld = converged_maximal_field(g, p, local=local)
+    assert fld.r_converged and fld.rho_audit <= 1e-9
+    monkeypatch.setattr(oscillatory, "FREQUENCY_BUDGET", PHASE_BUDGET)
+    fine = converged_maximal_field(g, p, local=local)
+    assert fine.rho_points > fld.rho_points
+    norm, ref = (range_norm(f, p, range_kind) for f in (fld, fine))
+    assert abs(norm - ref) <= 1e-12 * ref
+
+
+def test_rho_audit_flags_a_coarse_rule(monkeypatch):
+    # At 128 radians per panel the rho rule no longer resolves the kernel.
+    monkeypatch.setattr(oscillatory, "FREQUENCY_BUDGET", 128.0)
+    p = SymbolParams(a=2.0, n=2)
+    fld = converged_maximal_field(sharpness_profile("shell", 64.0, p.a), p)
+    assert fld.rho_audit > norms._REL_TOL / 10 and not fld.r_converged
 
 
 def test_exhausted_growth_is_flagged(monkeypatch):

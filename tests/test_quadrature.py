@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oscillax.quadrature import kronrod_rule
+from oscillax.profiles import annular, shell
+from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
+from oscillax.radial import profile_rule
 
 EDGES = np.array([0.0, 0.3, 1.0, 2.5])
 
@@ -40,3 +42,22 @@ def test_kronrod_rule_rejects_bad_edges():
     for edges in ([1.0], [0.0, 1.0, 1.0], [[0.0, 1.0]]):
         with pytest.raises(ValueError):
             kronrod_rule(edges)
+
+
+def test_rules_default_to_the_phase_budget():
+    # Only oscillatory.frequency_rule changes the budget: every other rule
+    # keeps PHASE_BUDGET, bit for bit.
+    calls = [(oscillatory_rule, (0.0, 40.0),
+              dict(linear_rate=7.5, power_coeff=0.8, power=2.0,
+                   panel_cap=0.6, forced=(1.0,))),
+             (profile_rule, (shell(16.0, 2.0), 2),
+              dict(osc_rate=30.0, power_coeff=1.0, power=0.5)),
+             (profile_rule, (annular(4.0).modulate(0.5), 3),
+              dict(osc_rate=20.0))]
+    for fn, args, kwargs in calls:
+        default = fn(*args, **kwargs)
+        explicit = fn(*args, **kwargs, budget=PHASE_BUDGET)
+        coarse = fn(*args, **kwargs, budget=4.0 * PHASE_BUDGET)
+        for a, b in zip(default, explicit):
+            assert np.array_equal(a, b)
+        assert coarse[0].size < default[0].size

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -88,9 +90,6 @@ class _InProcessPool:
 
 
 def test_pool_never_outnumbers_cells(monkeypatch):
-    # run_sweep pins BLAS threads in the environment before pooling
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
     ctx = _RecordingContext()
     monkeypatch.setattr(sweep.mp, "get_context", lambda method: ctx)
     cfg = SweepConfig(a=0.5, n=2, s_list=(0.1,), N_list=(2.0, 4.0),
@@ -99,6 +98,27 @@ def test_pool_never_outnumbers_cells(monkeypatch):
     assert ctx.sizes == [2]
     inline, _ = run_sweep(cfg, workers=0)
     assert sweep.records_to_csv_lines(pooled) == sweep.records_to_csv_lines(inline)
+
+
+def test_pinned_map_restores_blas_threads(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    before = dict(os.environ)
+    assert sweep.pinned_map(abs, [-1, 2], 1) == [1, 2]
+    # The child saw every variable pinned; the caller sees them as they were.
+    blas = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    assert sweep.pinned_map(os.getenv, blas, 1) == ["1"] * 3
+    assert dict(os.environ) == before
+
+
+def test_cells_carry_rho_audit(a2_global_shell_sweep, a05_modulated_sweep):
+    for records in (a2_global_shell_sweep[0], a05_modulated_sweep[0]):
+        assert all(r.diagnostics["rho_audit"] <= norms._REL_TOL / 10
+                   for r in records)
+    # The rho rule at phase budget 8 took 1,664 nodes here.
+    [rho_points] = {r.diagnostics["rho_points"]
+                    for r in a2_global_shell_sweep[0] if r.N == 64.0}
+    assert rho_points < 1664
 
 
 def test_a2_cells_carry_radial_audit(a2_global_shell_sweep):
