@@ -99,7 +99,8 @@ def _eightfold_oracle(fld, g, p, range_kind):
             for m, h in zip(mid[inside], half[inside]))))
         radii.append(nodes)
         weights.append(k_w)
-        sups.append(norms._certified_sup(g, p, nodes, rule)[0])
+        sups.append(norms._certified_sup(g, p, nodes, rule,
+                                         norms._degree(p, rule))[0])
         lo = r_max
     return range_norm(replace(fld, radii=np.concatenate(radii),
                               weights=np.concatenate(weights),
@@ -132,10 +133,10 @@ def test_growth_keeps_computed_rows(monkeypatch):
         audit_rules.append(out[1])
         return out
 
-    def recording(g_, p_, nodes, rho_rule):
+    def recording(g_, p_, nodes, rho_rule, degree):
         audit = any(rho_rule is rule for rule in audit_rules)
         (audited if audit else evaluated).append(nodes)
-        return original(g_, p_, nodes, rho_rule)
+        return original(g_, p_, nodes, rho_rule, degree)
 
     monkeypatch.setattr(norms, "_rho_rules", rules)
     monkeypatch.setattr(norms, "_certified_sup", recording)
@@ -174,6 +175,27 @@ def test_growth_keeps_computed_rows(monkeypatch):
         redo = first.r_rows_evaluated + kronrod_rule(
             norms._start_edges(g, r1, 0.0, r1))[0].size
         assert grown.r_rows_evaluated < redo
+
+
+def test_chebyshev_degree_once_per_rho_rule(monkeypatch):
+    # One degree for a segment's rule and one for its audit rule, however
+    # many bisection rounds the segment takes.
+    calls = {"degree": 0, "segment": 0, "pass": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, name in (("degree", "chebyshev_degree"),
+                      ("segment", "_adaptive_panels"), ("pass", "_certified_sup")):
+        monkeypatch.setattr(norms, name, counted(key, getattr(norms, name)))
+    p = SymbolParams(a=2.0, n=2)
+    converged_maximal_field(sharpness_profile("shell", 32.0, p.a), p)
+    assert calls["degree"] == 2 * calls["segment"]
+    # Bisection rounds ran: more passes than one per rule.
+    assert calls["pass"] > 2 * calls["segment"]
 
 
 @pytest.mark.parametrize("a, n, N, range_kind", [(2.0, 2, 8.0, "global"),

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import oscillax.oscillatory as oscillatory
+from oscillax.norms import sharpness_profile
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   dispersive_field_2d_oracle,
-                                  gaussian_free_evolution, isometry_ratios)
-from oscillax.profiles import Profile, annular, bump, gaussian
+                                  gaussian_free_evolution, isometry_ratios,
+                                  spatial_extent)
+from oscillax.profiles import (NumericalFailure, Profile, annular, bump,
+                               gaussian, sampled)
 from oscillax.radial import hankel_fourier, profile_rule, sphere_factor
 
 
@@ -143,6 +147,85 @@ def test_isometry_rejects_zero_profile():
                    support=(0.5, 1.5), scale=0.5)
     with pytest.raises(ValueError):
         isometry_ratios(zero, SymbolParams(a=2.0, n=2), [0.3])
+
+
+def _spatial_extent_oracle(g, p, tol):
+    """spatial_extent evaluating every candidate grid in full."""
+    radius = 6.0 / g.scale + g.modulation_rate + 6.0
+    for _ in range(10):
+        grid = np.linspace(0.0, radius, 769)
+        vals = np.abs(dispersive_field(g, p, grid, 0.0))
+        peak = float(np.max(vals))
+        if peak == 0.0:
+            raise ValueError("zero profile")
+        alive = np.nonzero(vals > tol * peak)[0]
+        if alive.size and alive[-1] < 0.7 * grid.size:
+            return float(grid[min(alive[-1] + grid.size // 16, grid.size - 1)])
+        radius *= 1.7
+    raise NumericalFailure("field does not decay within the spatial extent search")
+
+
+def _kernel_rows(monkeypatch):
+    """Record the number of radii of every propagator built from now on."""
+    rows = []
+
+    class Counting(oscillatory.RadialKernel):
+        def __init__(self, lam, x, *args):
+            rows.append(x.size)
+            super().__init__(lam, x, *args)
+
+    monkeypatch.setattr(oscillatory, "RadialKernel", Counting)
+    return rows
+
+
+_TWO_BUMPS = bump(0.9, 0.6).plus(bump(1.1, 0.6).scaled(0.7))
+
+
+@pytest.mark.parametrize("g, a, n, tol", [
+    (sharpness_profile("shell", 2.0, 2.0), 2.0, 2, 3e-6),
+    (sharpness_profile("shell", 8.0, 2.0), 2.0, 2, 3e-6),
+    (sharpness_profile("shell", 128.0, 2.0), 2.0, 2, 3e-6),
+    (sharpness_profile("shell", 2.0, 2.0), 2.0, 3, 3e-6),
+    (sharpness_profile("shell", 2.0, 2.0), 2.0, 4, 3e-6),
+    (sharpness_profile("shell", 16.0, 3.0), 3.0, 2, 3e-6),
+    (sharpness_profile("annular", 8.0, 2.0), 2.0, 2, 3e-6),
+    (_TWO_BUMPS, 2.0, 3, 1e-9),
+    (gaussian(1.0).modulate(0.7), 2.0, 2, 3e-6),
+], ids=["shell-N2", "shell-N8", "shell-N128", "shell-n3", "shell-n4",
+        "shell-a3-N16", "annular-N8", "two-bumps-n3", "modulated-gaussian"])
+def test_spatial_extent_matches_full_grid_oracle(g, a, n, tol):
+    p = SymbolParams(a=a, n=n)
+    assert spatial_extent(g, p, tol) == _spatial_extent_oracle(g, p, tol)
+
+
+def test_spatial_extent_evaluates_one_full_grid(monkeypatch):
+    # Four grids are rejected before the radius is found; the full-grid
+    # search evaluates all five, 3,845 rows.
+    rows = _kernel_rows(monkeypatch)
+    spatial_extent(sharpness_profile("shell", 8.0, 2.0),
+                   SymbolParams(a=2.0, n=2), 3e-6)
+    assert rows.count(769) == 1 and sum(rows) <= 769 + 16 * 5
+
+
+def test_spatial_extent_full_grid_rejects_what_the_probe_passes(monkeypatch):
+    # e^{i 30 rho} is not smooth at xi = 0, so f decays only like a power
+    # of r: two grids pass the probe rows and still fail the full test
+    # before a third passes both.
+    g, p = gaussian(1.0).modulate(30.0), SymbolParams(a=2.0, n=2)
+    expected = _spatial_extent_oracle(g, p, 3e-6)
+    rows = _kernel_rows(monkeypatch)
+    assert spatial_extent(g, p, 3e-6) == expected
+    assert rows.count(769) == 3
+
+
+def test_non_decaying_field_is_a_numerical_failure():
+    # The spline jumps from 1 to 0 at the ends of [1, 2], so f decays only
+    # like a power of r and never falls below 1e-10 of its peak in the search.
+    g, p = sampled(np.linspace(1.0, 2.0, 9), np.ones(9)), SymbolParams(a=2.0, n=2)
+    with pytest.raises(NumericalFailure, match="does not decay"):
+        spatial_extent(g, p, tol=1e-10)
+    with pytest.raises(NumericalFailure, match="does not decay"):
+        isometry_ratios(g, p, [0.3])
 
 
 def test_continuity_in_time():
