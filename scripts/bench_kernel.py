@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Time the Bessel kernel layer: ns per element and streamed RadialKernel fields.
+"""Time the Bessel kernel layer and the tensor-quadrature oracle.
 
     python3 scripts/bench_kernel.py --label change --out BENCH_kernel.json
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Two things are timed, each as the median of
-REPEATS runs:
+BLAS is pinned to one thread.  Three things are timed, each as the median
+of REPEATS runs:
 
 - `bessel_kernel_reduced` in ns per element, for each order on a 1024 x 1024
   array of arguments spread over [0, 12) and over [12, 1024);
@@ -14,7 +14,10 @@ REPEATS runs:
   kernels of the higher-dim benchmark workload (lam = 1/2 for n = 3,
   lam = 1 for n = 4), with their shapes and argument ranges.  The field
   streams the kernel through row chunks, so this times every kernel element
-  once plus one matrix-vector product per chunk.
+  once plus one matrix-vector product per chunk;
+- `nd_oracle_batch` on acceptance criterion 2's cases (`oracle_s`): 20
+  radii up to 12 for bump(1, 0.7) and up to 5.5 for gaussian(1), each at
+  n = 2 and n = 3.
 
 Each run, with nproc, the BLAS thread count and the numpy and scipy
 versions, is appended to the list runs[label] of the --out file, so runs of
@@ -39,7 +42,8 @@ import scipy  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from oscillax.bessel import bessel_kernel_reduced  # noqa: E402
-from oscillax.radial import RadialKernel  # noqa: E402
+from oscillax.profiles import bump, gaussian  # noqa: E402
+from oscillax.radial import RadialKernel, nd_oracle_batch  # noqa: E402
 
 ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5)
 BANDS = ((0.0, 12.0), (12.0, 1024.0))
@@ -48,6 +52,9 @@ REPEATS = 7
 # (lam, rows, columns, largest radius); frequency nodes span [0.3, 1.7].
 KERNELS = ((0.5, 3808, 1312, 328.0), (0.5, 3792, 1296, 326.0),
            (1.0, 5176, 704, 142.0))
+# Criterion 2's oracle cases: (name, profile, largest radius).
+ORACLE_CASES = (("bump(1, 0.7)", bump(1.0, 0.7), 12.0),
+                ("gaussian(1)", gaussian(1.0), 5.5))
 
 
 def _median_s(fn) -> float:
@@ -73,11 +80,18 @@ def measure() -> dict:
         layer = RadialKernel(lam, x, nodes, np.ones(cols), nodes)
         s = _median_s(lambda: layer.field(np.zeros(1)))
         fields[f"lam={lam:g} {rows}x{cols}"] = round(s, 4)
+    oracle = {}
+    for name, f0, rho_hi in ORACLE_CASES:
+        rhos = np.linspace(0.1, rho_hi, 20)
+        for n in (2, 3):
+            s = _median_s(lambda: nd_oracle_batch(f0, n, rhos))
+            oracle[f"{name} n={n} rho<={rho_hi:g}"] = round(s, 4)
     return {"env": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "repeats": REPEATS},
             "kernel_ns_per_element": ns,
-            "radial_kernel_field_s": fields}
+            "radial_kernel_field_s": fields,
+            "oracle_s": oracle}
 
 
 def main(argv=None) -> int:

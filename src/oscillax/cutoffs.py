@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from .quadrature import _gl_reference
+
 
 def mollifier(u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
@@ -56,7 +58,7 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
         # [0, 1] and step(x) + step(-x) = 1 holds exactly, which a rule over
         # the whole of [-1, x] divided by the mass does not give.
         t = -np.abs(xm)
-        nodes, w = np.polynomial.legendre.leggauss(64)
+        nodes, w = _gl_reference(64)
         # Map the 64 reference nodes onto each [-1, t] individually.
         half = 0.5 * (t + 1.0)
         u = -1.0 + half[None, :] * (nodes[:, None] + 1.0)

@@ -24,7 +24,12 @@ Chebyshev interpolant per row; a running sup over given time grids remains
 as the oracle the tests compare it against.
 
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
-over a truncated box; it exists purely as an independent cross-check.
+over a truncated box; it exists purely as an independent cross-check, a
+direct sum of f(|x|) over tensor nodes with no Bessel function and no
+radial formula.  Every axis rule is mirrored by construction, so the box is
+symmetric under x_k -> -x_k and, on the transverse axes, x2 <-> x3;
+`nd_oracle_batch` sums each orbit of nodes once, weighted by its size, and
+evaluates f only where |x| can lie in a compact support.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .profiles import Profile
 from .quadrature import PHASE_BUDGET, oscillatory_rule
 
 _TAIL_TOL = 1e-12
+_CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
 _PHASE_BYTES = 2 ** 28   # cap on the phase matrices held across row chunks
 _T_CHUNK = 384           # times per phase matrix in running sups
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
@@ -344,17 +350,24 @@ def hankel_fourier(f0: Profile, n: int, rho) -> np.ndarray | float:
 
 
 def _axis_rule(f: Profile, n: int, xi_component: float):
+    """Nodes and weights on [-P, P], P the truncation radius, mirrored by
+    construction: the rule on [0, P] resolving xi_component, then its
+    reflection, so x == -x[::-1] and w == w[::-1] hold bitwise.  0 is a
+    panel edge, never a node, so every node has a distinct mirror image.
+    """
     half = f.truncation_radius(n, _TAIL_TOL)
-    return oscillatory_rule(-half, half, linear_rate=abs(xi_component),
+    x, w = oscillatory_rule(0.0, half, linear_rate=abs(xi_component),
                             panel_cap=f.scale / 2.0)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def nd_oracle(f: Profile, n: int, xi) -> complex:
     """Direct tensor-product quadrature of int e^{-i x.xi} f(|x|) dx.
 
     xi is an n-vector.  Only n = 2 and n = 3 are supported; the cost of
-    larger n buys nothing for validation.  Each axis gets a rule resolving
-    its own component of xi.
+    larger n buys nothing for validation.  Each axis gets the mirrored
+    `_axis_rule` resolving its own component of xi, and f is summed over
+    every node of the box.
     """
     if n not in (2, 3):
         raise ValueError("oracle supports n in {2, 3} only")
@@ -382,34 +395,63 @@ def nd_oracle(f: Profile, n: int, xi) -> complex:
     return complex(acc)
 
 
+def _transverse_orbits(y: np.ndarray, v: np.ndarray, n: int):
+    """Squared radii, increasing, and weights of the transverse orbits.
+
+    (y, v) is the half rule on (0, P].  The n - 1 transverse axes share the
+    mirrored rule, so the box is symmetric under every sign flip and, for
+    n = 3, under x2 <-> x3.  One orbit per node y_k (n = 2, weight 2 v_k),
+    or per pair k <= l (n = 3, weight 8 v_k v_l, or 4 v_k^2 on the
+    diagonal), stands for all of its images.
+    """
+    if n == 2:
+        return y * y, 2.0 * v
+    k, l = np.triu_indices(y.size)
+    sq = y[k] * y[k] + y[l] * y[l]
+    wt = np.where(k == l, 4.0, 8.0) * v[k] * v[l]
+    order = np.argsort(sq, kind="stable")
+    return sq[order], wt[order]
+
+
 def nd_oracle_batch(f: Profile, n: int, rho_list) -> np.ndarray:
     """The tensor-quadrature transform at xi = (rho, 0, ...) for several rho.
 
-    The transverse axes carry no phase, so their contraction
-    H(x1) = int int f(|x|) dx2 dx3 is computed once and each rho costs a
-    single 1-D phase contraction.  The first axis gets one rule, sized for
-    the largest |rho|; `nd_oracle` sizes it for each xi, so at smaller rho
-    the two use different nodes and agree to quadrature accuracy only.
+    The sum runs over the same box as `nd_oracle`'s, on mirrored axis
+    rules, but visits each symmetry orbit of nodes once, weighted by its
+    size (`_transverse_orbits`).  The transverse axes carry no phase, so
+    h(x1) = sum over the transverse plane of w f(|x|) is computed once per
+    node x1 > 0; h is even, so the phase contraction over the first axis is
+    2 sum w1 cos(rho x1) h(x1) over those nodes and their weights w1.  For a
+    compactly supported f with support [lo, hi], each x1 slice evaluates f
+    only on the contiguous run of sorted squared radii s with
+    lo^2 <= x1^2 + s <= hi^2, widened on both sides by _CLIP_MARGIN * hi^2,
+    far above the rounding of x1^2 + s, so no node where f != 0 is dropped.
+    It stays a direct sum of f(|x|) over tensor nodes and uses no Bessel
+    function or radial formula.
+
+    The first axis gets one rule, sized for the largest |rho|; `nd_oracle`
+    sizes it for each xi, so at smaller rho the two use different nodes and
+    agree to quadrature accuracy only.
     """
     if n not in (2, 3):
         raise ValueError("oracle supports n in {2, 3} only")
     rho_arr = np.atleast_1d(np.asarray(rho_list, dtype=float))
-    rate = float(np.max(np.abs(rho_arr)))
-    x1, w1 = _axis_rule(f, n, rate)
-    x2, w2 = _axis_rule(f, n, 0.0)
-    if n == 2:
-        r = np.hypot(x1[:, None], x2[None, :])
-        h = f(r) @ w2
+    x1, w1 = _axis_rule(f, n, float(np.max(np.abs(rho_arr))))
+    x1, w1 = x1[x1.size // 2:], w1[w1.size // 2:]
+    y, v = _axis_rule(f, n, 0.0)
+    sq, wt = _transverse_orbits(y[y.size // 2:], v[v.size // 2:], n)
+    x1_sq = x1 * x1
+    if f.support is None:
+        starts, stops = np.zeros(x1.size, int), np.full(x1.size, sq.size)
     else:
-        x3, w3 = x2, w2
-        plane = np.hypot(x2[:, None], x3[None, :])
-        h = np.empty(x1.size)
-        wplane = np.outer(w2, w3)
-        for i, x1i in enumerate(x1):
-            r = np.sqrt(plane * plane + x1i * x1i)
-            h[i] = float(np.sum(f(r) * wplane))
-    phases = np.exp(-1j * np.outer(rho_arr, x1))
-    return phases @ (w1 * h)
+        lo, hi = f.support
+        margin = _CLIP_MARGIN * hi * hi
+        starts = np.searchsorted(sq, lo * lo - x1_sq - margin, side="left")
+        stops = np.searchsorted(sq, hi * hi - x1_sq + margin, side="right")
+    h = np.array([f(np.sqrt(xs + sq[i:j])) @ wt[i:j] if j > i else 0.0
+                  for xs, i, j in zip(x1_sq, starts, stops)])
+    out = 2.0 * (np.cos(np.outer(rho_arr, x1)) @ (w1 * h))
+    return out.astype(complex)
 
 
 def l2_norm_spatial(f0: Profile, n: int) -> float:

@@ -95,3 +95,15 @@ def test_comparability_band_stable_under_range_doubling(s):
     lo2, hi2 = band(2.0 ** 15)
     assert abs(lo2 - lo1) <= 0.01 * lo1
     assert abs(hi2 - hi1) <= 0.01 * hi1
+
+
+def test_smooth_step_reuses_cached_rule(monkeypatch):
+    x = np.array([1.2, 1.5, 1.8])
+    first = chi(x)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    second = chi(x)
+    assert calls == []
+    assert np.array_equal(first, second)

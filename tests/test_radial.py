@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from oscillax.norms import (converged_maximal_field, range_norm,
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
-from oscillax.profiles import Profile, annular, bump, gaussian, sampled
+from oscillax.profiles import (Profile, annular, bandlimited, bump, gaussian,
+                               sampled)
 from oscillax.radial import (bernstein_bound, chebyshev_degree,
                              chebyshev_times, hankel_fourier,
                              l2_norm_frequency, l2_norm_spatial, nd_oracle,
@@ -67,6 +69,55 @@ def test_oracle_rotation_invariance():
 def test_oracle_rejects_large_dimension():
     with pytest.raises(ValueError):
         nd_oracle(gaussian(1.0), 4, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+_ORACLE_PROFILES = {
+    "bump": bump(1.0, 0.7),
+    "gaussian": gaussian(1.0),
+    "annular": annular(2.0),
+    "bandlimited": bandlimited(3),
+    # Nonzero at both ends of its closed support [0.5, 2].
+    "sampled": sampled(np.linspace(0.5, 2.0, 7),
+                       np.array([1.0, 0.4, -0.3, 0.8, 0.2, -0.5, 0.9])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_PROFILES))
+@pytest.mark.parametrize("rate", [0.0, 0.7, 6.0])
+def test_axis_rule_is_mirror_symmetric(name, rate):
+    x, w = radial._axis_rule(_ORACLE_PROFILES[name], 3, rate)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0.0)
+
+
+def _full_box_oracle(f, n, rhos):
+    """Unfolded sum over every node of the oracle's box at xi = (rho, 0, ...)."""
+    x1, w1 = radial._axis_rule(f, n, float(np.max(rhos)))
+    x2, w2 = radial._axis_rule(f, n, 0.0)
+    if n == 2:
+        h = f(np.hypot(x1[:, None], x2[None, :])) @ w2
+    else:
+        plane = np.hypot(x2[:, None], x2[None, :])
+        wplane = np.outer(w2, w2)
+        h = np.array([np.sum(f(np.sqrt(plane * plane + x * x)) * wplane)
+                      for x in x1])
+    return np.exp(-1j * np.outer(rhos, x1)) @ (w1 * h)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_PROFILES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_batch_fold_matches_full_box(name, n):
+    # Summing each symmetry orbit once and clipping slices to the support
+    # only regroups the full-box sum.  At n = 3 a scale of P (panels of
+    # width P/2) keeps the full box small; the identity holds on any rule.
+    f = _ORACLE_PROFILES[name]
+    if n == 3:
+        f = dataclasses.replace(f, scale=f.truncation_radius(n))
+    rhos = np.array([0.0, 0.7, 2.5, 6.0])
+    got = radial.nd_oracle_batch(f, n, rhos)
+    ref = _full_box_oracle(f, n, rhos)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [2, 3])
