@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Time the Bessel kernel layer and the tensor-quadrature oracle.
+"""Time the Bessel kernel layer, the tensor-quadrature oracle and the split pass.
 
     python3 scripts/bench_kernel.py --label change --out BENCH_kernel.json
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Three things are timed, each as the median
+BLAS is pinned to one thread.  Four things are timed, each as the median
 of REPEATS runs:
 
 - `bessel_kernel_reduced` in ns per element, for each order on a 1024 x 1024
@@ -17,7 +17,12 @@ of REPEATS runs:
   once plus one matrix-vector product per chunk;
 - `nd_oracle_batch` on acceptance criterion 2's cases (`oracle_s`): 20
   radii up to 12 for bump(1, 0.7) and up to 5.5 for gaussian(1), each at
-  n = 2 and n = 3.
+  n = 2 and n = 3;
+- `split.selector_parts` with an empty memo (`selector_s`) on the split-bounds
+  benchmark workload's inputs at seed 1: selector_grid(12, 22), n = 2,
+  (a, s) = (1/2, 0.2) and (2, 0.6), each with random_test_profile(2 + k)
+  framed by bump(0.8, 0.8) / 2 and -bump(18.2, 0.8) / 2 and the random
+  selector of seed 1002 + k.
 
 Each run, with nproc, the BLAS thread count and the numpy and scipy
 versions, is appended to the list runs[label] of the --out file, so runs of
@@ -41,7 +46,9 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import oscillax.split as split  # noqa: E402
 from oscillax.bessel import bessel_kernel_reduced  # noqa: E402
+from oscillax.oscillatory import SymbolParams  # noqa: E402
 from oscillax.profiles import bump, gaussian  # noqa: E402
 from oscillax.radial import RadialKernel, nd_oracle_batch  # noqa: E402
 
@@ -55,6 +62,9 @@ KERNELS = ((0.5, 3808, 1312, 328.0), (0.5, 3792, 1296, 326.0),
 # Criterion 2's oracle cases: (name, profile, largest radius).
 ORACLE_CASES = (("bump(1, 0.7)", bump(1.0, 0.7), 12.0),
                 ("gaussian(1)", gaussian(1.0), 5.5))
+# The split-bounds workload at seed 1: selector grid and (a, s) pairs.
+SELECTOR_GRID = (12.0, 22.0)
+SELECTOR_PAIRS = ((0.5, 0.2), (2.0, 0.6))
 
 
 def _median_s(fn) -> float:
@@ -86,12 +96,26 @@ def measure() -> dict:
         for n in (2, 3):
             s = _median_s(lambda: nd_oracle_batch(f0, n, rhos))
             oracle[f"{name} n={n} rho<={rho_hi:g}"] = round(s, 4)
+    grid, _ = split.selector_grid(*SELECTOR_GRID)
+    frame = bump(0.8, 0.8).scaled(0.5).plus(bump(18.2, 0.8).scaled(-0.5))
+    selector = {}
+    for k, (a, s_reg) in enumerate(SELECTOR_PAIRS):
+        args = (split.random_test_profile(2 + k).plus(frame),
+                split.TimeSelector.random(grid, seed=1002 + k),
+                SymbolParams(a=a, n=2, s=s_reg))
+
+        def fresh():
+            split._SELECTOR_MEMO.clear()
+            split.selector_parts(*args)
+
+        selector[f"a={a:g} s={s_reg:g} rows={grid.size}"] = round(_median_s(fresh), 4)
     return {"env": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "repeats": REPEATS},
             "kernel_ns_per_element": ns,
             "radial_kernel_field_s": fields,
-            "oracle_s": oracle}
+            "oracle_s": oracle,
+            "selector_s": selector}
 
 
 def main(argv=None) -> int:

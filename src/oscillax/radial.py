@@ -20,8 +20,8 @@ kernel: each call evaluates one chunk of rows, contracts it and drops it,
 so no call holds more than one chunk, and a stack of bases on the same
 nodes (the modulations of one profile) shares every chunk.  Every library
 sup over times is the certified continuous sup over [-1, 1] from one
-Chebyshev interpolant per row; a running sup over given time grids remains
-as the oracle the tests compare it against.
+Chebyshev interpolant per row; the tests keep a running sup over given
+time grids as the oracle they compare it against.
 
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
 over a truncated box; it exists purely as an independent cross-check, a
@@ -46,7 +46,7 @@ from .quadrature import PHASE_BUDGET, oscillatory_rule
 _TAIL_TOL = 1e-12
 _CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
 _PHASE_BYTES = 2 ** 28   # cap on the phase matrices held across row chunks
-_T_CHUNK = 384           # times per phase matrix in running sups
+_T_CHUNK = 384           # times per phase matrix
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
 _DENSE = 8               # dense search points per Chebyshev degree
 _SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
@@ -205,10 +205,9 @@ class RadialKernel:
     of them, and `sup`, `arg`, `bound` and `field(t)` gain a leading axis
     of length B.
     `field(t)` returns u for the times t, shape (len(x), len(t)).
-    `add_times(t)` folds t into the running per-row sup |u| and its argmax
-    time (`sup`, `arg`) chunk by chunk, never holding all rows x times.
-    `chebyshev_sup(K)` sets `sup`, `arg` to the continuous sup over [-1, 1]
-    instead, with a certified per-row error bound `bound`.
+    `chebyshev_sup(K)` sets `sup`, `arg` to the continuous sup over [-1, 1],
+    with a certified per-row error bound `bound`.  Until then `sup` reads
+    -1, below any |u|, so a running sup can start from it.
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
@@ -279,20 +278,6 @@ class RadialKernel:
             for b in range(len(m_re)):
                 stack[b, rows] = kern @ m_re[b] + 1j * (kern @ m_im[b])
         return out
-
-    def add_times(self, t: np.ndarray) -> None:
-        sup, arg = self._rows(self.sup), self._rows(self.arg)
-        chunks = self._time_chunks(t, self.power)
-        for rows, kern in self._chunks(16 * len(sup) * min(t.size, _T_CHUNK)):
-            for cols, (m_re, m_im) in chunks():
-                tc = t[cols]
-                for b in range(len(sup)):
-                    mag = np.abs(kern @ m_re[b] + 1j * (kern @ m_im[b]))
-                    col = np.argmax(mag, axis=1)
-                    best = mag[np.arange(mag.shape[0]), col]
-                    upd = best > sup[b, rows]
-                    sup[b, rows][upd] = best[upd]
-                    arg[b, rows][upd] = tc[col[upd]]
 
     def chebyshev_sup(self, degree: int) -> None:
         """Sup of |u| over t in [-1, 1] from its degree-K Chebyshev interpolant.

@@ -26,7 +26,10 @@ fully explicit operator bound
 with C_lam taken from an empirical asymptotic certificate.
 `selector_parts` returns full, main and remainder from one pass over row
 blocks of the selector grid, each block building the Bessel, cosine and
-phase matrices once; the last triple is kept in a one-entry memo keyed on
+phase matrices once.  The pass sees only the rows with psi(r) != 0 and the
+frequency nodes whose weight w rho^-s psi(rho) f(rho) is nonzero (psi
+vanishes for rho <= 1, a bump profile between its bumps); every other row
+is an exact zero.  The last triple is kept in a one-entry memo keyed on
 the bytes of its inputs, so asking for the three parts in turn costs one
 build.  `split_checks` measures main + remainder - full and the
 remainder's norm ratio over random profile/selector pairs.  The kernel
@@ -106,6 +109,8 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector, p: SymbolParams,
 
     f is interpreted as an even profile on the line; weight "none" drops
     gamma_{-2s}^(1/2) (then t = 0 gives the plain inverse-type transform).
+    Frequency nodes whose weight is exactly zero are dropped, and the
+    cosine-phase kernel is built in row blocks of at most _SAMPLE_BYTES.
     """
     x = sel.grid
     t = sel.match(sel.grid)
@@ -118,10 +123,26 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector, p: SymbolParams,
     else:
         raise ValueError("weight must be 'dyadic' or 'none'")
     vec = w * gam * f(rho)
+    live = vec != 0.0
+    rho, vec = rho[live], vec[live]
+    rho_a = rho ** p.a
+    out = np.zeros(x.size, dtype=complex)
     # Even integrand: int_R = 2 int_0^inf cos(x xi) ... dxi.
-    cosmat = np.cos(np.outer(x, rho))
-    phase = np.exp(1j * np.outer(t, rho ** p.a))
-    return 2.0 * ((cosmat * phase) @ vec)
+    for rows in _row_blocks(x.size, rho.size):
+        kern = np.exp(1j * np.outer(t[rows], rho_a))
+        kern *= np.cos(np.outer(x[rows], rho))
+        out[rows] = 2.0 * (kern @ vec)
+    return out
+
+
+def _row_blocks(rows: int, cols: int):
+    """Row slices of at most _SAMPLE_BYTES at 64 bytes per element; none if
+    there are no columns."""
+    if cols == 0:
+        return
+    block = max(1, _SAMPLE_BYTES // (64 * cols))
+    for i0 in range(0, rows, block):
+        yield slice(i0, i0 + block)
 
 
 # The last triple: content key -> {full, main, remainder}.  One entry, since
@@ -136,11 +157,9 @@ def _selector_pass(r, t, rho, weights, lam, a):
     Each block builds (r rho)^(1/2) J_lam, the cosine and the phase once and
     holds about 64 bytes per element, at most radial._SAMPLE_BYTES.
     """
-    out = {part: np.empty(r.size, dtype=complex) for part in _PARTS}
+    out = {part: np.zeros(r.size, dtype=complex) for part in _PARTS}
     rho_a = rho ** a
-    block = max(1, _SAMPLE_BYTES // (64 * rho.size))
-    for i0 in range(0, r.size, block):
-        rows = slice(i0, i0 + block)
+    for rows in _row_blocks(r.size, rho.size):
         z = np.outer(r[rows], rho)
         full = np.sqrt(z) * bessel_j(lam, z)
         z -= lam * (0.5 * math.pi)
@@ -163,10 +182,14 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     of the Bessel kernel and "remainder" the difference full - main, taken
     node by node and contracted on its own, so main + remainder recomposes
     the full operator only up to rounding.  One row-blocked pass builds the
-    Bessel, cosine and phase matrices once for all three.  The last result
-    is memoized in one entry keyed on the exact bytes of everything it
-    depends on, so a hit returns what a recomputation would; the arrays
-    returned are always fresh copies.
+    Bessel, cosine and phase matrices once for all three, and only on the
+    rows with psi(r) != 0 and the columns whose weight
+    w rho^-s psi(rho) f(rho) is nonzero: every other element is multiplied
+    by an exact zero, so the skipped rows are exact zeros.  If no row or no
+    column is left, bessel_j is not called.  The last result is memoized
+    in one entry keyed on the exact bytes of everything it depends on, so
+    a hit returns what a recomputation would; the arrays returned are
+    always fresh copies.
     """
     r = sel.grid
     t = sel.match(sel.grid)
@@ -176,10 +199,16 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     key = (np.array([p.lam, p.a]).tobytes(), r.tobytes(), t.tobytes(),
            rho.tobytes(), weights.dtype.str, weights.tobytes())
     if key not in _SELECTOR_MEMO:
-        parts = _selector_pass(r, t, rho, weights, p.lam, p.a)
         psi_r = psi(r)
+        rows = psi_r != 0.0
+        cols = weights != 0.0
+        parts = {k: np.zeros(r.size, dtype=complex) for k in _PARTS}
+        kept = _selector_pass(r[rows], t[rows], rho[cols], weights[cols],
+                              p.lam, p.a)
+        for k, v in kept.items():
+            parts[k][rows] = psi_r[rows] * v
         _SELECTOR_MEMO.clear()
-        _SELECTOR_MEMO[key] = {k: psi_r * v for k, v in parts.items()}
+        _SELECTOR_MEMO[key] = parts
     return {k: v.copy() for k, v in _SELECTOR_MEMO[key].items()}
 
 

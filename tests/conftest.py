@@ -1,12 +1,35 @@
 import time
 
+import numpy as np
 import pytest
 
 import oscillax.norms as norms
+import oscillax.radial as radial
 from oscillax.sweep import SweepConfig, run_sweep
 
 FULL_SCALES = (2, 4, 8, 16, 32, 64, 128)
 SAMPLE_CAP_LEVEL = 1     # at most 2^1 Chebyshev degrees, below the certified one
+
+
+def add_times(layer, t):
+    """Fold the times t into a RadialKernel's running per-row sup |u| and its
+    argmax time (layer.sup, layer.arg): the grid oracle the certified
+    Chebyshev sup is checked against.  It streams the layer's kernel row
+    chunks and phase chunks like the layer itself, so it never holds all
+    rows x times.
+    """
+    sup, arg = layer._rows(layer.sup), layer._rows(layer.arg)
+    chunks = layer._time_chunks(t, layer.power)
+    for rows, kern in layer._chunks(16 * len(sup) * min(t.size, radial._T_CHUNK)):
+        for cols, (m_re, m_im) in chunks():
+            tc = t[cols]
+            for b in range(len(sup)):
+                mag = np.abs(kern @ m_re[b] + 1j * (kern @ m_im[b]))
+                col = np.argmax(mag, axis=1)
+                best = mag[np.arange(mag.shape[0]), col]
+                upd = best > sup[b, rows]
+                sup[b, rows][upd] = best[upd]
+                arg[b, rows][upd] = tc[col[upd]]
 
 
 @pytest.fixture

@@ -19,6 +19,8 @@ from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
 
+from conftest import add_times
+
 
 def test_time_grid_validation():
     with pytest.raises(ValueError):
@@ -47,7 +49,7 @@ def test_local_cell_matches_deep_dyadic_sup():
 
     def dyadic_norm(level):
         layer = propagator(g, p, fld.radii, rule)
-        layer.add_times(np.arange(-(2 ** level - 1), 2 ** level) / 2 ** level)
+        add_times(layer, np.arange(-(2 ** level - 1), 2 ** level) / 2 ** level)
         return range_norm(replace(fld, sup_values=layer.sup), p, "local")
 
     assert fld.t_converged and fld.t_bound <= 2.5e-3
@@ -256,7 +258,7 @@ def test_maximal_on_singleton_grid_is_time_slice():
     radii = np.linspace(0.0, 2.0, 41)
     rule = frequency_rule(g, p, r_max=2.0, t_max=0.0)
     layer = propagator(g, p, radii, rule)
-    layer.add_times(np.array([0.0]))
+    add_times(layer, np.array([0.0]))
     f_val = np.abs(dispersive_field(g, p, radii, 0.0, rho_rule=rule))
     assert layer.sup == pytest.approx(f_val, rel=1e-12)
     assert np.all(layer.arg == 0.0)
@@ -268,9 +270,9 @@ def test_refinement_monotonicity_pointwise():
     radii = np.linspace(0.0, 12.0, 97)
     rule = frequency_rule(g, p, r_max=12.0, t_max=1.0)
     coarse = propagator(g, p, radii, rule)
-    coarse.add_times(np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4)
+    add_times(coarse, np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4)
     fine = propagator(g, p, radii, rule)
-    fine.add_times(np.arange(-(2 ** 5 - 1), 2 ** 5) / 2 ** 5)
+    add_times(fine, np.arange(-(2 ** 5 - 1), 2 ** 5) / 2 ** 5)
     assert np.all(fine.sup >= coarse.sup - 1e-14)
 
 
@@ -283,7 +285,7 @@ def test_gaussian_center_sup_matches_dense_scan():
     radii, _ = oscillatory_rule(0.0, 2.0, panel_cap=0.25, order=8,
                                 forced=(1.0,))
     layer = propagator(g, p, radii, frequency_rule(g, p, r_max=2.0, t_max=1.0))
-    layer.add_times(np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
+    add_times(layer, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
     r0, sup, arg = radii[0], layer.sup[0], layer.arg[0]
     assert r0 < 1e-2
     dense = np.abs(gaussian_free_evolution(1.0, p, r0, np.linspace(-0.9999, 0.9999, 10001)))
@@ -319,7 +321,7 @@ def test_degenerate_grid_recovers_l2_norm():
                                       linear_rate=2.0 * g.truncation_radius(2),
                                       panel_cap=0.5, forced=(1.0,))
     layer = propagator(g, p, radii, frequency_rule(g, p, r_max=14.0, t_max=0.0))
-    layer.add_times(np.array([0.0]))
+    add_times(layer, np.array([0.0]))
     fld = MaximalField(p=p, radii=radii, weights=weights, sup_values=layer.sup,
                        argmax_t=layer.arg, t_grid=TimeGrid(points=np.array([0.0])),
                        r_max=14.0, tail_fraction=0.0)

@@ -21,6 +21,8 @@ from oscillax.radial import (bernstein_bound, chebyshev_degree,
                              l2_norm_frequency, l2_norm_spatial, nd_oracle,
                              profile_rule, sphere_factor)
 
+from conftest import add_times
+
 
 def test_sphere_factors():
     assert sphere_factor(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
@@ -209,11 +211,11 @@ def test_row_blocks_reproduce_single_block_maximal_field(monkeypatch,
     t = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
     rule = frequency_rule(g, p, r_max=3.0, t_max=float(t[-1]))
     whole = propagator(g, p, r, rule)
-    whole.add_times(t)
+    add_times(whole, t)
     assert len(kernel_blocks) == 1
     _split_rows_in_three(monkeypatch, kernel_blocks.pop())
     blocked = propagator(g, p, r, rule)
-    blocked.add_times(t)
+    add_times(blocked, t)
     assert len(kernel_blocks) >= 3
     assert np.abs(blocked.sup - whole.sup).max() <= 1e-12 * whole.sup.max()
     np.testing.assert_array_equal(blocked.arg, whole.arg)
@@ -300,7 +302,7 @@ def test_stacked_bases_match_single_base_layers():
     grid = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
     degree = chebyshev_degree(stacked.tau, 1e-6, 2 ** 13)
     for layer in [stacked] + singles:
-        layer.add_times(grid)
+        add_times(layer, grid)
     for i, single in enumerate(singles):
         np.testing.assert_array_equal(stacked.sup[i], single.sup)
         np.testing.assert_array_equal(stacked.arg[i], single.arg)
@@ -363,7 +365,7 @@ def test_chebyshev_sup_dominates_dyadic_grid_sup():
     _, radii, _, layer = _gaussian_layer()
     layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
     _, _, _, grid = _gaussian_layer()
-    grid.add_times(np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
+    add_times(grid, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
     # Up to the certified interpolation error on each row.
     assert np.all(layer.sup >= grid.sup - layer.bound)
 

@@ -83,13 +83,22 @@ def test_split_sum_recomposes_full_operator():
         assert np.abs(main + rem - full).max() <= 1e-9
 
 
-def _dense_parts(f, sel, p):
-    """The three parts from whole R x J matrices, as split built them before
-    the row-blocked pass: the reference the blocked pass must reproduce."""
+def _dense_parts(f, sel, p, kept=False):
+    """The three parts from whole matrices, as split built them before the
+    row-blocked pass, and the number of kernel elements they take.
+
+    kept=False builds the whole R x J matrices; kept=True only the rows with
+    psi(r) != 0 and the columns with a nonzero weight, the elements the
+    pass evaluates, and writes zeros in the other rows.
+    """
     r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
                           power_coeff=1.0, power=p.a)
     weights = w * rho ** (-p.s) * CUT.psi(rho) * f(rho)
+    psi_r = CUT.psi(r)
+    rows = psi_r != 0.0 if kept else np.ones(r.size, dtype=bool)
+    cols = weights != 0.0 if kept else np.ones(rho.size, dtype=bool)
+    r, t, rho, weights = r[rows], t[rows], rho[cols], weights[cols]
     z = np.outer(r, rho)
     arg = r[:, None] * rho[None, :] - p.lam * (0.5 * math.pi) - 0.25 * math.pi
     full = np.sqrt(z) * np.asarray(bessel_j(p.lam, z))
@@ -97,8 +106,11 @@ def _dense_parts(f, sel, p):
                "main": math.sqrt(2.0 / math.pi) * np.cos(arg),
                "remainder": full - math.sqrt(2.0 / math.pi) * np.cos(arg)}
     phase = np.exp(1j * np.outer(t, rho ** p.a))
-    return {part: CUT.psi(r) * ((kern * phase) @ weights)
-            for part, kern in kernels.items()}, z.size
+    out = {}
+    for part, kern in kernels.items():
+        out[part] = np.zeros(sel.grid.size, dtype=complex)
+        out[part][rows] = psi_r[rows] * ((kern * phase) @ weights)
+    return out, z.size
 
 
 def _counting_bessel(monkeypatch):
@@ -118,7 +130,9 @@ def _counting_bessel(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_selector_parts_match_dense_formula(monkeypatch, n, a):
     # Elementwise kernels and one gemv per row give each row the same
-    # operations in the same order in any row block, so equality is bitwise.
+    # operations in the same order in any row block, so equality with the
+    # reference on the same rows and columns is bitwise.  Dropping the
+    # zero-weight columns changes each row's sum only by rounding.
     monkeypatch.setattr(split, "_SAMPLE_BYTES", 2 ** 22)
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
     sizes = _counting_bessel(monkeypatch)
@@ -127,10 +141,13 @@ def test_selector_parts_match_dense_formula(monkeypatch, n, a):
     f = random_test_profile(n)
     sel = TimeSelector.random(grid, seed=10 * n + int(a))
     parts = selector_parts(f, sel, p)
-    ref, elements = _dense_parts(f, sel, p)
+    ref, elements = _dense_parts(f, sel, p, kept=True)
+    whole, _ = _dense_parts(f, sel, p)
     assert len(sizes) >= 3 and sum(sizes) == elements
     for part in ("full", "main", "remainder"):
         assert np.array_equal(parts[part], ref[part]), part
+        scale = np.abs(whole[part]).max()
+        assert np.abs(parts[part] - whole[part]).max() <= 1e-13 * scale, part
 
 
 def test_selector_triple_builds_kernels_once(monkeypatch):
@@ -142,9 +159,7 @@ def test_selector_triple_builds_kernels_once(monkeypatch):
     sel = TimeSelector.random(grid, seed=5)
     base = {part: apply_selector_radial(f, sel, p, part)
             for part in ("full", "main", "remainder")}
-    rho, _ = profile_rule(f, 1, osc_rate=float(grid.max()),
-                          power_coeff=1.0, power=p.a)
-    assert sum(sizes) == grid.size * rho.size
+    assert sum(sizes) == _dense_parts(f, sel, p, kept=True)[1]
 
     def fresh(*args):
         split._SELECTOR_MEMO.clear()
@@ -168,6 +183,39 @@ def test_selector_triple_builds_kernels_once(monkeypatch):
     parts = selector_parts(f, sel, p)
     parts["main"] += 1.0
     assert np.array_equal(selector_parts(f, sel, p)["main"], base["main"])
+
+
+def test_selector_parts_skip_dead_rows_and_columns(monkeypatch):
+    # A bump profile framed like the split benchmark's: psi kills rho <= 1
+    # and the gaps between the bumps, so most columns carry no weight.
+    monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
+    sizes = _counting_bessel(monkeypatch)
+    frame = bump(0.8, 0.8).scaled(0.5).plus(bump(18.2, 0.8).scaled(-0.5))
+    grid, _ = selector_grid(12.0, 8.0)
+    for k, (a, s) in enumerate(((0.5, 0.2), (2.0, 0.6))):
+        sizes.clear()
+        p = SymbolParams(a=a, n=2, s=s)
+        f = random_test_profile(k).plus(frame)
+        sel = TimeSelector.random(grid, seed=40 + k)
+        parts = selector_parts(f, sel, p)
+        ref, elements = _dense_parts(f, sel, p)
+        assert 0 < sum(sizes) < elements
+        for part in ("full", "main", "remainder"):
+            scale = np.abs(ref[part]).max()
+            assert np.abs(parts[part] - ref[part]).max() <= 1e-13 * scale, part
+
+
+def test_selector_parts_of_data_below_one_are_zero(monkeypatch):
+    # psi(rho) = 0 on the whole support, so every weight is 0
+    monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
+    sizes = _counting_bessel(monkeypatch)
+    grid, _ = selector_grid(20.0, 5.0)
+    sel = TimeSelector.random(grid, seed=2)
+    parts = selector_parts(bump(0.5, 0.4), sel, SymbolParams(a=0.5, n=2, s=0.2))
+    assert sizes == []
+    for part in ("full", "main", "remainder"):
+        assert parts[part].shape == grid.shape
+        assert not np.any(parts[part]), part
 
 
 def test_apply_selector_radial_rejects_unknown_part():
