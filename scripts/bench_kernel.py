@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Time the Bessel kernel layer, the tensor-quadrature oracle and the split pass.
+"""Time the Bessel kernel layer, its sup search, the tensor-quadrature oracle
+and the split pass.
 
     python3 scripts/bench_kernel.py --label change --out BENCH_kernel.json
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Four things are timed, each as the median
+BLAS is pinned to one thread.  Five things are timed, each as the median
 of REPEATS runs:
 
 - `bessel_kernel_reduced` in ns per element, for each order on a 1024 x 1024
@@ -15,6 +16,11 @@ of REPEATS runs:
   lam = 1 for n = 4), with their shapes and argument ranges.  The field
   streams the kernel through row chunks, so this times every kernel element
   once plus one matrix-vector product per chunk;
+- the sup/argmax layer (`chebyshev_sup_s`) on the a = 2 and a = 3, n = 2,
+  N = 8 global shell fields: on the field's final radii, the rho rule of
+  its last radial segment and its Chebyshev degree K, one
+  `RadialKernel.field` at the K + 1 Chebyshev times (the sampler alone)
+  and one `RadialKernel.chebyshev_sup(K)` (sampler, bound and search);
 - `nd_oracle_batch` on acceptance criterion 2's cases (`oracle_s`): 20
   radii up to 12 for bump(1, 0.7) and up to 5.5 for gaussian(1), each at
   n = 2 and n = 3;
@@ -48,9 +54,12 @@ import scipy  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import oscillax.split as split  # noqa: E402
 from oscillax.bessel import bessel_kernel_reduced  # noqa: E402
-from oscillax.oscillatory import SymbolParams  # noqa: E402
+from oscillax.norms import converged_maximal_field, sharpness_profile  # noqa: E402
+from oscillax.oscillatory import (SymbolParams, frequency_rule,  # noqa: E402
+                                  propagator)
 from oscillax.profiles import bump, gaussian  # noqa: E402
-from oscillax.radial import RadialKernel, nd_oracle_batch  # noqa: E402
+from oscillax.radial import (RadialKernel, chebyshev_times,  # noqa: E402
+                             nd_oracle_batch)
 
 ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5)
 BANDS = ((0.0, 12.0), (12.0, 1024.0))
@@ -59,6 +68,8 @@ REPEATS = 7
 # (lam, rows, columns, largest radius); frequency nodes span [0.3, 1.7].
 KERNELS = ((0.5, 3808, 1312, 328.0), (0.5, 3792, 1296, 326.0),
            (1.0, 5176, 704, 142.0))
+# Global shell fields whose sup layer is timed: (a, N), n = 2.
+SUP_FIELDS = ((2.0, 8.0), (3.0, 8.0))
 # Criterion 2's oracle cases: (name, profile, largest radius).
 ORACLE_CASES = (("bump(1, 0.7)", bump(1.0, 0.7), 12.0),
                 ("gaussian(1)", gaussian(1.0), 5.5))
@@ -90,6 +101,19 @@ def measure() -> dict:
         layer = RadialKernel(lam, x, nodes, np.ones(cols), nodes)
         s = _median_s(lambda: layer.field(np.zeros(1)))
         fields[f"lam={lam:g} {rows}x{cols}"] = round(s, 4)
+    sup = {}
+    for a, N in SUP_FIELDS:
+        p = SymbolParams(a=a, n=2)
+        g = sharpness_profile("shell", N, a)
+        fld = converged_maximal_field(g, p)
+        rule = frequency_rule(g, p, r_max=fld.r_max + g.modulation_rate, t_max=1.0)
+        layer = propagator(g, p, fld.radii, rule)
+        degree = fld.t_grid.count - 1
+        times = chebyshev_times(degree)
+        key = f"a={a:g} N={N:g} {fld.radii.size}x{rule[0].size} K={degree}"
+        sup[key] = {"field_s": round(_median_s(lambda: layer.field(times)), 4),
+                    "chebyshev_sup_s": round(
+                        _median_s(lambda: layer.chebyshev_sup(degree)), 4)}
     oracle = {}
     for name, f0, rho_hi in ORACLE_CASES:
         rhos = np.linspace(0.1, rho_hi, 20)
@@ -114,6 +138,7 @@ def measure() -> dict:
                     "repeats": REPEATS},
             "kernel_ns_per_element": ns,
             "radial_kernel_field_s": fields,
+            "chebyshev_sup_s": sup,
             "oracle_s": oracle,
             "selector_s": selector}
 

@@ -264,11 +264,11 @@ def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
     the rows evaluated on the first rule; the audit adds one per panel.
     """
     rho_rule, finer = rho_rules
-    degree, fine_degree = (_degree(p, rule) for rule in rho_rules)
+    degree, fine_degree = (_degree(rule[0] ** p.a) for rule in rho_rules)
     slack = np.maximum(sum(_R_TOL * s.k_p.sum(-1) - s.e_p.sum(-1)
                            for s in prior), 0.0)
-    cert = [np.reshape(a, (-1, edges.size - 1, 15)) for a in
-            _certified_sup(g, p, kronrod_rule(edges)[0], rho_rule, degree)]
+    cert = [np.reshape(a, (-1, edges.size - 1, 15)) for a in propagator(
+        g, p, kronrod_rule(edges)[0], rho_rule).chebyshev_sup(degree)]
     rows = 15 * (edges.size - 1)
     for round_ in range(_ROUNDS + 1):
         nodes, k_w, g_w = (a.reshape(-1, 15) for a in kronrod_rule(edges))
@@ -286,42 +286,32 @@ def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
                           0.5 * (edges[:-1] + edges[1:])[split])
         new = kronrod_rule(edges)[0].reshape(-1, 15)[child].ravel()
         rows += new.size
-        for i, val in enumerate(_certified_sup(g, p, new, rho_rule, degree)):
+        vals = propagator(g, p, new, rho_rule).chebyshev_sup(degree)
+        for i, val in enumerate(vals):
             out = np.empty(cert[i].shape[:1] + (child.size, 15))
             out[:, ~child] = cert[i][:, ~split]
             out[:, child] = np.reshape(val, (len(out), -1, 15))
             cert[i] = out
     # The rho audit: each panel's centre row, the x = 0 node of G7 and K15.
     mid = nodes[:, 7]
-    fine = np.reshape(_certified_sup(g, p, mid, finer, fine_degree)[0],
-                      (len(k_p), -1))
+    fine = propagator(g, p, mid, finer).chebyshev_sup(fine_degree)[0]
+    fine = np.reshape(fine, (len(k_p), -1))
     mass = np.diff(edges) * mid ** (p.n - 1)
     coarse = cert[0][..., 7] ** 2
     return _Panels(nodes, k_w, g_w, *cert, k_p, e_p, np.sum(mass * coarse, -1),
                    np.sum(mass * np.abs(coarse - fine ** 2), -1), degree, rows)
 
 
-def _degree(p, rho_rule) -> int:
-    """Chebyshev degree the Bernstein bound asks of a propagator on rho_rule.
+def _degree(power) -> int:
+    """Chebyshev degree the Bernstein bound asks of a layer with these powers.
 
-    The exponential type `tau` of the propagator depends on the rule alone,
-    so every radius of a segment, in every bisection round, takes this degree.
+    The exponential type `RadialKernel.tau`, half the spread of power,
+    depends on the powers alone, so every radius on one rho rule, in every
+    bisection round, takes this degree.  `split.kernel_sample` takes its
+    degree here too.
     """
-    power = rho_rule[0] ** p.a
     tau = 0.5 * float(np.max(power) - np.min(power))
     return chebyshev_degree(tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
-
-
-def _certified_sup(g, p, nodes, rho_rule, degree):
-    """(sup, arg, bound) of the continuous sup in t of g's propagator, from
-    its degree-`degree` Chebyshev interpolant.
-
-    g may be a sequence of profiles; sup, arg and bound are then stacked,
-    one row per profile, from one streamed pass over the kernel.
-    """
-    layer = propagator(g, p, nodes, rho_rule)
-    layer.chebyshev_sup(degree)
-    return layer.sup, layer.arg, layer.bound
 
 
 class InsufficientCoverage(NumericalFailure):

@@ -45,6 +45,8 @@ class SymbolParams:
             raise ValueError("dispersion exponent a must be positive")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("dimension must be a positive integer")
+        if not np.isfinite(self.s):
+            raise ValueError("regularity s must be finite")
 
     @property
     def lam(self) -> float:
@@ -90,9 +92,9 @@ def dispersive_field(g: Profile, p: SymbolParams, r, t, *, rho_rule=None):
         raise ValueError("the radial reduction requires n >= 2")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(r_arr < 0):
+    if not np.all(r_arr >= 0):
         raise ValueError("radii must be nonnegative")
-    if np.any(np.abs(t_arr) >= 1):
+    if not np.all(np.abs(t_arr) < 1):
         raise ValueError("times must satisfy |t| < 1")
     rule = rho_rule if rho_rule is not None else frequency_rule(
         g, p, r_max=float(np.max(r_arr, initial=0.0)),

@@ -13,15 +13,17 @@ k_lam(z) = J_lam(z)/z^lam (lam = n/2 - 1),
 is used so that rho = 0 needs no special casing: k_lam(0) = 2^(-lam)/Gamma(lam+1)
 makes fhat(0) = sphere_factor(n) * int f0 r^(n-1) dr, the integral of f.
 
-`RadialKernel` contracts k_lam(x_i * nodes_j) for the propagator, the
-maximal fields, the weighted split fields and the 1-D sup-in-t kernel
-(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  It streams the
-kernel: each call evaluates one chunk of rows, contracts it and drops it,
-so no call holds more than one chunk, and a stack of bases on the same
-nodes (the modulations of one profile) shares every chunk.  Every library
-sup over times is the certified continuous sup over [-1, 1] from one
-Chebyshev interpolant per row; the tests keep a running sup over given
-time grids as the oracle they compare it against.
+`RadialKernel` contracts k_lam(x_i * nodes_j) for the transform itself
+(`hankel_fourier` is its field at t = 0), the propagator, the maximal
+fields, the weighted split fields and the 1-D sup-in-t kernel
+(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  One sampler streams
+the kernel: it evaluates one chunk of rows, contracts it against the
+phased weights into samples at the given times and drops it, so no call
+holds more than one chunk, and a stack of bases on the same nodes (the
+modulations of one profile) shares every chunk.  `field(t)` copies the
+samples out; `chebyshev_sup(K)` samples the K + 1 Chebyshev times and
+returns (sup, arg, bound), the certified continuous sup over [-1, 1] of
+one interpolant per row, a time reaching it and its error bound.
 
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
 over a truncated box; it exists purely as an independent cross-check, a
@@ -197,17 +199,12 @@ def _interpolant_max(samples: np.ndarray, t: np.ndarray):
 class RadialKernel:
     """u(x_i, t) = sum_j k_lam(x_i nodes_j) base_j e^{i t power_j}.
 
-    The layer keeps (lam, x, nodes, base, power) and no kernel: each method
-    evaluates k_lam(x_i nodes_j) for one row chunk, contracts it and drops
-    it, so a call evaluates every kernel element once and holds at most
-    _SAMPLE_BYTES of kernel rows and their values.  base may be a (B, J)
-    stack of bases on the same nodes; each kernel chunk then serves all B
-    of them, and `sup`, `arg`, `bound` and `field(t)` gain a leading axis
-    of length B.
-    `field(t)` returns u for the times t, shape (len(x), len(t)).
-    `chebyshev_sup(K)` sets `sup`, `arg` to the continuous sup over [-1, 1],
-    with a certified per-row error bound `bound`.  Until then `sup` reads
-    -1, below any |u|, so a running sup can start from it.
+    The layer keeps (lam, x, nodes, base, power) and no kernel or result:
+    every call streams the row chunks of `_samples`, so it evaluates every
+    kernel element once and holds at most _SAMPLE_BYTES of kernel rows and
+    their values.  base may be a (B, J) stack of bases on the same nodes,
+    which then share every chunk, and every result gains a leading axis of
+    length B.  `field(t)` returns u at the times t, shape (len(x), len(t)).
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
@@ -219,9 +216,6 @@ class RadialKernel:
         self.nodes = nodes
         self.base = base
         self.power = power
-        self.sup = np.full(base.shape[:-1] + x.shape, -1.0)
-        self.arg = np.zeros(self.sup.shape)
-        self.bound = None
 
     @property
     def tau(self) -> float:
@@ -258,35 +252,46 @@ class RadialKernel:
         m = m.reshape((-1,) + m.shape[-2:])
         return np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
 
-    def _time_chunks(self, t: np.ndarray, power: np.ndarray):
-        """A function giving (column slice, phases) for t in chunks of _T_CHUNK.
+    def _samples(self, t: np.ndarray, power: np.ndarray, value_bytes: int = 0):
+        """(row slice, kernel rows, samples) per row chunk, with
+        samples[b, i, k] = sum_j kernel_ij base_bj e^{i t_k power_j}, shape
+        (B, rows, len(t)).
 
-        The phase matrices are built once and held across row chunks when
-        they fit in _PHASE_BYTES; otherwise every call builds them again.
+        A row chunk holds its kernel rows, its samples and value_bytes per
+        row for the caller.  The times go in column chunks of _T_CHUNK.
+        Their phase matrices are built once and held across row chunks when
+        they fit in _PHASE_BYTES; otherwise each row chunk builds them
+        again.  The caller may overwrite the kernel rows.
         """
+        stack = math.prod(self.base.shape[:-1])
         cols = [slice(j0, j0 + _T_CHUNK) for j0 in range(0, t.size, _T_CHUNK)]
-        if 16 * self.base.size * t.size > _PHASE_BYTES:
-            return lambda: ((c, self._phases(t[c], power)) for c in cols)
-        held = [(c, self._phases(t[c], power)) for c in cols]
-        return lambda: held
+        held = ([self._phases(t[c], power) for c in cols]
+                if 16 * self.base.size * t.size <= _PHASE_BYTES else None)
+        for rows, kern in self._chunks(16 * stack * t.size + value_bytes):
+            samples = np.empty((stack, kern.shape[0], t.size), dtype=complex)
+            phases = held or (self._phases(t[c], power) for c in cols)
+            for c, (m_re, m_im) in zip(cols, phases):
+                for b in range(stack):
+                    samples[b, :, c] = kern @ m_re[b] + 1j * (kern @ m_im[b])
+            yield rows, kern, samples
 
     def field(self, t: np.ndarray) -> np.ndarray:
-        m_re, m_im = self._phases(t, self.power)
-        out = np.empty(self.sup.shape + t.shape, dtype=complex)
+        out = np.empty(self.base.shape[:-1] + self.x.shape + t.shape,
+                       dtype=complex)
         stack = self._rows(out)
-        for rows, kern in self._chunks(16 * len(m_re) * t.size):
-            for b in range(len(m_re)):
-                stack[b, rows] = kern @ m_re[b] + 1j * (kern @ m_im[b])
+        for rows, _, samples in self._samples(t, self.power):
+            stack[:, rows] = samples
         return out
 
-    def chebyshev_sup(self, degree: int) -> None:
-        """Sup of |u| over t in [-1, 1] from its degree-K Chebyshev interpolant.
+    def chebyshev_sup(self, degree: int):
+        """(sup, arg, bound): sup of |u| over t in [-1, 1] from its degree-K
+        Chebyshev interpolant, a time reaching it, and the error bound.
 
         Demodulating by e^{-i t p0}, p0 the midpoint of power, leaves |u|
         unchanged and makes u of exponential type `tau`.  Each row is
         sampled once at chebyshev_times(K) and maximized by
         `_interpolant_max`, which takes as many bases at once as fit in
-        _SEARCH_ROWS rows, and at least one.  `bound` gets
+        _SEARCH_ROWS rows, and at least one.  bound is
         bernstein_bound(tau, K) * A_i, A_i = (|kernel| @ |base|)_i, which
         bounds |u - p_K| on row i.  A row chunk holds its kernel rows, the
         samples of every base and the dense search values of one such call;
@@ -294,18 +299,12 @@ class RadialKernel:
         """
         t = chebyshev_times(degree)
         shifted = self.power - 0.5 * (np.max(self.power) + np.min(self.power))
-        chunks = self._time_chunks(t, shifted)
         error = bernstein_bound(self.tau, degree)
-        sup, arg = self._rows(self.sup), self._rows(self.arg)
+        out = [np.empty(self.base.shape[:-1] + self.x.shape) for _ in range(3)]
+        sup, arg, bound = (self._rows(a) for a in out)
         abs_base = np.abs(self.base.reshape(len(sup), -1))
-        self.bound = np.empty(self.sup.shape)
-        bound = self._rows(self.bound)
-        row_bytes = 16 * len(sup) * t.size + 16 * (_DENSE * degree + 1)
-        for rows, kern in self._chunks(row_bytes):
-            samples = np.empty((len(sup), kern.shape[0], t.size), dtype=complex)
-            for cols, (m_re, m_im) in chunks():
-                for b in range(len(sup)):
-                    samples[b, :, cols] = kern @ m_re[b] + 1j * (kern @ m_im[b])
+        search_bytes = 16 * (_DENSE * degree + 1)
+        for rows, kern, samples in self._samples(t, shifted, search_bytes):
             abs_kern = np.abs(kern, out=kern)
             for b in range(len(sup)):
                 bound[b, rows] = error * (abs_kern @ abs_base[b])
@@ -315,20 +314,22 @@ class RadialKernel:
                 sup[b:b + step, rows], arg[b:b + step, rows] = (
                     v.reshape(-1, kern.shape[0])
                     for v in _interpolant_max(group, t))
+        return tuple(out)
 
 
 def hankel_fourier(f0: Profile, n: int, rho) -> np.ndarray | float:
-    """Transform of the radial function with profile f0, at radii rho >= 0."""
+    """Transform of the radial function with profile f0, at radii rho >= 0:
+    the field at t = 0 of the layer with rows rho on f0's rule."""
     if n < 2:
         raise ValueError("radial reduction requires n >= 2")
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rho_arr < 0):
         raise ValueError("rho must be nonnegative")
-    lam = n / 2.0 - 1.0
     r, w = profile_rule(f0, n, osc_rate=float(np.max(rho_arr)))
     base = w * r ** (n - 1) * f0(r)
-    kernel = bessel_kernel_reduced(lam, np.outer(rho_arr, r))
-    out = (2.0 * math.pi) ** (n / 2.0) * kernel.dot(base)
+    vals = RadialKernel(n / 2.0 - 1.0, rho_arr, r, base, r).field(np.zeros(1))
+    vals = vals[:, 0] if np.iscomplexobj(base) else vals[:, 0].real
+    out = (2.0 * math.pi) ** (n / 2.0) * vals
     if np.ndim(rho) == 0:
         return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
     return out

@@ -53,11 +53,11 @@ import numpy as np
 # bessel_kernel_reduced: unused; perfbench/spans.py traces it.
 from .bessel import AsymptoticCertificate, bessel_j, bessel_kernel_reduced
 from .cutoffs import CutoffFamily, chi, gamma_weight, psi
-from .norms import _CHEB_TOL, _MAX_LEVEL
+from .norms import _degree
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
-from .radial import _SAMPLE_BYTES, RadialKernel, chebyshev_degree, profile_rule
+from .radial import _SAMPLE_BYTES, RadialKernel, profile_rule
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -282,16 +282,17 @@ def kernel_sample(m: float, mu: float, p: SymbolParams):
 
     The sup over |t| <= 2 is the certified continuous sup of
     `RadialKernel.chebyshev_sup` with power 2 rho^a, which maps t in [-1, 1]
-    onto [-2, 2]; its degree comes from the Bernstein bound at the tolerance
-    and cap of `converged_maximal_field`.  The even integrand on the line is
-    the radial kernel at n = 1: 2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).
+    onto [-2, 2]; its degree is `norms._degree` of that power, the rule of
+    `converged_maximal_field`.  m and mu must be finite.  The even
+    integrand on the line is the radial kernel at n = 1:
+    2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).
     Returns (x, K, l1_estimate, t_degree, l1_bound): l1 by the trapezoidal
     rule, t_degree the Chebyshev degree in t, and l1_bound the same
     trapezoid of chi(x/m) times the certified error of the sup at x, so the
     sup's error moves l1_estimate by at most l1_bound.
     """
-    if m <= 1 or mu <= 1:
-        raise ValueError("localization parameters must exceed 1")
+    if not (1 < m < math.inf and 1 < mu < math.inf):
+        raise ValueError("localization parameters must be finite and exceed 1")
     hi = 2.0 * mu
     x_half = np.linspace(0.0, 2.0 * m, max(512, int(64 * m) + 1))
     rho, w = oscillatory_rule(0.0, hi, linear_rate=float(x_half[-1]),
@@ -299,12 +300,12 @@ def kernel_sample(m: float, mu: float, p: SymbolParams):
     vec = w * gamma_weight(-2.0 * p.s, rho) * chi(rho / mu) ** 2
     layer = RadialKernel(-0.5, x_half, rho, math.sqrt(2.0 * math.pi) * vec,
                          2.0 * rho ** p.a)
-    degree = chebyshev_degree(layer.tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
-    layer.chebyshev_sup(degree)
+    degree = _degree(layer.power)
+    sup, _, bound = layer.chebyshev_sup(degree)
     chi_x = chi(x_half / m)
-    k_half = chi_x * layer.sup
+    k_half = chi_x * sup
     l1 = 2.0 * float(np.trapezoid(k_half, x_half))
-    l1_bound = 2.0 * float(np.trapezoid(chi_x * layer.bound, x_half))
+    l1_bound = 2.0 * float(np.trapezoid(chi_x * bound, x_half))
     x_full = np.concatenate([-x_half[:0:-1], x_half])
     k_full = np.concatenate([k_half[:0:-1], k_half])
     return x_full, k_full, l1, degree, l1_bound

@@ -4,32 +4,26 @@ import numpy as np
 import pytest
 
 import oscillax.norms as norms
-import oscillax.radial as radial
 from oscillax.sweep import SweepConfig, run_sweep
 
 FULL_SCALES = (2, 4, 8, 16, 32, 64, 128)
 SAMPLE_CAP_LEVEL = 1     # at most 2^1 Chebyshev degrees, below the certified one
 
 
-def add_times(layer, t):
-    """Fold the times t into a RadialKernel's running per-row sup |u| and its
-    argmax time (layer.sup, layer.arg): the grid oracle the certified
-    Chebyshev sup is checked against.  It streams the layer's kernel row
-    chunks and phase chunks like the layer itself, so it never holds all
-    rows x times.
+def grid_sup(layer, t):
+    """(sup, arg): per row of a RadialKernel, the max of |u| over the times t
+    and the first of them that reaches it, the grid oracle the certified
+    Chebyshev sup is checked against.  It drains the layer's sampler, so it
+    holds one row chunk of samples at a time.
     """
-    sup, arg = layer._rows(layer.sup), layer._rows(layer.arg)
-    chunks = layer._time_chunks(t, layer.power)
-    for rows, kern in layer._chunks(16 * len(sup) * min(t.size, radial._T_CHUNK)):
-        for cols, (m_re, m_im) in chunks():
-            tc = t[cols]
-            for b in range(len(sup)):
-                mag = np.abs(kern @ m_re[b] + 1j * (kern @ m_im[b]))
-                col = np.argmax(mag, axis=1)
-                best = mag[np.arange(mag.shape[0]), col]
-                upd = best > sup[b, rows]
-                sup[b, rows][upd] = best[upd]
-                arg[b, rows][upd] = tc[col[upd]]
+    sup = np.empty(layer.base.shape[:-1] + layer.x.shape)
+    arg = np.empty(sup.shape)
+    sup_rows, arg_rows = layer._rows(sup), layer._rows(arg)
+    for rows, _, samples in layer._samples(t, layer.power):
+        mag = np.abs(samples)
+        sup_rows[:, rows] = np.max(mag, axis=-1)
+        arg_rows[:, rows] = t[np.argmax(mag, axis=-1)]
+    return sup, arg
 
 
 @pytest.fixture

@@ -228,6 +228,21 @@ def test_empty_modulation_grid_is_usage_error(tmp_path, y_count):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--m", "4", "--mu", "4", "--a", "0.5", "--s", "nan"],
+    ["split-check", "--a", "0.5", "--n", "2", "--s", "nan", "--pairs", "1"],
+    ["eval", "--family", "gaussian", "--a", "2", "--n", "2", "--r", "0",
+     "--t", "nan"],
+    ["kernel", "--m", "4", "--mu", "inf", "--a", "0.5", "--s", "0.2"],
+], ids=["kernel-s", "split-check-s", "eval-t", "kernel-mu"])
+def test_non_finite_parameter_is_usage_error(tmp_path, argv):
+    res = run_cli(argv + ["--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert res.stderr.startswith("oscillax: ")
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 _SWEEP_CONF = "a=0.5\nn=2\ns_list=0.0625\nN_list=2\nrange=local\n"
 
 

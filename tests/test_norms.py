@@ -19,7 +19,7 @@ from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
 
-from conftest import add_times
+from conftest import grid_sup
 
 
 def test_time_grid_validation():
@@ -48,9 +48,9 @@ def test_local_cell_matches_deep_dyadic_sup():
     norm = range_norm(fld, p, "local")
 
     def dyadic_norm(level):
-        layer = propagator(g, p, fld.radii, rule)
-        add_times(layer, np.arange(-(2 ** level - 1), 2 ** level) / 2 ** level)
-        return range_norm(replace(fld, sup_values=layer.sup), p, "local")
+        t = np.arange(-(2 ** level - 1), 2 ** level) / 2 ** level
+        sup, _ = grid_sup(propagator(g, p, fld.radii, rule), t)
+        return range_norm(replace(fld, sup_values=sup), p, "local")
 
     assert fld.t_converged and fld.t_bound <= 2.5e-3
     assert abs(norm - dyadic_norm(13)) <= 1e-4 * norm
@@ -68,9 +68,9 @@ def _doubled_gl8_norms(fld, g, p, range_kind):
         radii, weights = oscillatory_rule(0.0, fld.r_max, panel_cap=width,
                                           order=8, forced=(1.0,))
         layer = propagator(g, p, radii, rule)
-        layer.chebyshev_sup(fld.t_grid.count - 1)
+        sup = layer.chebyshev_sup(fld.t_grid.count - 1)[0]
         out.append(range_norm(replace(fld, radii=radii, weights=weights,
-                                      sup_values=layer.sup), p, range_kind))
+                                      sup_values=sup), p, range_kind))
     return out
 
 
@@ -101,8 +101,8 @@ def _eightfold_oracle(fld, g, p, range_kind):
             for m, h in zip(mid[inside], half[inside]))))
         radii.append(nodes)
         weights.append(k_w)
-        sups.append(norms._certified_sup(g, p, nodes, rule,
-                                         norms._degree(p, rule))[0])
+        degree = norms._degree(rule[0] ** p.a)
+        sups.append(propagator(g, p, nodes, rule).chebyshev_sup(degree)[0])
         lo = r_max
     return range_norm(replace(fld, radii=np.concatenate(radii),
                               weights=np.concatenate(weights),
@@ -128,20 +128,20 @@ def test_growth_keeps_computed_rows(monkeypatch):
     p = SymbolParams(a=2.0, n=4)
     g = sharpness_profile("shell", 2.0, p.a)
     evaluated, audited, audit_rules = [], [], []
-    original, original_rules = norms._certified_sup, norms._rho_rules
+    original, original_rules = norms.propagator, norms._rho_rules
 
     def rules(*args):
         out = original_rules(*args)
         audit_rules.append(out[1])
         return out
 
-    def recording(g_, p_, nodes, rho_rule, degree):
+    def recording(g_, p_, nodes, rho_rule):
         audit = any(rho_rule is rule for rule in audit_rules)
         (audited if audit else evaluated).append(nodes)
-        return original(g_, p_, nodes, rho_rule, degree)
+        return original(g_, p_, nodes, rho_rule)
 
     monkeypatch.setattr(norms, "_rho_rules", rules)
-    monkeypatch.setattr(norms, "_certified_sup", recording)
+    monkeypatch.setattr(norms, "propagator", recording)
     tail_tol = norms._TAIL_TOL
     # The default target bisects no panel here; 2e-5 bisects three panels
     # of the first range and drops their 45 rows.
@@ -191,7 +191,7 @@ def test_chebyshev_degree_once_per_rho_rule(monkeypatch):
         return wrapper
 
     for key, name in (("degree", "chebyshev_degree"),
-                      ("segment", "_adaptive_panels"), ("pass", "_certified_sup")):
+                      ("segment", "_adaptive_panels"), ("pass", "propagator")):
         monkeypatch.setattr(norms, name, counted(key, getattr(norms, name)))
     p = SymbolParams(a=2.0, n=2)
     converged_maximal_field(sharpness_profile("shell", 32.0, p.a), p)
@@ -257,11 +257,10 @@ def test_maximal_on_singleton_grid_is_time_slice():
     g = gaussian(1.0)
     radii = np.linspace(0.0, 2.0, 41)
     rule = frequency_rule(g, p, r_max=2.0, t_max=0.0)
-    layer = propagator(g, p, radii, rule)
-    add_times(layer, np.array([0.0]))
+    sup, arg = grid_sup(propagator(g, p, radii, rule), np.array([0.0]))
     f_val = np.abs(dispersive_field(g, p, radii, 0.0, rho_rule=rule))
-    assert layer.sup == pytest.approx(f_val, rel=1e-12)
-    assert np.all(layer.arg == 0.0)
+    assert sup == pytest.approx(f_val, rel=1e-12)
+    assert np.all(arg == 0.0)
 
 
 def test_refinement_monotonicity_pointwise():
@@ -269,11 +268,11 @@ def test_refinement_monotonicity_pointwise():
     g = annular(2.0)
     radii = np.linspace(0.0, 12.0, 97)
     rule = frequency_rule(g, p, r_max=12.0, t_max=1.0)
-    coarse = propagator(g, p, radii, rule)
-    add_times(coarse, np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4)
-    fine = propagator(g, p, radii, rule)
-    add_times(fine, np.arange(-(2 ** 5 - 1), 2 ** 5) / 2 ** 5)
-    assert np.all(fine.sup >= coarse.sup - 1e-14)
+    coarse, _ = grid_sup(propagator(g, p, radii, rule),
+                         np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4)
+    fine, _ = grid_sup(propagator(g, p, radii, rule),
+                       np.arange(-(2 ** 5 - 1), 2 ** 5) / 2 ** 5)
+    assert np.all(fine >= coarse - 1e-14)
 
 
 def test_gaussian_center_sup_matches_dense_scan():
@@ -285,8 +284,8 @@ def test_gaussian_center_sup_matches_dense_scan():
     radii, _ = oscillatory_rule(0.0, 2.0, panel_cap=0.25, order=8,
                                 forced=(1.0,))
     layer = propagator(g, p, radii, frequency_rule(g, p, r_max=2.0, t_max=1.0))
-    add_times(layer, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
-    r0, sup, arg = radii[0], layer.sup[0], layer.arg[0]
+    sups, args = grid_sup(layer, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
+    r0, sup, arg = radii[0], sups[0], args[0]
     assert r0 < 1e-2
     dense = np.abs(gaussian_free_evolution(1.0, p, r0, np.linspace(-0.9999, 0.9999, 10001)))
     assert arg == 0.0
@@ -321,9 +320,9 @@ def test_degenerate_grid_recovers_l2_norm():
                                       linear_rate=2.0 * g.truncation_radius(2),
                                       panel_cap=0.5, forced=(1.0,))
     layer = propagator(g, p, radii, frequency_rule(g, p, r_max=14.0, t_max=0.0))
-    add_times(layer, np.array([0.0]))
-    fld = MaximalField(p=p, radii=radii, weights=weights, sup_values=layer.sup,
-                       argmax_t=layer.arg, t_grid=TimeGrid(points=np.array([0.0])),
+    sup, arg = grid_sup(layer, np.array([0.0]))
+    fld = MaximalField(p=p, radii=radii, weights=weights, sup_values=sup,
+                       argmax_t=arg, t_grid=TimeGrid(points=np.array([0.0])),
                        r_max=14.0, tail_fraction=0.0)
     norm = range_norm(fld, p, "global")
     assert norm == pytest.approx(l2_norm_frequency(g, 2), abs=1e-5)

@@ -21,7 +21,7 @@ from oscillax.radial import (bernstein_bound, chebyshev_degree,
                              l2_norm_frequency, l2_norm_spatial, nd_oracle,
                              profile_rule, sphere_factor)
 
-from conftest import add_times
+from conftest import grid_sup
 
 
 def test_sphere_factors():
@@ -210,15 +210,13 @@ def test_row_blocks_reproduce_single_block_maximal_field(monkeypatch,
     r = np.linspace(0.0, 3.0, 50)
     t = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
     rule = frequency_rule(g, p, r_max=3.0, t_max=float(t[-1]))
-    whole = propagator(g, p, r, rule)
-    add_times(whole, t)
+    sup, arg = grid_sup(propagator(g, p, r, rule), t)
     assert len(kernel_blocks) == 1
     _split_rows_in_three(monkeypatch, kernel_blocks.pop())
-    blocked = propagator(g, p, r, rule)
-    add_times(blocked, t)
+    blocked_sup, blocked_arg = grid_sup(propagator(g, p, r, rule), t)
     assert len(kernel_blocks) >= 3
-    assert np.abs(blocked.sup - whole.sup).max() <= 1e-12 * whole.sup.max()
-    np.testing.assert_array_equal(blocked.arg, whole.arg)
+    assert np.abs(blocked_sup - sup).max() <= 1e-12 * sup.max()
+    np.testing.assert_array_equal(blocked_arg, arg)
 
 
 def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
@@ -227,9 +225,9 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
     p = SymbolParams(a=2.0, n=2)
     r = np.linspace(0.0, 6.0, 50)
     rule = frequency_rule(g, p, r_max=6.0, t_max=1.0)
-    whole = propagator(g, p, r, rule)
-    degree = chebyshev_degree(whole.tau, 1e-6, 2 ** 13)
-    whole.chebyshev_sup(degree)
+    layer = propagator(g, p, r, rule)
+    degree = chebyshev_degree(layer.tau, 1e-6, 2 ** 13)
+    sup, arg, bound = layer.chebyshev_sup(degree)
     assert len(kernel_blocks) == 1
     rows, cols = kernel_blocks.pop()
     # The phase matrix no longer fits under its cap, and the rows run in
@@ -239,13 +237,12 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
     monkeypatch.setattr(radial, "_SAMPLE_BYTES",
                         2 * (8 * cols + 16 * (degree + 1)
                              + 16 * (radial._DENSE * degree + 1)))
-    chunked = propagator(g, p, r, rule)
-    chunked.chebyshev_sup(degree)
+    chunked_sup, chunked_arg, chunked_bound = propagator(
+        g, p, r, rule).chebyshev_sup(degree)
     assert len(kernel_blocks) >= 3
-    for name in ("sup", "bound"):
-        a, b = getattr(chunked, name), getattr(whole, name)
+    for a, b in ((chunked_sup, sup), (chunked_bound, bound)):
         assert np.abs(a - b).max() <= 1e-12 * b.max()
-    np.testing.assert_allclose(chunked.arg, whole.arg, atol=1e-12)
+    np.testing.assert_allclose(chunked_arg, arg, atol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.5, 1.0])
@@ -301,18 +298,43 @@ def test_stacked_bases_match_single_base_layers():
         np.testing.assert_array_equal(field[i], single.field(t))
     grid = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
     degree = chebyshev_degree(stacked.tau, 1e-6, 2 ** 13)
-    for layer in [stacked] + singles:
-        add_times(layer, grid)
-    for i, single in enumerate(singles):
-        np.testing.assert_array_equal(stacked.sup[i], single.sup)
-        np.testing.assert_array_equal(stacked.arg[i], single.arg)
-    for layer in [stacked] + singles:
-        layer.chebyshev_sup(degree)
-    assert stacked.bound.shape == (3, x.size)
-    for i, single in enumerate(singles):
-        for name in ("sup", "arg", "bound"):
-            np.testing.assert_array_equal(getattr(stacked, name)[i],
-                                          getattr(single, name))
+    for method in (lambda layer: grid_sup(layer, grid),
+                   lambda layer: layer.chebyshev_sup(degree)):
+        together = method(stacked)
+        assert all(v.shape == (3, x.size) for v in together)
+        for i, single in enumerate(singles):
+            for a, b in zip(together, method(single)):
+                np.testing.assert_array_equal(a[i], b)
+
+
+def test_field_chunked_phases_match_held_phases(monkeypatch):
+    # Times in chunks of 4 columns, and phase matrices over their cap, so
+    # each of three row chunks builds the three column chunks' phases again.
+    rng = np.random.default_rng(7)
+    rho, w = frequency_rule(annular(4.0), SymbolParams(a=2.0, n=2),
+                            r_max=6.0, t_max=1.0)
+    x = np.linspace(0.0, 6.0, 50)
+    bases = w * (rng.standard_normal((2, rho.size))
+                 + 1j * rng.standard_normal((2, rho.size)))
+    layer = radial.RadialKernel(0.0, x, rho, bases, rho ** 2)
+    t = np.linspace(-0.9, 0.9, 9)
+    held = layer.field(t)
+    built = []
+    original = layer._phases
+
+    def phases(t_cols, power):
+        built.append(t_cols.size)
+        return original(t_cols, power)
+
+    monkeypatch.setattr(layer, "_phases", phases)
+    monkeypatch.setattr(radial, "_T_CHUNK", 4)
+    monkeypatch.setattr(radial, "_PHASE_BYTES", 1)
+    # Kernel rows and samples of 17 rows per chunk: 50 rows in three.
+    monkeypatch.setattr(radial, "_SAMPLE_BYTES",
+                        17 * (8 * rho.size + 16 * 2 * t.size))
+    chunked = layer.field(t)
+    assert built == [4, 4, 1] * 3
+    assert np.abs(chunked - held).max() <= 1e-13 * np.abs(held).max()
 
 
 def test_stacked_propagator_matches_fresh_propagators():
@@ -356,18 +378,18 @@ def _closed_form_sup(p, r):
 
 def test_chebyshev_sup_matches_gaussian_closed_form():
     p, radii, _, layer = _gaussian_layer()
-    layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
+    sup, _, _ = layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
     ref = np.array([_closed_form_sup(p, r) for r in radii])
-    assert layer.sup == pytest.approx(ref, rel=1e-6)
+    assert sup == pytest.approx(ref, rel=1e-6)
 
 
 def test_chebyshev_sup_dominates_dyadic_grid_sup():
-    _, radii, _, layer = _gaussian_layer()
-    layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
-    _, _, _, grid = _gaussian_layer()
-    add_times(grid, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
+    layer = _gaussian_layer()[3]
+    degree = chebyshev_degree(layer.tau, 1e-6, 2 ** 13)
+    sup, _, bound = layer.chebyshev_sup(degree)
+    grid, _ = grid_sup(layer, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
     # Up to the certified interpolation error on each row.
-    assert np.all(layer.sup >= grid.sup - layer.bound)
+    assert np.all(sup >= grid - bound)
 
 
 def test_chebyshev_times_symmetric_with_zero():
