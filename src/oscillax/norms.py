@@ -32,7 +32,7 @@ sign change locates the admissible-regularity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -157,7 +157,9 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     _shared, from `modulated_numerators`, lends a local field the rho rules
     of a wider modulation of the same profile, the panels, certified sups
     and audit sums that one stacked pass per round took for every
-    modulation, and this field's index among them.
+    modulation, and this field's index among them.  A mirrored modulation
+    -y of a real profile was not in that pass: its entries are those of +y,
+    with the maximizing times negated.
     """
     if _shared is not None and not local:
         raise ValueError("shared sups serve local fields only")
@@ -388,6 +390,14 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     grows, resolves every smaller |y|.  So all modulations share that rule
     and its adaptive panels, and every bisection round is one streamed
     kernel pass that stacks their bases, as is the rho audit.
+
+    When g is real on that rule, e^{-i y rho} g = conj(e^{i y rho} g), and
+    the kernel, the weights and the powers rho^a are real, so
+    u_{-y}(r, t) = conj(u_y(r, -t)).  The Chebyshev times are exactly
+    symmetric, so the two fields share every sup, bound, K15/G7 sum and
+    audit term, and their maximizing times differ in sign.  The pass then
+    stacks one base per distinct |y| and expands its panels to every y;
+    for a complex g it stacks one per distinct y.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_arr.size == 0:
@@ -396,12 +406,18 @@ def modulated_numerators(g: Profile, p: SymbolParams,
         raise ValueError("modulations must satisfy |y| < 1")
     wide = g.modulate(float(np.max(np.abs(y_arr))))
     rho_rules = _rho_rules(wide, p, 1.0)
-    profiles = [g.modulate(float(y)) for y in y_arr]
-    seg = _adaptive_panels(profiles, p, rho_rules,
+    real = not np.iscomplexobj(g(rho_rules[0][0]))
+    keys, inv = np.unique(np.abs(y_arr) if real else y_arr, return_inverse=True)
+    seg = _adaptive_panels([g.modulate(float(k)) for k in keys], p, rho_rules,
                            _start_edges(g, 1.0, 0.0, 1.0))
+    # y = -|y| takes its mirror's panels with the argmax times flipped.
+    flip = np.where(y_arr < keys[inv], -1.0, 1.0)[:, None, None]
+    seg = replace(seg, arg=seg.arg[inv] * flip, **{
+        k: getattr(seg, k)[inv]
+        for k in ("sup", "bound", "k_p", "e_p", "rho_k", "rho_e")})
     out = np.empty(y_arr.size)
     fields = []
-    for i, gy in enumerate(profiles):
+    for i, gy in enumerate(g.modulate(float(y)) for y in y_arr):
         fld = converged_maximal_field(gy, p, local=True,
                                       _shared=(rho_rules, seg, i))
         out[i] = range_norm(fld, p, "local") ** 2

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .cutoffs import chi, eta, mollifier
 
@@ -128,6 +127,10 @@ def shell(N: float, width: float) -> Profile:
 
 
 def sampled(grid, values) -> Profile:
+    # Imported here: scipy.interpolate pulls in scipy.optimize and
+    # scipy.linalg, which the rest of the package never loads.
+    from scipy.interpolate import CubicSpline
+
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
     if grid.ndim != 1 or grid.size < 4:

@@ -58,8 +58,10 @@ class SweepConfig:
             raise ValueError("y_count must be >= 1")
 
     def y_grid(self) -> np.ndarray:
+        """The midpoints (2k + 1 - m) / m of m equal cells of (-1, 1), mirrored
+        bitwise: y_grid() == -y_grid()[::-1]."""
         m = self.y_count
-        return np.linspace(-1.0 + 1.0 / m, 1.0 - 1.0 / m, m)
+        return np.arange(1 - m, m, 2) / m
 
 
 def _cell_task(args):

@@ -14,7 +14,8 @@ from oscillax.norms import (MaximalField, TimeGrid, converged_maximal_field,
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
-from oscillax.profiles import NumericalFailure, Profile, annular, gaussian
+from oscillax.profiles import (NumericalFailure, Profile, annular, gaussian,
+                               shell)
 from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
 from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
@@ -414,11 +415,57 @@ def test_modulated_numerators_match_standalone_fields(N):
 
 
 def test_modulated_average_symmetric_under_conjugation():
-    # real profile: the modulated numerators are even in y
+    # real profile: u_{-y}(r, t) = conj(u_y(r, -t)), so the numerators are
+    # even in y and the maximizing times odd, exactly
     p = SymbolParams(a=0.5, n=2, s=0.1)
     g = sharpness_profile("shell", 4.0, p.a)
-    nums, _ = modulated_numerators(g, p, [-0.35, 0.35])
-    assert nums[0] == pytest.approx(nums[1], rel=1e-9)
+    nums, (minus, plus) = modulated_numerators(g, p, [-0.35, 0.35])
+    assert nums[0] == nums[1]
+    assert np.array_equal(minus.sup_values, plus.sup_values)
+    assert np.array_equal(minus.argmax_t, -plus.argmax_t)
+
+
+def test_complex_profile_takes_each_modulation_alone():
+    # e^{-iy rho} g is not conj(e^{iy rho} g) for a complex g: no pairing
+    p = SymbolParams(a=0.5, n=2)
+    g = shell(4.0, 2.0).modulate(0.2)
+    y = [-0.35, 0.35]
+    nums, _ = modulated_numerators(g, p, y)
+    assert abs(nums[0] - nums[1]) > 1e-3 * nums[1]
+    for v, num in zip(y, nums):
+        fld = converged_maximal_field(g.modulate(v), p, local=True)
+        assert num == pytest.approx(range_norm(fld, p, "local") ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("y_count", [8, 7])
+def test_mirrored_modulations_share_one_stacked_pass(monkeypatch, y_count):
+    stacks = []
+    original = norms._adaptive_panels
+
+    def recording(g, *args, **kw):
+        stacks.append(len(g))
+        return original(g, *args, **kw)
+
+    monkeypatch.setattr(norms, "_adaptive_panels", recording)
+    p = SymbolParams(a=0.5, n=2)
+    y = SweepConfig(a=p.a, n=p.n, s_list=(0.1,), N_list=(4.0,),
+                    range_kind="local", modulated=True, y_count=y_count).y_grid()
+    nums, _ = modulated_numerators(sharpness_profile("shell", 4.0, p.a), p, y)
+    assert stacks == [4]
+    assert np.array_equal(nums, nums[::-1])
+
+
+def test_modulation_grid_is_mirrored():
+    for y_count in range(1, 33):
+        y = SweepConfig(a=0.5, n=2, s_list=(0.1,), N_list=(4.0,),
+                        range_kind="local", modulated=True,
+                        y_count=y_count).y_grid()
+        assert y.size == y_count
+        assert np.array_equal(y, -y[::-1])
+        if y_count in (1, 2, 4, 8, 16, 32):
+            # the midpoint grid of earlier releases, bit for bit
+            old = np.linspace(-1.0 + 1.0 / y_count, 1.0 - 1.0 / y_count, y_count)
+            assert y.tobytes() == old.tobytes()
 
 
 def test_modulated_average_rejects_large_a():

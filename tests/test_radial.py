@@ -1,5 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +160,27 @@ def test_sampled_profile_roundtrip():
     dense = hankel_fourier(base, 2, rho)
     approx = hankel_fourier(prof, 2, rho)
     assert approx == pytest.approx(dense, rel=5e-4)
+
+
+def test_scipy_interpolate_loads_only_with_sampled():
+    # Importing the package must not pull in scipy.interpolate (and with it
+    # scipy.optimize and scipy.linalg); `sampled` imports it when called.
+    src = Path(radial.__file__).resolve().parents[1]
+    code = (
+        "import json, sys\n"
+        "import oscillax.sweep, oscillax.split, oscillax.cli, oscillax.radial\n"
+        "assert 'scipy.interpolate' not in sys.modules, 'loaded at import'\n"
+        "import numpy as np\n"
+        "from oscillax.profiles import sampled\n"
+        "g = sampled(np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5) ** 2)\n"
+        "assert 'scipy.interpolate' in sys.modules\n"
+        "print(json.dumps(g(np.array([0.5, 1.5, 2.5])).tolist()))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == pytest.approx([0.0, 2.25, 0.0], rel=1e-14)
 
 
 def test_sampled_requires_increasing_grid():
