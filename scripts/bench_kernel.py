@@ -6,8 +6,9 @@ and the split pass.
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Five things are timed, each as the median
-of REPEATS runs:
+BLAS is pinned to one thread.  Five things are timed, each recorded as
+{"median": ..., "min": ...} over REPEATS runs; the minimum is the steadier
+figure when runs are compared back to back:
 
 - `bessel_kernel_reduced` in ns per element, for each order on a 1024 x 1024
   array of arguments spread over [0, 12) and over [12, 1024);
@@ -32,7 +33,8 @@ of REPEATS runs:
 
 Each run, with nproc, the BLAS thread count and the numpy and scipy
 versions, is appended to the list runs[label] of the --out file, so runs of
-two checkouts can alternate into one file.
+two checkouts can alternate into one file.  Runs recorded before the
+minimum was added hold each median alone, as a bare number.
 """
 
 import os
@@ -78,13 +80,15 @@ SELECTOR_GRID = (12.0, 22.0)
 SELECTOR_PAIRS = ((0.5, 0.2), (2.0, 0.6))
 
 
-def _median_s(fn) -> float:
+def _timing(fn, scale: float = 1.0, digits: int = 4) -> dict:
+    """Median and minimum of REPEATS timings of fn, in seconds times scale."""
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return {"median": round(scale * statistics.median(times), digits),
+            "min": round(scale * min(times), digits)}
 
 
 def measure() -> dict:
@@ -92,15 +96,14 @@ def measure() -> dict:
     for lam in ORDERS:
         for lo, hi in BANDS:
             z = np.linspace(lo, hi, SIDE * SIDE, endpoint=False).reshape(SIDE, SIDE)
-            s = _median_s(lambda: bessel_kernel_reduced(lam, z))
-            ns[f"lam={lam:g} z in [{lo:g}, {hi:g})"] = round(1e9 * s / z.size, 2)
+            ns[f"lam={lam:g} z in [{lo:g}, {hi:g})"] = _timing(
+                lambda: bessel_kernel_reduced(lam, z), 1e9 / z.size, 2)
     fields = {}
     for lam, rows, cols, r_max in KERNELS:
         x = np.linspace(0.0, r_max, rows)
         nodes = np.linspace(0.3, 1.7, cols)
         layer = RadialKernel(lam, x, nodes, np.ones(cols), nodes)
-        s = _median_s(lambda: layer.field(np.zeros(1)))
-        fields[f"lam={lam:g} {rows}x{cols}"] = round(s, 4)
+        fields[f"lam={lam:g} {rows}x{cols}"] = _timing(lambda: layer.field(np.zeros(1)))
     sup = {}
     for a, N in SUP_FIELDS:
         p = SymbolParams(a=a, n=2)
@@ -111,15 +114,14 @@ def measure() -> dict:
         degree = fld.t_grid.count - 1
         times = chebyshev_times(degree)
         key = f"a={a:g} N={N:g} {fld.radii.size}x{rule[0].size} K={degree}"
-        sup[key] = {"field_s": round(_median_s(lambda: layer.field(times)), 4),
-                    "chebyshev_sup_s": round(
-                        _median_s(lambda: layer.chebyshev_sup(degree)), 4)}
+        sup[key] = {"field_s": _timing(lambda: layer.field(times)),
+                    "chebyshev_sup_s": _timing(lambda: layer.chebyshev_sup(degree))}
     oracle = {}
     for name, f0, rho_hi in ORACLE_CASES:
         rhos = np.linspace(0.1, rho_hi, 20)
         for n in (2, 3):
-            s = _median_s(lambda: nd_oracle_batch(f0, n, rhos))
-            oracle[f"{name} n={n} rho<={rho_hi:g}"] = round(s, 4)
+            oracle[f"{name} n={n} rho<={rho_hi:g}"] = _timing(
+                lambda: nd_oracle_batch(f0, n, rhos))
     grid, _ = split.selector_grid(*SELECTOR_GRID)
     frame = bump(0.8, 0.8).scaled(0.5).plus(bump(18.2, 0.8).scaled(-0.5))
     selector = {}
@@ -132,7 +134,7 @@ def measure() -> dict:
             split._SELECTOR_MEMO.clear()
             split.selector_parts(*args)
 
-        selector[f"a={a:g} s={s_reg:g} rows={grid.size}"] = round(_median_s(fresh), 4)
+        selector[f"a={a:g} s={s_reg:g} rows={grid.size}"] = _timing(fresh)
     return {"env": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "repeats": REPEATS},

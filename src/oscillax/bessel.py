@@ -206,20 +206,14 @@ def certify_asymptotic(order: float, rho_min: float,
     if n_octaves < 8.0 - 1e-9:
         raise ValueError("need at least 8 dyadic octaves")
     octave_sups = []
-    c_global = 0.0
-    k = 0
     lo = rho_min
     while lo < rho_max * (1 - 1e-12):
         hi = min(lo * 2.0, rho_max)
         grid = np.exp(np.linspace(np.log(lo), np.log(hi), _SAMPLES_PER_OCTAVE,
                                   endpoint=False))
         rem = np.abs(np.asarray(bessel_j(lam, grid)) - np.asarray(bessel_main_term(lam, grid)))
-        scaled = grid ** 1.5 * rem
-        sup = float(np.max(scaled))
-        octave_sups.append(sup)
-        c_global = max(c_global, sup)
+        octave_sups.append(float(np.max(grid ** 1.5 * rem)))
         lo = hi
-        k += 1
     return AsymptoticCertificate(lam=lam, rho_min=rho_min, rho_max=rho_max,
-                                 c_lambda_empirical=c_global,
+                                 c_lambda_empirical=max(octave_sups),
                                  octave_sups=tuple(octave_sups))

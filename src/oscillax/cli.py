@@ -15,7 +15,8 @@ subcommands and unknown keys are ignored.  A store_true option (modulated,
 strict) is set by 1/true/yes/on and left off by any other value.
 OSCILLAX_WORKERS overrides the worker count.  Exit codes: 0 success,
 2 usage error (including a bad or missing config file, a config value its
-option rejects, and a non-integer OSCILLAX_WORKERS), 3 flagged
+option rejects, a grid spec with a non-finite bound, and a non-integer
+OSCILLAX_WORKERS), 3 flagged
 non-convergence under --strict, 4 a numerical failure: a global range norm
 whose radial truncation leaves too much of the norm in its tail, a diverging
 Sobolev integral, a profile or field that does not decay, or an isometry
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -52,25 +54,24 @@ EXIT_NOT_CERTIFIED = 4
 
 
 class UsageError(Exception):
-    """Bad input outside argparse's reach: config files, OSCILLAX_WORKERS."""
+    """Bad input outside argparse's reach: config, grid specs, OSCILLAX_WORKERS."""
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Grid spec 'lo:hi:count' (linear) or 'log:lo:hi:count'."""
+    """Grid spec 'lo:hi:count' (linear) or 'log:lo:hi:count', finite bounds."""
     parts = spec.split(":")
+    log = parts[0] == "log"
     try:
-        if parts[0] == "log":
-            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-            if lo <= 0 or hi <= lo or count < 1:
-                raise ValueError
-            return np.exp(np.linspace(np.log(lo), np.log(hi), count))
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if hi < lo or count < 1:
+        lo, hi, count = float(parts[log]), float(parts[log + 1]), int(parts[log + 2])
+        if (not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo or count < 1
+                or log and (lo <= 0 or hi == lo)):
             raise ValueError
-        return np.linspace(lo, hi, count)
     except (IndexError, ValueError):
-        raise argparse.ArgumentTypeError(
+        raise UsageError(
             f"bad grid spec {spec!r}; use lo:hi:count or log:lo:hi:count")
+    if log:
+        return np.exp(np.linspace(np.log(lo), np.log(hi), count))
+    return np.linspace(lo, hi, count)
 
 
 def _parse_floats(spec: str) -> tuple:

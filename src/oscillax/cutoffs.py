@@ -42,7 +42,7 @@ def mollifier(u: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _mollifier_mass() -> float:
     # One fixed high-order rule; the integrand is smooth and flat at +-1.
-    x, w = np.polynomial.legendre.leggauss(200)
+    x, w = _gl_reference(200)
     return float(np.sum(w * mollifier(x)))
 
 

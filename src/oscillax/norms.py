@@ -1,4 +1,4 @@
-"""Maximal functions over time, range norms, Sobolev norms, sweep records.
+"""Maximal functions over time, range norms and sweep records.
 
 The maximal function sup_{|t|<1} |u(r, t)| is the continuous sup of a
 Chebyshev interpolant in t, one per radius, whose degree is chosen before
@@ -16,13 +16,8 @@ indicator, |K15 - G7|; as in QUADPACK's adaptive routines, only the panels
 whose indicator is over their width share of the target are bisected.  A
 global range grows by appending panels, never evaluating a kept row again.
 
-The inhomogeneous Sobolev norm of f is computed on the frequency side,
-
-    sobolev_norm = (2 pi)^(-n/2) ( sphere_factor(n)
-                     * int (1+rho^2)^s |g(rho)|^2 rho^(n-1) drho )^(1/2),
-
-normalized so s = 0 recovers ||f||_{L2(R^n)}.  Sweep records collect the
-ratio Q = range_norm / sobolev_norm per dyadic frequency scale N, and the
+Sweep records collect the ratio Q = range_norm / sobolev_norm per dyadic
+frequency scale N (`radial.sobolev_norm`, re-exported here), and the
 modulated average replaces the single ratio with a mean over radial
 modulations e^{i y rho} of the squared local ratio.  A log-log slope of Q
 (or of the averaged quantity) against N estimates the growth exponent whose
@@ -38,14 +33,14 @@ from typing import Optional
 import numpy as np
 
 # Unused here; perfbench/spans.py traces these bindings: bessel_kernel_reduced,
-# spatial_extent, oscillatory_rule.
+# spatial_extent, oscillatory_rule, profile_rule.
 from .bessel import bessel_kernel_reduced
 from .oscillatory import (SymbolParams, arrival_radius, frequency_rule,
                           propagator, spatial_extent)
 from .profiles import NumericalFailure, Profile, annular, shell
 from .quadrature import kronrod_rule, oscillatory_rule, phase_breakpoints
 from .radial import (chebyshev_degree, chebyshev_times, profile_rule,
-                     sphere_factor)
+                     sobolev_norm, sphere_factor)
 
 _MAX_LEVEL = 13          # Chebyshev degree <= 2^13
 _REL_TOL = 5e-3          # range-norm tolerance of the t and r checks
@@ -332,18 +327,6 @@ def range_norm(field_obj: MaximalField, p: SymbolParams,
     return _range_norm_from(radii, field_obj.weights, field_obj.sup_values,
                             p.n, radii <= 1.0 if range_kind == "local"
                             else slice(None))
-
-
-def sobolev_norm(g: Profile, n: int, s: float) -> float:
-    """Inhomogeneous Sobolev norm of f from its frequency profile."""
-    rho, w = profile_rule(g, n, include_modulation=False)
-    # A diverging integral is reported below, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dens = (1.0 + rho * rho) ** s * np.abs(g(rho)) ** 2 * rho ** (n - 1)
-        total = sphere_factor(n) * float(np.sum(w * dens))
-    if not np.isfinite(total):
-        raise NumericalFailure("Sobolev integral diverged")
-    return (2.0 * math.pi) ** (-n / 2.0) * math.sqrt(total)
 
 
 def sharpness_profile(family: str, N: float, a: float) -> Profile:

@@ -29,7 +29,7 @@ import numpy as np
 from .bessel import bessel_kernel_reduced
 from .profiles import NumericalFailure, Profile
 from .quadrature import oscillatory_rule
-from .radial import RadialKernel, l2_norm_frequency, profile_rule, sphere_factor
+from .radial import RadialKernel, profile_rule, sobolev_norm, sphere_factor
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
     t_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(np.abs(t_arr) >= 1):
         raise ValueError("times must satisfy |t| < 1")
-    denom = l2_norm_frequency(g, p.n)
+    denom = sobolev_norm(g, p.n, 0.0)
     if denom == 0.0:
         raise ValueError("zero profile")
     t_max = float(np.max(np.abs(t_arr)))

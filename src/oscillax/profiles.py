@@ -27,6 +27,7 @@ import numpy as np
 from .cutoffs import chi, eta, mollifier
 
 _BAND_TERMS = 7
+_TAIL_TOL = 1e-12      # tail share of rho^(n-1) |g| beyond a truncation
 
 
 class NumericalFailure(ValueError):
@@ -71,8 +72,9 @@ class Profile:
                        scale=min(self.scale, other.scale),
                        modulation_rate=max(self.modulation_rate, other.modulation_rate))
 
-    def truncation_radius(self, n: int, tol: float = 1e-12) -> float:
-        """Radius P with integral of rho^(n-1) |g| beyond P below tol of the total."""
+    def truncation_radius(self, n: int) -> float:
+        """Radius P with integral of rho^(n-1) |g| beyond P below _TAIL_TOL of
+        the total."""
         if self.support is not None:
             return self.support[1]
         # Rapidly decaying profile: walk a geometric grid of candidate cuts.
@@ -84,7 +86,7 @@ class Profile:
             w = np.abs(self(grid)) * grid ** (n - 1)
             total = np.trapezoid(w, grid)
             tail = np.trapezoid(w[grid >= hi * 0.75], grid[grid >= hi * 0.75])
-            if total > 0 and tail < tol * total:
+            if total > 0 and tail < _TAIL_TOL * total:
                 return hi * 0.75
         raise NumericalFailure("profile does not appear to decay")
 

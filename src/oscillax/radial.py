@@ -25,6 +25,13 @@ samples out; `chebyshev_sup(K)` samples the K + 1 Chebyshev times and
 returns (sup, arg, bound), the certified continuous sup over [-1, 1] of
 one interpolant per row, a time reaching it and its error bound.
 
+The inhomogeneous Sobolev norm of f is computed on the frequency side,
+
+    sobolev_norm = (2 pi)^(-n/2) ( sphere_factor(n)
+                     * int (1+rho^2)^s |g(rho)|^2 rho^(n-1) drho )^(1/2),
+
+normalized so s = 0 recovers ||f||_{L2(R^n)}, by Parseval.
+
 `nd_oracle` evaluates the same transform by direct tensor-product quadrature
 over a truncated box; it exists purely as an independent cross-check, a
 direct sum of f(|x|) over tensor nodes with no Bessel function and no
@@ -42,10 +49,9 @@ import numpy as np
 import scipy.fft
 
 from .bessel import bessel_kernel_reduced
-from .profiles import Profile
+from .profiles import NumericalFailure, Profile
 from .quadrature import PHASE_BUDGET, oscillatory_rule
 
-_TAIL_TOL = 1e-12
 _CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
 _PHASE_BYTES = 2 ** 28   # cap on the phase matrices held across row chunks
 _T_CHUNK = 384           # times per phase matrix
@@ -77,7 +83,7 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
     per panel.
     """
     lo = g.lower_support()
-    hi = g.truncation_radius(n, _TAIL_TOL)
+    hi = g.truncation_radius(n)
     if not hi > lo:
         raise ValueError("profile has empty effective support")
     forced = ()
@@ -93,6 +99,18 @@ def profile_rule(g: Profile, n: int, osc_rate: float = 0.0,
                             power_coeff=power_coeff, power=power,
                             panel_cap=g.scale / 2.0, forced=forced,
                             budget=budget)
+
+
+def sobolev_norm(g: Profile, n: int, s: float) -> float:
+    """Inhomogeneous Sobolev norm of f from its frequency profile."""
+    rho, w = profile_rule(g, n, include_modulation=False)
+    # A diverging integral is reported below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = (1.0 + rho * rho) ** s * np.abs(g(rho)) ** 2 * rho ** (n - 1)
+        total = sphere_factor(n) * float(np.sum(w * dens))
+    if not np.isfinite(total):
+        raise NumericalFailure("Sobolev integral diverged")
+    return (2.0 * math.pi) ** (-n / 2.0) * math.sqrt(total)
 
 
 def chebyshev_times(degree: int) -> np.ndarray:
@@ -341,7 +359,7 @@ def _axis_rule(f: Profile, n: int, xi_component: float):
     reflection, so x == -x[::-1] and w == w[::-1] hold bitwise.  0 is a
     panel edge, never a node, so every node has a distinct mirror image.
     """
-    half = f.truncation_radius(n, _TAIL_TOL)
+    half = f.truncation_radius(n)
     x, w = oscillatory_rule(0.0, half, linear_rate=abs(xi_component),
                             panel_cap=f.scale / 2.0)
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
@@ -438,18 +456,3 @@ def nd_oracle_batch(f: Profile, n: int, rho_list) -> np.ndarray:
                   for xs, i, j in zip(x1_sq, starts, stops)])
     out = 2.0 * (np.cos(np.outer(rho_arr, x1)) @ (w1 * h))
     return out.astype(complex)
-
-
-def l2_norm_spatial(f0: Profile, n: int) -> float:
-    """L2(R^n) norm of the radial function with spatial profile f0."""
-    r, w = profile_rule(f0, n)
-    vals = np.abs(f0(r)) ** 2 * r ** (n - 1)
-    return math.sqrt(sphere_factor(n) * float(np.real(np.sum(w * vals))))
-
-
-def l2_norm_frequency(g: Profile, n: int) -> float:
-    """L2(R^n) norm of f computed from its frequency profile via Parseval."""
-    rho, w = profile_rule(g, n, include_modulation=False)
-    vals = np.abs(g(rho)) ** 2 * rho ** (n - 1)
-    total = sphere_factor(n) * float(np.sum(w * vals))
-    return (2.0 * math.pi) ** (-n / 2.0) * math.sqrt(total)

@@ -51,15 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 # bessel_kernel_reduced: unused; perfbench/spans.py traces it.
-from .bessel import AsymptoticCertificate, bessel_j, bessel_kernel_reduced
+from .bessel import (_SQRT_2_OVER_PI, AsymptoticCertificate, bessel_j,
+                     bessel_kernel_reduced)
 from .cutoffs import CutoffFamily, chi, gamma_weight, psi
 from .norms import _degree
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
 from .radial import _SAMPLE_BYTES, RadialKernel, profile_rule
-
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -85,17 +84,6 @@ class TimeSelector:
         g = np.asarray(grid, dtype=float)
         return TimeSelector(grid=g, values=0.999 * rng.uniform(-1, 1, g.size))
 
-    @staticmethod
-    def constant(grid, t: float) -> "TimeSelector":
-        g = np.asarray(grid, dtype=float)
-        return TimeSelector(grid=g, values=np.full(g.size, float(t)))
-
-    def match(self, grid) -> np.ndarray:
-        g = np.asarray(grid, dtype=float)
-        if g.shape != self.grid.shape or not np.array_equal(g, self.grid):
-            raise ValueError("selector defined on a different radial grid")
-        return self.values
-
 
 def selector_grid(r_max: float, rho_max: float):
     """Radial evaluation grid resolving kernels oscillating up to rho_max."""
@@ -103,26 +91,18 @@ def selector_grid(r_max: float, rho_max: float):
                             panel_cap=r_max / 16.0, forced=(1.0, 2.0))
 
 
-def apply_selector_multiplier(f: Profile, sel: TimeSelector, p: SymbolParams,
-                              weight: str = "dyadic") -> np.ndarray:
+def apply_selector_multiplier(f: Profile, sel: TimeSelector,
+                              p: SymbolParams) -> np.ndarray:
     """The 1-D linearized operator with the dyadic Sobolev weight.
 
-    f is interpreted as an even profile on the line; weight "none" drops
-    gamma_{-2s}^(1/2) (then t = 0 gives the plain inverse-type transform).
-    Frequency nodes whose weight is exactly zero are dropped, and the
-    cosine-phase kernel is built in row blocks of at most _SAMPLE_BYTES.
+    f is interpreted as an even profile on the line.  Frequency nodes whose
+    weight is exactly zero are dropped, and the cosine-phase kernel is
+    built in row blocks of at most _SAMPLE_BYTES.
     """
-    x = sel.grid
-    t = sel.match(sel.grid)
+    x, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(x))),
                           power_coeff=1.0, power=p.a)
-    if weight == "dyadic":
-        gam = np.sqrt(gamma_weight(-2.0 * p.s, rho))
-    elif weight == "none":
-        gam = np.ones_like(rho)
-    else:
-        raise ValueError("weight must be 'dyadic' or 'none'")
-    vec = w * gam * f(rho)
+    vec = w * np.sqrt(gamma_weight(-2.0 * p.s, rho)) * f(rho)
     live = vec != 0.0
     rho, vec = rho[live], vec[live]
     rho_a = rho ** p.a
@@ -191,8 +171,7 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     a hit returns what a recomputation would; the arrays returned are
     always fresh copies.
     """
-    r = sel.grid
-    t = sel.match(sel.grid)
+    r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
                           power_coeff=1.0, power=p.a)
     weights = w * rho ** (-p.s) * psi(rho) * f(rho)
@@ -317,12 +296,12 @@ def maximal_kernel(m: float, mu: float, p: SymbolParams):
 
 
 def tilde_field(g: Profile, p: SymbolParams, r, t,
-                freq_cut=None, range_cut=None) -> np.ndarray:
+                freq_cut=None) -> np.ndarray:
     """The weighted propagator int e^{i(x.xi + t|xi|^a)} <xi>^{-s/2} zeta g dxi.
 
-    freq_cut / range_cut select the frequency and range localizations from
-    {None, "chi", "psi"}; None means no cutoff on that variable.  Radially
-    reduced like the main propagator, shape (len(r), len(t)).
+    freq_cut selects the frequency localization zeta from {None, "chi",
+    "psi"}; None means no cutoff.  Radially reduced like the main
+    propagator, shape (len(r), len(t)).
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -331,24 +310,25 @@ def tilde_field(g: Profile, p: SymbolParams, r, t,
     zeta = {"chi": chi, "psi": psi, None: lambda v: 1.0}[freq_cut]
     base = w * rho ** (p.n - 1) * (1.0 + rho * rho) ** (-p.s / 2.0) * g(rho)
     base = (2.0 * math.pi) ** (p.n / 2.0) * base * zeta(rho)
-    out = RadialKernel(p.lam, r_arr, rho, base, rho ** p.a).field(t_arr)
-    if range_cut is not None:
-        zr = {"chi": chi, "psi": psi}[range_cut]
-        out = zr(r_arr)[:, None] * out
-    return out
+    return RadialKernel(p.lam, r_arr, rho, base, rho ** p.a).field(t_arr)
 
 
 def recompose_residual(g: Profile, p: SymbolParams, r, t) -> float:
     """Max deviation between the whole weighted propagator and its 4 pieces.
 
-    The pieces are indexed by (freq_cut, range_cut) in {chi, psi}^2 and must
-    recompose exactly because chi + psi = 1 in both variables.
+    The pieces are the frequency pieces F_chi and F_psi of `tilde_field`
+    times chi(r) and psi(r), summed as chi F_chi, psi F_chi, chi F_psi,
+    psi F_psi; they must recompose exactly because chi + psi = 1 in both
+    variables.  Each frequency piece is evaluated once.
     """
-    whole = tilde_field(g, p, r, t, None, None)
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    whole = tilde_field(g, p, r_arr, t)
+    cuts = [chi(r_arr)[:, None], psi(r_arr)[:, None]]
     total = np.zeros_like(whole)
     for fc in ("chi", "psi"):
-        for rc in ("chi", "psi"):
-            total = total + tilde_field(g, p, r, t, fc, rc)
+        piece = tilde_field(g, p, r_arr, t, fc)
+        for cut in cuts:
+            total = total + cut * piece
     return float(np.max(np.abs(whole - total)))
 
 

@@ -5,11 +5,12 @@ regularities s.  The expensive numerator (the maximal field of the scale-N
 profile, or its modulated local variants) depends on N but not on s, so it
 is computed once per N and divided by the per-s Sobolev norms afterwards.
 
-Cells are independent and may be distributed over worker processes.  When a
-pool is used (`pinned_map`), OPENBLAS/MKL threading in the children is
-pinned to a single thread before numpy loads, so cell results are bitwise
-independent of the pool size; records are merged in canonical (family, N)
-order, making the CSV output byte-identical for any worker count.
+Cells are independent (config, N) tasks and may be distributed over worker
+processes.  When a pool is used (`pinned_map`), OPENBLAS/MKL threading in
+the children is pinned to a single thread before numpy loads, so cell
+results are bitwise independent of the pool size; the pool returns them in
+task order, N increasing, making the CSV output byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,9 @@ class SweepConfig:
             raise ValueError("n must be >= 1")
         if not self.s_list or not all(np.isfinite(self.s_list)):
             raise ValueError("s_list must be finite and nonempty")
-        if not self.N_list or min(self.N_list) <= 0:
-            raise ValueError("N_list must be positive")
+        if (not self.N_list or not all(np.isfinite(self.N_list))
+                or min(self.N_list) <= 0):
+            raise ValueError("N_list must be finite and positive")
         if self.range_kind not in ("local", "global"):
             raise ValueError("range must be 'local' or 'global'")
         if self.modulated and self.a >= 1:
@@ -64,13 +66,12 @@ class SweepConfig:
         return np.arange(1 - m, m, 2) / m
 
 
-def _cell_task(args):
-    """Numerator data for one (family, N) cell; runs in a worker process."""
-    cfg = SweepConfig(**args["config"])
-    N = args["N"]
+def _cell_task(task):
+    """Numerator data for one (config, N) cell; runs in a worker process."""
+    cfg, N = task
     p = SymbolParams(a=cfg.a, n=cfg.n, s=0.0)
     g = sharpness_profile(cfg.family, N, cfg.a)
-    out = {"N": N}
+    out = {}
     if cfg.modulated:
         y = cfg.y_grid()
         nums, fields = modulated_numerators(g, p, y)
@@ -127,16 +128,14 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
     of min(workers, cells) processes with single-threaded BLAS in the
     children.
     """
-    tasks = [{"config": asdict(cfg), "N": float(N)} for N in sorted(cfg.N_list)]
+    tasks = [(cfg, float(N)) for N in sorted(cfg.N_list)]
     if workers and workers > 0:
         results = pinned_map(_cell_task, tasks, workers)
     else:
         results = [_cell_task(t) for t in tasks]
-    results.sort(key=lambda d: d["N"])
 
     records = []
-    for res in results:
-        N = res["N"]
+    for (_, N), res in zip(tasks, results):
         g = sharpness_profile(cfg.family, N, cfg.a)
         if cfg.modulated:
             nums = np.asarray(res["numerators"])

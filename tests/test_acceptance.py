@@ -20,7 +20,7 @@ from oscillax.norms import converged_maximal_field, range_norm
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   gaussian_free_evolution, isometry_ratios)
 from oscillax.profiles import annular, bandlimited, bump, gaussian
-from oscillax.radial import hankel_fourier, l2_norm_frequency, nd_oracle_batch
+from oscillax.radial import hankel_fourier, nd_oracle_batch, sobolev_norm
 from oscillax.split import recompose_residual, remainder_constant, split_checks
 
 
@@ -190,7 +190,7 @@ def test_criterion_8_band_limited_uniformity():
     for seed in range(10):
         g = bandlimited(seed)
         fld = converged_maximal_field(g, p, local=False)
-        ratios.append(range_norm(fld, p, "global") / l2_norm_frequency(g, 2))
+        ratios.append(range_norm(fld, p, "global") / sobolev_norm(g, 2, 0.0))
     ratios = np.array(ratios)
     spread = float(ratios.max() / ratios.min())
     ok = spread <= 3.0

@@ -243,6 +243,21 @@ def test_non_finite_parameter_is_usage_error(tmp_path, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "--family", "gaussian", "--n", "2", "--rho-grid", "nan:1:3"],
+    ["transform", "--family", "gaussian", "--n", "2", "--rho-grid", "log:1:inf:3"],
+    ["oracle-compare", "--family", "bump", "--n", "2", "--rho-grid", "0:inf:3"],
+    ["eval-grid", "--family", "gaussian", "--a", "2", "--n", "2",
+     "--r-grid", "0:1:3", "--t-grid=0:nan:3"],
+], ids=["transform-nan", "transform-log-inf", "oracle-inf", "eval-grid-t-nan"])
+def test_non_finite_grid_spec_is_usage_error(tmp_path, argv):
+    res = run_cli(argv + ["--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert "bad grid spec" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 _SWEEP_CONF = "a=0.5\nn=2\ns_list=0.0625\nN_list=2\nrange=local\n"
 
 

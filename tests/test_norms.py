@@ -17,7 +17,6 @@ from oscillax.oscillatory import (SymbolParams, dispersive_field,
 from oscillax.profiles import (NumericalFailure, Profile, annular, gaussian,
                                shell)
 from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
-from oscillax.radial import l2_norm_frequency
 from oscillax.sweep import SweepConfig, run_sweep
 
 from conftest import grid_sup
@@ -326,7 +325,7 @@ def test_degenerate_grid_recovers_l2_norm():
                        argmax_t=arg, t_grid=TimeGrid(points=np.array([0.0])),
                        r_max=14.0, tail_fraction=0.0)
     norm = range_norm(fld, p, "global")
-    assert norm == pytest.approx(l2_norm_frequency(g, 2), abs=1e-5)
+    assert norm == pytest.approx(sobolev_norm(g, 2, 0.0), abs=1e-5)
 
 
 def test_global_norm_dominates_l2_when_zero_in_grid():
@@ -334,14 +333,7 @@ def test_global_norm_dominates_l2_when_zero_in_grid():
     g = annular(2.0)
     fld = converged_maximal_field(g, p, local=False)
     assert 0.0 in fld.t_grid.points
-    assert range_norm(fld, p, "global") >= l2_norm_frequency(g, 2) - 1e-4
-
-
-def test_sobolev_zero_regularity_is_plancherel():
-    g = gaussian(1.0)
-    for n in (2, 3):
-        assert sobolev_norm(g, n, 0.0) == pytest.approx(
-            l2_norm_frequency(g, n), rel=1e-9)
+    assert range_norm(fld, p, "global") >= sobolev_norm(g, 2, 0.0) - 1e-4
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0])

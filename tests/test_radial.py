@@ -22,9 +22,8 @@ from oscillax.oscillatory import (SymbolParams, dispersive_field,
 from oscillax.profiles import (Profile, annular, bandlimited, bump, gaussian,
                                sampled)
 from oscillax.radial import (bernstein_bound, chebyshev_degree,
-                             chebyshev_times, hankel_fourier,
-                             l2_norm_frequency, l2_norm_spatial, nd_oracle,
-                             profile_rule, sphere_factor)
+                             chebyshev_times, hankel_fourier, nd_oracle,
+                             profile_rule, sobolev_norm, sphere_factor)
 
 from conftest import grid_sup
 
@@ -134,8 +133,9 @@ def test_parseval(n):
     ghat = Profile(fn=lambda rho, c=(2.0 * math.pi) ** (n / 2.0):
                        c * np.exp(-rho * rho / 2.0),
                    support=None, scale=1.0)
-    lhs = l2_norm_frequency(ghat, n)
-    rhs = l2_norm_spatial(g_spatial, n)
+    # sobolev_norm at s = 0 is (2 pi)^(-n/2) times the L2 norm of its profile
+    lhs = sobolev_norm(ghat, n, 0.0)
+    rhs = (2.0 * math.pi) ** (n / 2.0) * sobolev_norm(g_spatial, n, 0.0)
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 

@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 
 import oscillax.split as split
 from oscillax.bessel import bessel_j, certify_asymptotic
-from oscillax.cutoffs import chi, gamma_weight, make_cutoff
+from oscillax.cutoffs import chi, gamma_weight, make_cutoff, psi
 from oscillax.oscillatory import SymbolParams
 from oscillax.profiles import annular, bump
 from oscillax.quadrature import oscillatory_rule
@@ -24,23 +24,22 @@ def test_selector_validation():
     grid = np.linspace(0.0, 10.0, 50)
     with pytest.raises(ValueError):
         TimeSelector(grid=grid, values=np.full(50, 1.0))
-    sel = TimeSelector.random(grid, seed=0)
     with pytest.raises(ValueError):
-        sel.match(np.linspace(0.0, 11.0, 50))
-    with pytest.raises(ValueError):
-        sel.match(np.linspace(0.0, 10.0, 49))
+        TimeSelector(grid=grid, values=np.zeros(49))
 
 
 def test_multiplier_operator_zero_selector_inverse_transform():
-    # t = 0, no weight: R_0 f(x) = int e^{i x xi} f(xi) dxi = 2 int cos f
+    # t = 0, s = 0: R_0 f(x) = int e^{i x xi} gamma_0^(1/2) f(xi) dxi
+    #                      = 2 int cos(x xi) gamma_0^(1/2) f
     p = SymbolParams(a=2.0, n=1, s=0.0)
     f = random_test_profile(4)
     grid, _ = selector_grid(30.0, 20.0)
-    sel = TimeSelector.constant(grid, 0.0)
-    vals = apply_selector_multiplier(f, sel, p, weight="none")
+    sel = TimeSelector(grid=grid, values=np.zeros(grid.size))
+    vals = apply_selector_multiplier(f, sel, p)
     rr = np.linspace(0.0, 22.0, 150001)
     sub = grid[::150]
-    ref = np.array([2.0 * np.trapezoid(np.cos(x * rr) * f(rr), rr) for x in sub])
+    weighted = np.sqrt(gamma_weight(0.0, rr)) * f(rr)
+    ref = np.array([2.0 * np.trapezoid(np.cos(x * rr) * weighted, rr) for x in sub])
     assert np.abs(vals[::150] - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
 
@@ -334,14 +333,26 @@ def test_recompose_residual_small():
     assert res <= 1e-9
 
 
+def test_recompose_evaluates_each_frequency_piece_once(monkeypatch):
+    # the whole field and the two frequency pieces; the range cutoffs only
+    # multiply them
+    calls = []
+    field = split.tilde_field
+    monkeypatch.setattr(split, "tilde_field",
+                        lambda *args, **kw: calls.append(args) or field(*args, **kw))
+    recompose_residual(annular(4.0), SymbolParams(a=0.5, n=2, s=0.3),
+                       np.linspace(0.0, 6.0, 13), np.array([0.5]))
+    assert len(calls) == 3
+
+
 def test_high_frequency_pieces_vanish_for_low_frequency_data():
     # data inside the unit ball: psi-in-frequency pieces are identically zero
     p = SymbolParams(a=0.5, n=2, s=0.3)
     g = bump(0.45, 0.35)  # support [0.1, 0.8]
     r = np.linspace(0.0, 4.0, 9)
     t = np.array([0.2])
-    for rc in ("chi", "psi"):
-        piece = tilde_field(g, p, r, t, "psi", rc)
+    for cut in (chi, psi):
+        piece = cut(r)[:, None] * tilde_field(g, p, r, t, "psi")
         assert np.abs(piece).max() <= 1e-14
 
 
@@ -350,8 +361,8 @@ def test_low_frequency_pieces_vanish_for_annular_data():
     g = annular(8.0)  # support [4, 16], chi = 0 there
     r = np.linspace(0.0, 4.0, 9)
     t = np.array([0.2])
-    for rc in ("chi", "psi"):
-        piece = tilde_field(g, p, r, t, "chi", rc)
+    for cut in (chi, psi):
+        piece = cut(r)[:, None] * tilde_field(g, p, r, t, "chi")
         assert np.abs(piece).max() <= 1e-14
 
 

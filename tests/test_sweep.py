@@ -42,6 +42,12 @@ def test_modulated_config_rejects_empty_modulation_grid():
                                    SymbolParams(a=0.5, n=2), [])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_scales(bad):
+    with pytest.raises(ValueError, match="N_list must be finite and positive"):
+        SweepConfig(a=2.0, n=2, s_list=(0.1,), N_list=(bad, 2.0, 4.0, 8.0))
+
+
 def test_modulated_cell_evaluates_kernels_once(monkeypatch):
     evals = []
     original = radial.bessel_kernel_reduced
