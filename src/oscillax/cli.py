@@ -15,8 +15,8 @@ subcommands and unknown keys are ignored.  A store_true option (modulated,
 strict) is set by 1/true/yes/on and left off by any other value.
 OSCILLAX_WORKERS overrides the worker count.  Exit codes: 0 success,
 2 usage error (including a bad or missing config file, a config value its
-option rejects, a grid spec with a non-finite bound, and a non-integer
-OSCILLAX_WORKERS), 3 flagged
+option rejects, a grid spec with a non-finite bound, a --pairs or --count
+below 1, and a non-integer OSCILLAX_WORKERS), 3 flagged
 non-convergence under --strict, 4 a numerical failure: a global range norm
 whose radial truncation leaves too much of the norm in its tail, a diverging
 Sobolev integral, a profile or field that does not decay, or an isometry
@@ -199,6 +199,8 @@ def _cmd_kernel(args, out_dir: Path) -> int:
 
 
 def _cmd_split_check(args, out_dir: Path) -> int:
+    if args.pairs < 1:      # a check of no pair would pass vacuously
+        raise UsageError("--pairs must be >= 1")
     p = SymbolParams(a=args.a, n=args.n, s=args.s)
     cut = make_cutoff()
     cert = certify_asymptotic(p.lam, 1.05, 2.0 ** 12)
@@ -219,6 +221,8 @@ def _cmd_split_check(args, out_dir: Path) -> int:
 
 
 def _cmd_bessel_check(args, out_dir: Path) -> int:
+    if args.count < 1:
+        raise UsageError("--count must be >= 1")
     lam = args.lam
     rhos = np.exp(np.linspace(np.log(args.rho_min), np.log(args.rho_max), args.count))
     j = np.asarray(bessel_j(lam, rhos))

@@ -17,7 +17,7 @@ whose indicator is over their width share of the target are bisected.  A
 global range grows by appending panels, never evaluating a kept row again.
 
 Sweep records collect the ratio Q = range_norm / sobolev_norm per dyadic
-frequency scale N (`radial.sobolev_norm`, re-exported here), and the
+frequency scale N (`radial.sobolev_norm`), and the
 modulated average replaces the single ratio with a mean over radial
 modulations e^{i y rho} of the squared local ratio.  A log-log slope of Q
 (or of the averaged quantity) against N estimates the growth exponent whose
@@ -40,15 +40,10 @@ from .oscillatory import (SymbolParams, arrival_radius, frequency_rule,
 from .profiles import NumericalFailure, Profile, annular, shell
 from .quadrature import kronrod_rule, oscillatory_rule, phase_breakpoints
 from .radial import (chebyshev_degree, chebyshev_times, profile_rule,
-                     sobolev_norm, sphere_factor)
+                     sphere_factor)
 
-_MAX_LEVEL = 13          # Chebyshev degree <= 2^13
 _REL_TOL = 5e-3          # range-norm tolerance of the t and r checks
 _TAIL_TOL = 1e-4         # largest radial tail share of a global field
-# A-priori target of the Bernstein bound relative to A_i = (|kernel| @ |base|)_i.
-# The range norm's certificate is this times ||A|| / ||sup|| (about 2-3 on the
-# sweep families), far inside _REL_TOL / 2.
-_CHEB_TOL = 1e-6
 # Radial bisection target: the panels' summed |K15 - G7| gap stays within
 # _R_TOL of the K15 integral of sup^2 r^(n-1), so within _REL_TOL / 10 on
 # the norm.
@@ -79,7 +74,7 @@ class TimeGrid:
         """The degree + 1 Chebyshev-Lobatto times on [-1, 1], increasing.
 
         The level is the least L with degree <= 2^L, on the scale of
-        _MAX_LEVEL, the cap on `converged_maximal_field`'s degree.
+        radial._MAX_LEVEL, the cap on `chebyshev_degree`.
         """
         return TimeGrid(points=chebyshev_times(degree)[::-1],
                         level=(degree - 1).bit_length(), closed=True)
@@ -124,9 +119,9 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     """Maximal field with a certified continuous sup in t.
 
     The sup over t in [-1, 1] comes from one Chebyshev interpolant per
-    radius, of the degree the Bernstein bound asks for (at most
-    2^_MAX_LEVEL); the field is t-converged when the certified
-    interpolation error moves the range norm by at most _REL_TOL / 2.  The
+    radius, of the degree `radial.chebyshev_degree` asks for; the field is
+    t-converged when the certified interpolation error moves the range norm
+    by at most _REL_TOL / 2.  The
     radii are the nodes of adaptive G7/K15 Gauss-Kronrod panels
     (`_adaptive_panels`) and the norm takes their K15 weights.  r_audit is
     the panels' summed |K15 - G7| gap relative to the norm; the field is
@@ -158,7 +153,7 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     """
     if _shared is not None and not local:
         raise ValueError("shared sups serve local fields only")
-    r_first = 1.0 if local else arrival_radius(g, p, 1.0, tol=3e-6, pad=6.0)
+    r_first = 1.0 if local else arrival_radius(g, p, 1.0)
     lo, r_max, b = 0.0, r_first, 0
     segments, history, rho_points = [], [], 0
     for growth in range(4):
@@ -259,13 +254,16 @@ def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
     g may be a sequence of profiles, stacked in every pass; a panel is
     then bisected if any profile's gap is over its share.  `rows` counts
     the rows evaluated on the first rule; the audit adds one per panel.
+    `tau` depends on a rule's powers alone, so every round takes the degree
+    of the rule's first pass.
     """
     rho_rule, finer = rho_rules
-    degree, fine_degree = (_degree(rule[0] ** p.a) for rule in rho_rules)
     slack = np.maximum(sum(_R_TOL * s.k_p.sum(-1) - s.e_p.sum(-1)
                            for s in prior), 0.0)
-    cert = [np.reshape(a, (-1, edges.size - 1, 15)) for a in propagator(
-        g, p, kronrod_rule(edges)[0], rho_rule).chebyshev_sup(degree)]
+    layer = propagator(g, p, kronrod_rule(edges)[0], rho_rule)
+    degree = chebyshev_degree(layer.tau)
+    cert = [np.reshape(a, (-1, edges.size - 1, 15))
+            for a in layer.chebyshev_sup(degree)]
     rows = 15 * (edges.size - 1)
     for round_ in range(_ROUNDS + 1):
         nodes, k_w, g_w = (a.reshape(-1, 15) for a in kronrod_rule(edges))
@@ -291,24 +289,13 @@ def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
             cert[i] = out
     # The rho audit: each panel's centre row, the x = 0 node of G7 and K15.
     mid = nodes[:, 7]
-    fine = propagator(g, p, mid, finer).chebyshev_sup(fine_degree)[0]
+    layer = propagator(g, p, mid, finer)
+    fine = layer.chebyshev_sup(chebyshev_degree(layer.tau))[0]
     fine = np.reshape(fine, (len(k_p), -1))
     mass = np.diff(edges) * mid ** (p.n - 1)
     coarse = cert[0][..., 7] ** 2
     return _Panels(nodes, k_w, g_w, *cert, k_p, e_p, np.sum(mass * coarse, -1),
                    np.sum(mass * np.abs(coarse - fine ** 2), -1), degree, rows)
-
-
-def _degree(power) -> int:
-    """Chebyshev degree the Bernstein bound asks of a layer with these powers.
-
-    The exponential type `RadialKernel.tau`, half the spread of power,
-    depends on the powers alone, so every radius on one rho rule, in every
-    bisection round, takes this degree.  `split.kernel_sample` takes its
-    degree here too.
-    """
-    tau = 0.5 * float(np.max(power) - np.min(power))
-    return chebyshev_degree(tau, _CHEB_TOL, 2 ** _MAX_LEVEL)
 
 
 class InsufficientCoverage(NumericalFailure):

@@ -153,13 +153,18 @@ def gaussian_free_evolution(sigma: float, p: SymbolParams, r, t):
     return out
 
 
-def spatial_extent(g: Profile, p: SymbolParams, tol: float) -> float:
-    """Radius beyond which |f| = |u(., 0)| stays below tol times its peak.
+# The one spatial truncation of R^n, for global fields and the isometry check.
+_EXTENT_TOL = 3e-6       # |f| / peak past `spatial_extent`
+_PAD = 6.0               # `arrival_radius` adds _PAD / scale
+
+
+def spatial_extent(g: Profile, p: SymbolParams) -> float:
+    """Radius beyond which |f| = |u(., 0)| stays below _EXTENT_TOL of its peak.
 
     Each candidate radius R gets a 769-row grid on [0, R] and the rho rule
     sized for it.  The grid is rejected, and R grows 1.7x, when some row at
-    or past 70% of it (index 539 on) exceeds tol times the grid's peak;
-    otherwise the radius is the last such row plus a sixteenth of the grid.
+    or past 70% of it (index 539 on) exceeds tol = _EXTENT_TOL times the
+    grid's peak; otherwise the radius is the last such row plus R / 16.
 
     |k_lam| <= k_lam(0) for lam >= -1/2, so every |u(r, 0)| on the rule is at
     most P = k_lam(0) sum_j |base_j|, the bases of `propagator`.  The 16 rows
@@ -181,30 +186,29 @@ def spatial_extent(g: Profile, p: SymbolParams, tol: float) -> float:
         rule = frequency_rule(g, p, r_max=radius, t_max=0.0)
         probe = propagator(g, p, grid[first:first + 16], rule)
         slack = 4.0 * rule[0].size * np.finfo(float).eps
-        bound = (tol + slack) * k0 * float(np.sum(np.abs(probe.base)))
+        bound = (_EXTENT_TOL + slack) * k0 * float(np.sum(np.abs(probe.base)))
         if not np.any(np.abs(probe.field(np.zeros(1))) > bound):
             vals = np.abs(dispersive_field(g, p, grid, 0.0, rho_rule=rule))
             peak = float(np.max(vals))
             if peak == 0.0:
                 raise ValueError("zero profile")
-            alive = np.nonzero(vals > tol * peak)[0]
+            alive = np.nonzero(vals > _EXTENT_TOL * peak)[0]
             if alive.size and alive[-1] < first:
                 return float(grid[min(alive[-1] + size // 16, size - 1)])
         radius *= 1.7
     raise NumericalFailure("field does not decay within the spatial extent search")
 
 
-def arrival_radius(g: Profile, p: SymbolParams, t_max: float, tol: float,
-                   pad: float) -> float:
+def arrival_radius(g: Profile, p: SymbolParams, t_max: float) -> float:
     """Radius holding the data up to time t_max.
 
-    The spatial extent of f at tol, plus the distance the fastest frequency
-    of the effective support travels in time t_max, plus pad/scale.
+    The spatial extent of f, plus the distance the fastest frequency of the
+    effective support travels in time t_max, plus _PAD / scale.
     """
     hi = g.truncation_radius(p.n)
     lo_eff = max(g.lower_support(), 0.05)
     speed = p.a * t_max * max(hi ** (p.a - 1.0), lo_eff ** (p.a - 1.0))
-    return spatial_extent(g, p, tol=tol) + speed + pad / g.scale
+    return spatial_extent(g, p) + speed + _PAD / g.scale
 
 
 def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
@@ -221,7 +225,7 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
     if denom == 0.0:
         raise ValueError("zero profile")
     t_max = float(np.max(np.abs(t_arr)))
-    r_max = arrival_radius(g, p, t_max, tol=1e-9, pad=8.0)
+    r_max = arrival_radius(g, p, t_max)
     hi = g.truncation_radius(p.n)
     # Low frequencies travel fast when a < 1, leaving far-field tails that
     # decay only polynomially; grow the truncation until the audited outer

@@ -60,6 +60,11 @@ _DENSE = 8               # dense search points per Chebyshev degree
 _SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
 _NEWTON_STEPS = 3
 _ELLIPSE_R = 1.0 + np.logspace(-6.0, 4.0, 2048)  # Bernstein ellipse parameters
+_MAX_LEVEL = 13          # Chebyshev degree <= 2^13
+# A-priori target of the Bernstein bound relative to A_i = (|kernel| @ |base|)_i.
+# A maximal field's range-norm certificate is this times ||A|| / ||sup||
+# (about 2-3 on the sweep families), far inside norms._REL_TOL / 2.
+_CHEB_TOL = 1e-6
 
 
 def sphere_factor(n: int) -> float:
@@ -140,18 +145,16 @@ def bernstein_bound(tau: float, degree: int) -> float:
     return float(np.exp(np.min(log_b)))
 
 
-def chebyshev_degree(tau: float, tol: float, max_degree: int) -> int:
-    """Least even K <= max_degree with bernstein_bound(tau, K) <= tol.
+def chebyshev_degree(tau: float) -> int:
+    """Least even K <= 2^_MAX_LEVEL with bernstein_bound(tau, K) <= _CHEB_TOL.
 
-    Returns max_degree (rounded down to even) when no such K exists.  The
-    bound falls as K grows, so the search bisects.
+    tau is a layer's `RadialKernel.tau`.  Returns 2^_MAX_LEVEL when no such
+    K exists.  The bound falls as K grows, so the search bisects.
     """
-    lo, hi = 1, max_degree // 2
-    if hi < 1:
-        raise ValueError("max_degree must be >= 2")
+    lo, hi = 1, 2 ** _MAX_LEVEL // 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if bernstein_bound(tau, 2 * mid) <= tol:
+        if bernstein_bound(tau, 2 * mid) <= _CHEB_TOL:
             hi = mid
         else:
             lo = mid + 1

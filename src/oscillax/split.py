@@ -54,11 +54,11 @@ import numpy as np
 from .bessel import (_SQRT_2_OVER_PI, AsymptoticCertificate, bessel_j,
                      bessel_kernel_reduced)
 from .cutoffs import CutoffFamily, chi, gamma_weight, psi
-from .norms import _degree
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
-from .radial import _SAMPLE_BYTES, RadialKernel, profile_rule
+from .radial import (_SAMPLE_BYTES, RadialKernel, chebyshev_degree,
+                     profile_rule)
 
 
 @dataclass(frozen=True)
@@ -261,9 +261,9 @@ def kernel_sample(m: float, mu: float, p: SymbolParams):
 
     The sup over |t| <= 2 is the certified continuous sup of
     `RadialKernel.chebyshev_sup` with power 2 rho^a, which maps t in [-1, 1]
-    onto [-2, 2]; its degree is `norms._degree` of that power, the rule of
-    `converged_maximal_field`.  m and mu must be finite.  The even
-    integrand on the line is the radial kernel at n = 1:
+    onto [-2, 2]; its degree is `radial.chebyshev_degree` of the layer's
+    type, the rule of `converged_maximal_field`.  m and mu must be finite.
+    The even integrand on the line is the radial kernel at n = 1:
     2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).
     Returns (x, K, l1_estimate, t_degree, l1_bound): l1 by the trapezoidal
     rule, t_degree the Chebyshev degree in t, and l1_bound the same
@@ -279,7 +279,7 @@ def kernel_sample(m: float, mu: float, p: SymbolParams):
     vec = w * gamma_weight(-2.0 * p.s, rho) * chi(rho / mu) ** 2
     layer = RadialKernel(-0.5, x_half, rho, math.sqrt(2.0 * math.pi) * vec,
                          2.0 * rho ** p.a)
-    degree = _degree(layer.power)
+    degree = chebyshev_degree(layer.tau)
     sup, _, bound = layer.chebyshev_sup(degree)
     chi_x = chi(x_half / m)
     k_half = chi_x * sup

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import (SweepRecord, converged_maximal_field, exponent_fit,
-                    modulated_numerators, range_norm, sharpness_profile,
-                    sobolev_norm)
+                    modulated_numerators, range_norm, sharpness_profile)
 from .oscillatory import SymbolParams
+from .radial import sobolev_norm
 
 _CSV_COLUMNS = ("family", "a", "n", "s", "N", "range", "Q", "A", "converged")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

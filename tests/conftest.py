@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oscillax.norms as norms
+import oscillax.radial as radial
 from oscillax.sweep import SweepConfig, run_sweep
 
 FULL_SCALES = (2, 4, 8, 16, 32, 64, 128)
@@ -28,13 +29,13 @@ def grid_sup(layer, t):
 
 @pytest.fixture
 def no_time_refinement(monkeypatch):
-    """Lower norms._MAX_LEVEL so converged_maximal_field caps its Chebyshev
+    """Lower radial._MAX_LEVEL so converged_maximal_field caps its Chebyshev
     degree below the certified one and its time sup never certifies.
     Returns the cap level.
 
     Only in-process sweeps (workers=0) see the cap: spawned workers import
     the unpatched module."""
-    monkeypatch.setattr(norms, "_MAX_LEVEL", SAMPLE_CAP_LEVEL)
+    monkeypatch.setattr(radial, "_MAX_LEVEL", SAMPLE_CAP_LEVEL)
     return SAMPLE_CAP_LEVEL
 
 

@@ -228,6 +228,22 @@ def test_empty_modulation_grid_is_usage_error(tmp_path, y_count):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["split-check", "--a", "0.5", "--n", "2", "--s", "0.2", "--pairs", "0",
+      "--strict"], "--pairs"),
+    (["split-check", "--a", "0.5", "--n", "2", "--s", "0.2", "--pairs", "-3"],
+     "--pairs"),
+    (["bessel-check", "--lambda", "0.5", "--rho-min", "2", "--rho-max", "64",
+      "--count", "0"], "--count"),
+], ids=["split-check-pairs-0", "split-check-pairs-negative", "bessel-check-count-0"])
+def test_empty_check_is_usage_error(tmp_path, argv, option):
+    # A check over no cases must not report a vacuous pass.
+    res = run_cli(argv + ["--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert res.stderr.startswith("oscillax: ") and option in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--m", "4", "--mu", "4", "--a", "0.5", "--s", "nan"],
     ["split-check", "--a", "0.5", "--n", "2", "--s", "nan", "--pairs", "1"],

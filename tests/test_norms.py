@@ -10,13 +10,14 @@ import oscillax.norms as norms
 import oscillax.oscillatory as oscillatory
 from oscillax.norms import (MaximalField, TimeGrid, converged_maximal_field,
                             exponent_fit, modulated_numerators, range_norm,
-                            sharpness_profile, sobolev_norm)
+                            sharpness_profile)
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   frequency_rule, gaussian_free_evolution,
                                   propagator)
 from oscillax.profiles import (NumericalFailure, Profile, annular, gaussian,
                                shell)
 from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
+from oscillax.radial import chebyshev_degree, sobolev_norm
 from oscillax.sweep import SweepConfig, run_sweep
 
 from conftest import grid_sup
@@ -101,8 +102,8 @@ def _eightfold_oracle(fld, g, p, range_kind):
             for m, h in zip(mid[inside], half[inside]))))
         radii.append(nodes)
         weights.append(k_w)
-        degree = norms._degree(rule[0] ** p.a)
-        sups.append(propagator(g, p, nodes, rule).chebyshev_sup(degree)[0])
+        layer = propagator(g, p, nodes, rule)
+        sups.append(layer.chebyshev_sup(chebyshev_degree(layer.tau))[0])
         lo = r_max
     return range_norm(replace(fld, radii=np.concatenate(radii),
                               weights=np.concatenate(weights),

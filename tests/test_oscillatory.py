@@ -5,7 +5,8 @@ import pytest
 
 import oscillax.oscillatory as oscillatory
 from oscillax.norms import sharpness_profile
-from oscillax.oscillatory import (SymbolParams, dispersive_field,
+from oscillax.oscillatory import (SymbolParams, arrival_radius,
+                                  dispersive_field,
                                   dispersive_field_2d_oracle,
                                   gaussian_free_evolution, isometry_ratios,
                                   spatial_extent)
@@ -149,8 +150,9 @@ def test_isometry_rejects_zero_profile():
         isometry_ratios(zero, SymbolParams(a=2.0, n=2), [0.3])
 
 
-def _spatial_extent_oracle(g, p, tol):
+def _spatial_extent_oracle(g, p):
     """spatial_extent evaluating every candidate grid in full."""
+    tol = oscillatory._EXTENT_TOL
     radius = 6.0 / g.scale + g.modulation_rate + 6.0
     for _ in range(10):
         grid = np.linspace(0.0, radius, 769)
@@ -181,21 +183,21 @@ def _kernel_rows(monkeypatch):
 _TWO_BUMPS = bump(0.9, 0.6).plus(bump(1.1, 0.6).scaled(0.7))
 
 
-@pytest.mark.parametrize("g, a, n, tol", [
-    (sharpness_profile("shell", 2.0, 2.0), 2.0, 2, 3e-6),
-    (sharpness_profile("shell", 8.0, 2.0), 2.0, 2, 3e-6),
-    (sharpness_profile("shell", 128.0, 2.0), 2.0, 2, 3e-6),
-    (sharpness_profile("shell", 2.0, 2.0), 2.0, 3, 3e-6),
-    (sharpness_profile("shell", 2.0, 2.0), 2.0, 4, 3e-6),
-    (sharpness_profile("shell", 16.0, 3.0), 3.0, 2, 3e-6),
-    (sharpness_profile("annular", 8.0, 2.0), 2.0, 2, 3e-6),
-    (_TWO_BUMPS, 2.0, 3, 1e-9),
-    (gaussian(1.0).modulate(0.7), 2.0, 2, 3e-6),
+@pytest.mark.parametrize("g, a, n", [
+    (sharpness_profile("shell", 2.0, 2.0), 2.0, 2),
+    (sharpness_profile("shell", 8.0, 2.0), 2.0, 2),
+    (sharpness_profile("shell", 128.0, 2.0), 2.0, 2),
+    (sharpness_profile("shell", 2.0, 2.0), 2.0, 3),
+    (sharpness_profile("shell", 2.0, 2.0), 2.0, 4),
+    (sharpness_profile("shell", 16.0, 3.0), 3.0, 2),
+    (sharpness_profile("annular", 8.0, 2.0), 2.0, 2),
+    (_TWO_BUMPS, 2.0, 3),
+    (gaussian(1.0).modulate(0.7), 2.0, 2),
 ], ids=["shell-N2", "shell-N8", "shell-N128", "shell-n3", "shell-n4",
         "shell-a3-N16", "annular-N8", "two-bumps-n3", "modulated-gaussian"])
-def test_spatial_extent_matches_full_grid_oracle(g, a, n, tol):
+def test_spatial_extent_matches_full_grid_oracle(g, a, n):
     p = SymbolParams(a=a, n=n)
-    assert spatial_extent(g, p, tol) == _spatial_extent_oracle(g, p, tol)
+    assert spatial_extent(g, p) == _spatial_extent_oracle(g, p)
 
 
 def test_spatial_extent_evaluates_one_full_grid(monkeypatch):
@@ -203,7 +205,7 @@ def test_spatial_extent_evaluates_one_full_grid(monkeypatch):
     # search evaluates all five, 3,845 rows.
     rows = _kernel_rows(monkeypatch)
     spatial_extent(sharpness_profile("shell", 8.0, 2.0),
-                   SymbolParams(a=2.0, n=2), 3e-6)
+                   SymbolParams(a=2.0, n=2))
     assert rows.count(769) == 1 and sum(rows) <= 769 + 16 * 5
 
 
@@ -212,20 +214,37 @@ def test_spatial_extent_full_grid_rejects_what_the_probe_passes(monkeypatch):
     # of r: two grids pass the probe rows and still fail the full test
     # before a third passes both.
     g, p = gaussian(1.0).modulate(30.0), SymbolParams(a=2.0, n=2)
-    expected = _spatial_extent_oracle(g, p, 3e-6)
+    expected = _spatial_extent_oracle(g, p)
     rows = _kernel_rows(monkeypatch)
-    assert spatial_extent(g, p, 3e-6) == expected
+    assert spatial_extent(g, p) == expected
     assert rows.count(769) == 3
 
 
 def test_non_decaying_field_is_a_numerical_failure():
     # The spline jumps from 1 to 0 at the ends of [1, 2], so f decays only
-    # like a power of r and never falls below 1e-10 of its peak in the search.
+    # like a power of r and never falls below _EXTENT_TOL of its peak in the
+    # search.
     g, p = sampled(np.linspace(1.0, 2.0, 9), np.ones(9)), SymbolParams(a=2.0, n=2)
     with pytest.raises(NumericalFailure, match="does not decay"):
-        spatial_extent(g, p, tol=1e-10)
+        spatial_extent(g, p)
     with pytest.raises(NumericalFailure, match="does not decay"):
         isometry_ratios(g, p, [0.3])
+
+
+def test_isometry_first_grid_ends_at_the_arrival_radius(monkeypatch):
+    # The isometry check truncates R^n where global maximal fields do; its
+    # own tail test, not a tighter spatial tolerance, certifies the cut.
+    g, p, ts = _TWO_BUMPS, SymbolParams(a=2.0, n=3), [-0.9, 0.0, 0.4]
+    ends, original = [], oscillatory.oscillatory_rule
+
+    def recording(lo, hi, **kwargs):
+        ends.append(hi)
+        return original(lo, hi, **kwargs)
+
+    monkeypatch.setattr(oscillatory, "oscillatory_rule", recording)
+    ratios = isometry_ratios(g, p, ts)
+    assert ends[0] == arrival_radius(g, p, 0.9)
+    assert np.max(np.abs(ratios - 1.0)) <= 1e-5
 
 
 def test_continuity_in_time():

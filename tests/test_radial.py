@@ -252,7 +252,7 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
     r = np.linspace(0.0, 6.0, 50)
     rule = frequency_rule(g, p, r_max=6.0, t_max=1.0)
     layer = propagator(g, p, r, rule)
-    degree = chebyshev_degree(layer.tau, 1e-6, 2 ** 13)
+    degree = chebyshev_degree(layer.tau)
     sup, arg, bound = layer.chebyshev_sup(degree)
     assert len(kernel_blocks) == 1
     rows, cols = kernel_blocks.pop()
@@ -323,7 +323,7 @@ def test_stacked_bases_match_single_base_layers():
     for i, single in enumerate(singles):
         np.testing.assert_array_equal(field[i], single.field(t))
     grid = np.arange(-(2 ** 4 - 1), 2 ** 4) / 2 ** 4
-    degree = chebyshev_degree(stacked.tau, 1e-6, 2 ** 13)
+    degree = chebyshev_degree(stacked.tau)
     for method in (lambda layer: grid_sup(layer, grid),
                    lambda layer: layer.chebyshev_sup(degree)):
         together = method(stacked)
@@ -404,14 +404,14 @@ def _closed_form_sup(p, r):
 
 def test_chebyshev_sup_matches_gaussian_closed_form():
     p, radii, _, layer = _gaussian_layer()
-    sup, _, _ = layer.chebyshev_sup(chebyshev_degree(layer.tau, 1e-6, 2 ** 13))
+    sup, _, _ = layer.chebyshev_sup(chebyshev_degree(layer.tau))
     ref = np.array([_closed_form_sup(p, r) for r in radii])
     assert sup == pytest.approx(ref, rel=1e-6)
 
 
 def test_chebyshev_sup_dominates_dyadic_grid_sup():
     layer = _gaussian_layer()[3]
-    degree = chebyshev_degree(layer.tau, 1e-6, 2 ** 13)
+    degree = chebyshev_degree(layer.tau)
     sup, _, bound = layer.chebyshev_sup(degree)
     grid, _ = grid_sup(layer, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
     # Up to the certified interpolation error on each row.
@@ -426,7 +426,7 @@ def test_chebyshev_times_symmetric_with_zero():
     np.testing.assert_allclose(t, np.cos(np.pi * np.arange(13) / 12), atol=1e-15)
 
 
-def test_bernstein_bound_covers_exponential_interpolation_error():
+def test_bernstein_bound_covers_exponential_interpolation_error(monkeypatch):
     # e^{i tau t}: A = 1, so the bound caps the interpolation error itself
     tau = 20.0
     for deg in (24, 32, 40):
@@ -435,5 +435,8 @@ def test_bernstein_bound_covers_exponential_interpolation_error():
         x = np.linspace(-1.0, 1.0, 4001)
         err = np.max(np.abs(np.polynomial.chebyshev.chebval(x, coef) - np.exp(1j * tau * x)))
         assert err <= bernstein_bound(tau, deg)
-    assert chebyshev_degree(tau, 1e-6, 2 ** 13) % 2 == 0
-    assert chebyshev_degree(tau, 1e-300, 64) == 64
+    assert chebyshev_degree(tau) % 2 == 0
+    # An unreachable target returns the cap.
+    monkeypatch.setattr(radial, "_CHEB_TOL", 1e-300)
+    monkeypatch.setattr(radial, "_MAX_LEVEL", 6)
+    assert chebyshev_degree(tau) == 64
