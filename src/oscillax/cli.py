@@ -224,6 +224,8 @@ def _cmd_bessel_check(args, out_dir: Path) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     lam = args.lam
+    # The certificate validates the range before anything is written.
+    cert = certify_asymptotic(lam, args.rho_min, args.rho_max)
     rhos = np.exp(np.linspace(np.log(args.rho_min), np.log(args.rho_max), args.count))
     j = np.asarray(bessel_j(lam, rhos))
     main = np.asarray(bessel_main_term(lam, rhos))
@@ -234,7 +236,6 @@ def _cmd_bessel_check(args, out_dir: Path) -> int:
             for r, jj, mm, re, sc in zip(rhos, j, main, rem, scaled)]
     _write_csv(out_dir / "bessel_check.csv",
                "rho,j,main,remainder,scaled_remainder", rows)
-    cert = certify_asymptotic(lam, args.rho_min, args.rho_max)
     _write_summary(args, out_dir, c_lambda_empirical=cert.c_lambda_empirical,
                    octave_sups=list(cert.octave_sups))
     return EXIT_OK

@@ -17,13 +17,14 @@ makes fhat(0) = sphere_factor(n) * int f0 r^(n-1) dr, the integral of f.
 (`hankel_fourier` is its field at t = 0), the propagator, the maximal
 fields, the weighted split fields and the 1-D sup-in-t kernel
 (lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  One sampler streams
-the kernel: it evaluates one chunk of rows, contracts it against the
-phased weights into samples at the given times and drops it, so no call
-holds more than one chunk, and a stack of bases on the same nodes (the
-modulations of one profile) shares every chunk.  `field(t)` copies the
-samples out; `chebyshev_sup(K)` samples the K + 1 Chebyshev times and
-returns (sup, arg, bound), the certified continuous sup over [-1, 1] of
-one interpolant per row, a time reaching it and its error bound.
+the kernel: it phases the weights once, evaluates one `row_chunks` chunk
+of rows, contracts it against them into samples at the given times and
+drops it, so no call holds more than one chunk, and a stack of bases on
+the same nodes (the modulations of one profile) shares every chunk.
+`field(t)` copies the samples out; `chebyshev_sup(K)` samples the K + 1
+Chebyshev times and returns (sup, arg, bound), the certified continuous
+sup over [-1, 1] of one interpolant per row, a time reaching it and its
+error bound.
 
 The inhomogeneous Sobolev norm of f is computed on the frequency side,
 
@@ -53,8 +54,7 @@ from .profiles import NumericalFailure, Profile
 from .quadrature import PHASE_BUDGET, oscillatory_rule
 
 _CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
-_PHASE_BYTES = 2 ** 28   # cap on the phase matrices held across row chunks
-_T_CHUNK = 384           # times per phase matrix
+_T_CHUNK = 384           # times per `_phases` call: temporaries ~2.5x its matrices
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
 _DENSE = 8               # dense search points per Chebyshev degree
 _SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
@@ -161,6 +161,25 @@ def chebyshev_degree(tau: float) -> int:
     return 2 * lo
 
 
+def row_chunks(rows: int, row_bytes: int) -> list[slice]:
+    """Nearly equal slices of range(rows), each of at most _SAMPLE_BYTES at
+    row_bytes per row but at least one row; none if rows or row_bytes is 0.
+    The one row-chunk rule of the kernel layer and of `split`.
+
+    When a chunk holds 64 rows or more, each starts on a multiple of 16, so
+    BLAS rounds every row alike whatever the chunk size: its matrix-vector
+    products group rows from the start of each call, and a short tail
+    chunk could take its small-matrix path.
+    """
+    if rows == 0 or row_bytes == 0:
+        return []
+    cap = max(1, _SAMPLE_BYTES // row_bytes)
+    align = 16 if cap >= 64 else 1
+    count = -(-rows // (cap - align + 1))
+    edges = [align * (k * rows // (align * count)) for k in range(count)]
+    return [slice(i0, i1) for i0, i1 in zip(edges, edges[1:] + [rows])]
+
+
 def _interpolant_max(samples: np.ndarray, t: np.ndarray):
     """Per-row max over [-1, 1] of |p|, p interpolating samples at t.
 
@@ -222,10 +241,11 @@ class RadialKernel:
 
     The layer keeps (lam, x, nodes, base, power) and no kernel or result:
     every call streams the row chunks of `_samples`, so it evaluates every
-    kernel element once and holds at most _SAMPLE_BYTES of kernel rows and
-    their values.  base may be a (B, J) stack of bases on the same nodes,
-    which then share every chunk, and every result gains a leading axis of
-    length B.  `field(t)` returns u at the times t, shape (len(x), len(t)).
+    kernel element and every phase once, and holds the phases of every
+    time and at most _SAMPLE_BYTES of kernel rows and their values.  base
+    may be a (B, J) stack of bases on the same nodes, which then share
+    every chunk, and every result gains a leading axis of length B.
+    `field(t)` returns u at the times t, shape (len(x), len(t)).
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
@@ -247,25 +267,6 @@ class RadialKernel:
         """a, shaped base.shape[:-1] + (len(x), ...), as (B, len(x), ...)."""
         return a.reshape((-1, self.x.size) + a.shape[self.base.ndim:])
 
-    def _chunks(self, value_bytes: int):
-        """(row slice, kernel rows) per row chunk.
-
-        A chunk holds at most _SAMPLE_BYTES of kernel rows plus value_bytes
-        per row for what the caller makes of them.  The chunks have nearly
-        equal rows and each starts on a multiple of 16 rows, so BLAS rounds
-        every row alike whatever the chunk size: its matrix-vector products
-        group rows from the start of each call, and a short tail chunk could
-        take its small-matrix path.
-        """
-        rows = self.x.size
-        cap = max(1, _SAMPLE_BYTES // (8 * self.nodes.size + value_bytes))
-        align = 16 if cap >= 64 else 1
-        count = -(-rows // (cap - align + 1))
-        edges = [align * (k * rows // (align * count)) for k in range(count)]
-        for i0, i1 in zip(edges, edges[1:] + [rows]):
-            yield slice(i0, i1), bessel_kernel_reduced(
-                self.lam, np.outer(self.x[i0:i1], self.nodes))
-
     def _phases(self, t: np.ndarray, power: np.ndarray):
         """Real and imaginary parts of base_j e^{i t_k power_j}, one contiguous
         (J, len(t)) matrix per base."""
@@ -278,19 +279,18 @@ class RadialKernel:
         samples[b, i, k] = sum_j kernel_ij base_bj e^{i t_k power_j}, shape
         (B, rows, len(t)).
 
-        A row chunk holds its kernel rows, its samples and value_bytes per
-        row for the caller.  The times go in column chunks of _T_CHUNK.
-        Their phase matrices are built once and held across row chunks when
-        they fit in _PHASE_BYTES; otherwise each row chunk builds them
-        again.  The caller may overwrite the kernel rows.
+        The phase matrices of all times, 16 B J len(t) bytes, are built once
+        in column chunks of _T_CHUNK and serve every row chunk.  A row chunk
+        holds its kernel rows, its samples and value_bytes per row for the
+        caller, who may overwrite the kernel rows.
         """
         stack = math.prod(self.base.shape[:-1])
         cols = [slice(j0, j0 + _T_CHUNK) for j0 in range(0, t.size, _T_CHUNK)]
-        held = ([self._phases(t[c], power) for c in cols]
-                if 16 * self.base.size * t.size <= _PHASE_BYTES else None)
-        for rows, kern in self._chunks(16 * stack * t.size + value_bytes):
+        phases = [self._phases(t[c], power) for c in cols]
+        row_bytes = 8 * self.nodes.size + 16 * stack * t.size + value_bytes
+        for rows in row_chunks(self.x.size, row_bytes):
+            kern = bessel_kernel_reduced(self.lam, np.outer(self.x[rows], self.nodes))
             samples = np.empty((stack, kern.shape[0], t.size), dtype=complex)
-            phases = held or (self._phases(t[c], power) for c in cols)
             for c, (m_re, m_im) in zip(cols, phases):
                 for b in range(stack):
                     samples[b, :, c] = kern @ m_re[b] + 1j * (kern @ m_im[b])

@@ -24,15 +24,16 @@ fully explicit operator bound
                            * (int rho^(-2-2s) psi(rho) drho)^(1/2) * ||f||,
 
 with C_lam taken from an empirical asymptotic certificate.
-`selector_parts` returns full, main and remainder from one pass over row
-blocks of the selector grid, each block building the Bessel, cosine and
-phase matrices once.  The pass sees only the rows with psi(r) != 0 and the
-frequency nodes whose weight w rho^-s psi(rho) f(rho) is nonzero (psi
-vanishes for rho <= 1, a bump profile between its bumps); every other row
-is an exact zero.  The last triple is kept in a one-entry memo keyed on
-the bytes of its inputs, so asking for the three parts in turn costs one
-build.  `split_checks` measures main + remainder - full and the
-remainder's norm ratio over random profile/selector pairs.  The kernel
+`selector_parts` returns full, main and remainder from one pass over the
+selector grid in the row blocks of `radial.row_chunks`, each block
+building the Bessel, cosine and phase matrices once.  The pass sees only
+the rows with psi(r) != 0 and the frequency nodes whose weight
+w rho^-s psi(rho) f(rho) is nonzero (psi vanishes for rho <= 1, a bump
+profile between its bumps); every other row is an exact zero.  The last
+triple is kept in a one-entry memo keyed on the bytes of its inputs, so
+asking for the three parts in turn costs one build.  `split_checks`
+measures main + remainder - full and the remainder's norm ratio over
+random profile/selector pairs.  The kernel
 
     K(x) = chi(x/m) sup_{|t|<=2} | int e^{i x xi} e^{i t |xi|^a}
                                     gamma_{-2s}(xi) chi(xi/mu)^2 dxi |
@@ -57,8 +58,7 @@ from .cutoffs import CutoffFamily, chi, gamma_weight, psi
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
-from .radial import (_SAMPLE_BYTES, RadialKernel, chebyshev_degree,
-                     profile_rule)
+from .radial import RadialKernel, chebyshev_degree, profile_rule, row_chunks
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector,
 
     f is interpreted as an even profile on the line.  Frequency nodes whose
     weight is exactly zero are dropped, and the cosine-phase kernel is
-    built in row blocks of at most _SAMPLE_BYTES.
+    built in the row blocks of `radial.row_chunks`, at 64 bytes per element.
     """
     x, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(x))),
@@ -108,21 +108,11 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector,
     rho_a = rho ** p.a
     out = np.zeros(x.size, dtype=complex)
     # Even integrand: int_R = 2 int_0^inf cos(x xi) ... dxi.
-    for rows in _row_blocks(x.size, rho.size):
+    for rows in row_chunks(x.size, 64 * rho.size):
         kern = np.exp(1j * np.outer(t[rows], rho_a))
         kern *= np.cos(np.outer(x[rows], rho))
         out[rows] = 2.0 * (kern @ vec)
     return out
-
-
-def _row_blocks(rows: int, cols: int):
-    """Row slices of at most _SAMPLE_BYTES at 64 bytes per element; none if
-    there are no columns."""
-    if cols == 0:
-        return
-    block = max(1, _SAMPLE_BYTES // (64 * cols))
-    for i0 in range(0, rows, block):
-        yield slice(i0, i0 + block)
 
 
 # The last triple: content key -> {full, main, remainder}.  One entry, since
@@ -134,12 +124,13 @@ _PARTS = ("full", "main", "remainder")
 def _selector_pass(r, t, rho, weights, lam, a):
     """Full, main and remainder before the range cutoff, in row blocks.
 
-    Each block builds (r rho)^(1/2) J_lam, the cosine and the phase once and
-    holds about 64 bytes per element, at most radial._SAMPLE_BYTES.
+    Each block of `radial.row_chunks` builds (r rho)^(1/2) J_lam, the
+    cosine and the phase once and holds about 64 bytes per element; with
+    no column there is no block.
     """
     out = {part: np.zeros(r.size, dtype=complex) for part in _PARTS}
     rho_a = rho ** a
-    for rows in _row_blocks(r.size, rho.size):
+    for rows in row_chunks(r.size, 64 * rho.size):
         z = np.outer(r[rows], rho)
         full = np.sqrt(z) * bessel_j(lam, z)
         z -= lam * (0.5 * math.pi)

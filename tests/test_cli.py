@@ -244,6 +244,20 @@ def test_empty_check_is_usage_error(tmp_path, argv, option):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("rho_min, rho_max, message", [
+    ("10", "2", "8 dyadic octaves"),
+    ("0", "4096", "start above 1"),
+], ids=["reversed", "from-zero"])
+def test_bad_bessel_check_range_writes_nothing(tmp_path, rho_min, rho_max,
+                                               message):
+    res = run_cli(["bessel-check", "--lambda", "0", "--rho-min", rho_min,
+                   "--rho-max", rho_max, "--out-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert res.stderr.startswith("oscillax: ") and message in res.stderr
+    assert "Warning" not in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--m", "4", "--mu", "4", "--a", "0.5", "--s", "nan"],
     ["split-check", "--a", "0.5", "--n", "2", "--s", "nan", "--pairs", "1"],

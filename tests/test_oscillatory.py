@@ -247,6 +247,25 @@ def test_isometry_first_grid_ends_at_the_arrival_radius(monkeypatch):
     assert np.max(np.abs(ratios - 1.0)) <= 1e-5
 
 
+def test_isometry_growth_evaluates_no_radius_twice(monkeypatch):
+    # At a = 1/2 the Gaussian's slow tail makes the truncation grow; each
+    # growth evaluates only the stretch past every radius evaluated before.
+    g, p, ts = gaussian(1.0), SymbolParams(a=0.5, n=2), [-0.9, 0.0, 0.9]
+    radii, original = [], oscillatory.dispersive_field
+
+    def recording(g, p, r, t, **kwargs):
+        if np.ndim(t):      # spatial_extent evaluates at the scalar t = 0
+            radii.append(np.asarray(r))
+        return original(g, p, r, t, **kwargs)
+
+    monkeypatch.setattr(oscillatory, "dispersive_field", recording)
+    ratios = isometry_ratios(g, p, ts)
+    assert len(radii) >= 2
+    for before, stretch in zip(radii, radii[1:]):
+        assert stretch.min() > before.max()
+    assert np.max(np.abs(ratios - 1.0)) <= 1e-5
+
+
 def test_continuity_in_time():
     # |u(r, t+d) - u(r, t)| <= d * (2 pi)^(-n) sphere_factor(n)
     #                              * int rho^(a+n-1) |g| drho

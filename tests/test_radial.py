@@ -255,11 +255,8 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
     degree = chebyshev_degree(layer.tau)
     sup, arg, bound = layer.chebyshev_sup(degree)
     assert len(kernel_blocks) == 1
-    rows, cols = kernel_blocks.pop()
-    # The phase matrix no longer fits under its cap, and the rows run in
-    # two-row chunks.
-    monkeypatch.setattr(radial, "_PHASE_BYTES", 8 * cols * -(-rows // 3))
-    assert 16 * cols * (degree + 1) > radial._PHASE_BYTES
+    _, cols = kernel_blocks.pop()
+    # The rows run in two-row chunks.
     monkeypatch.setattr(radial, "_SAMPLE_BYTES",
                         2 * (8 * cols + 16 * (degree + 1)
                              + 16 * (radial._DENSE * degree + 1)))
@@ -333,9 +330,10 @@ def test_stacked_bases_match_single_base_layers():
                 np.testing.assert_array_equal(a[i], b)
 
 
-def test_field_chunked_phases_match_held_phases(monkeypatch):
-    # Times in chunks of 4 columns, and phase matrices over their cap, so
-    # each of three row chunks builds the three column chunks' phases again.
+def test_phases_are_built_once_per_pass(monkeypatch):
+    # Times in chunks of 4 columns and rows in three chunks: each column
+    # chunk's phases are built once and serve every row chunk, even under
+    # a 1-byte cap on held phases.
     rng = np.random.default_rng(7)
     rho, w = frequency_rule(annular(4.0), SymbolParams(a=2.0, n=2),
                             r_max=6.0, t_max=1.0)
@@ -344,7 +342,7 @@ def test_field_chunked_phases_match_held_phases(monkeypatch):
                  + 1j * rng.standard_normal((2, rho.size)))
     layer = radial.RadialKernel(0.0, x, rho, bases, rho ** 2)
     t = np.linspace(-0.9, 0.9, 9)
-    held = layer.field(t)
+    whole = layer.field(t)
     built = []
     original = layer._phases
 
@@ -354,13 +352,29 @@ def test_field_chunked_phases_match_held_phases(monkeypatch):
 
     monkeypatch.setattr(layer, "_phases", phases)
     monkeypatch.setattr(radial, "_T_CHUNK", 4)
-    monkeypatch.setattr(radial, "_PHASE_BYTES", 1)
+    monkeypatch.setattr(radial, "_PHASE_BYTES", 1, raising=False)
     # Kernel rows and samples of 17 rows per chunk: 50 rows in three.
-    monkeypatch.setattr(radial, "_SAMPLE_BYTES",
-                        17 * (8 * rho.size + 16 * 2 * t.size))
+    row_bytes = 8 * rho.size + 16 * 2 * t.size
+    monkeypatch.setattr(radial, "_SAMPLE_BYTES", 17 * row_bytes)
+    assert len(radial.row_chunks(x.size, row_bytes)) == 3
     chunked = layer.field(t)
-    assert built == [4, 4, 1] * 3
-    assert np.abs(chunked - held).max() <= 1e-13 * np.abs(held).max()
+    assert built == [4, 4, 1]
+    assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("rows, row_bytes", [
+    (50, 2 ** 20), (1000, 2 ** 16), (1000, 2 ** 24), (734, 64 * 913),
+    (3, 2 ** 30), (0, 8),
+])
+def test_row_chunks_cover_every_row_once_under_the_cap(rows, row_bytes):
+    chunks = radial.row_chunks(rows, row_bytes)
+    assert [i for c in chunks for i in range(rows)[c]] == list(range(rows))
+    assert all(c.stop > c.start for c in chunks)
+    cap = max(1, radial._SAMPLE_BYTES // row_bytes)
+    assert all(c.stop - c.start <= cap for c in chunks)
+    if cap >= 64:
+        assert all(c.start % 16 == 0 for c in chunks)
+    assert (len(chunks) == 0) == (rows == 0)
 
 
 def test_stacked_propagator_matches_fresh_propagators():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import oscillax.radial as radial
 import oscillax.split as split
 from oscillax.bessel import bessel_j, certify_asymptotic
 from oscillax.cutoffs import chi, gamma_weight, make_cutoff, psi
@@ -132,7 +133,7 @@ def test_selector_parts_match_dense_formula(monkeypatch, n, a):
     # operations in the same order in any row block, so equality with the
     # reference on the same rows and columns is bitwise.  Dropping the
     # zero-weight columns changes each row's sum only by rounding.
-    monkeypatch.setattr(split, "_SAMPLE_BYTES", 2 ** 22)
+    monkeypatch.setattr(radial, "_SAMPLE_BYTES", 2 ** 22)
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
     sizes = _counting_bessel(monkeypatch)
     p = SymbolParams(a=a, n=n, s=0.2)
