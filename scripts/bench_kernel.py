@@ -6,7 +6,7 @@ and the split pass.
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Five things are timed, each recorded as
+BLAS is pinned to one thread.  Six things are timed, each recorded as
 {"median": ..., "min": ...} over REPEATS runs; the minimum is the steadier
 figure when runs are compared back to back:
 
@@ -19,6 +19,11 @@ figure when runs are compared back to back:
   so that runs in BENCH_kernel.json remain comparable.  The field streams
   the kernel through row chunks, so this times every kernel element once
   plus one matrix-vector product per chunk;
+- one `RadialKernel.field` at t = 0 on Hankel rows (`far_rows_ns_per_element`),
+  in ns per kernel element: the G7/K15 rows of 200 equal panels, `FAR_COLS`
+  nodes in [7, 9] and every x rho in [40, 1000), for lam = 0 and 1.  The
+  layer knows its panels where the checkout's kernel layer takes them,
+  so there its rows are Hankel rows, and scipy rows elsewhere;
 - the sup/argmax layer (`chebyshev_sup_s`) on the a = 2 and a = 3, n = 2,
   N = 8 global shell fields: on the field's final radii, the rho rule of
   its last radial segment and its Chebyshev degree K, one
@@ -62,6 +67,7 @@ from oscillax.norms import converged_maximal_field, sharpness_profile  # noqa: E
 from oscillax.oscillatory import (SymbolParams, frequency_rule,  # noqa: E402
                                   propagator)
 from oscillax.profiles import bump, gaussian  # noqa: E402
+from oscillax.quadrature import kronrod_rule  # noqa: E402
 from oscillax.radial import (RadialKernel, chebyshev_times,  # noqa: E402
                              nd_oracle_batch)
 
@@ -72,6 +78,11 @@ REPEATS = 7
 # Fixed (lam, rows, columns, largest radius); frequency nodes span [0.3, 1.7].
 KERNELS = ((0.5, 3808, 1312, 328.0), (0.5, 3792, 1296, 326.0),
            (1.0, 5176, 704, 142.0))
+# Hankel-row case: orders, argument band, panels and nodes.
+FAR_ORDERS = (0.0, 1.0)
+FAR_BAND = (40.0, 1000.0)
+FAR_PANELS = 200
+FAR_COLS = 480
 # Global shell fields whose sup layer is timed: (a, N), n = 2.
 SUP_FIELDS = ((2.0, 8.0), (3.0, 8.0))
 # Criterion 2's oracle cases: (name, profile, largest radius).
@@ -93,6 +104,22 @@ def _timing(fn, scale: float = 1.0, digits: int = 4) -> dict:
             "min": round(scale * min(times), digits)}
 
 
+def _far_layer(lam: float) -> RadialKernel:
+    """The Hankel-row case's layer: G7/K15 rows on FAR_PANELS equal panels,
+    with x rho in FAR_BAND, a unit base and its panels where the kernel
+    layer takes them."""
+    lo, hi = FAR_BAND
+    nodes = np.linspace(7.0, 9.0, FAR_COLS)
+    edges = np.linspace(lo / 7.0, hi / 9.0, FAR_PANELS + 1)
+    x = kronrod_rule(edges)[0]
+    try:
+        from oscillax.quadrature import KRONROD_NODES, panel_centres
+    except ImportError:     # a checkout whose kernel layer takes no panels
+        return RadialKernel(lam, x, nodes, np.ones(FAR_COLS), nodes)
+    return RadialKernel(lam, x, nodes, np.ones(FAR_COLS), nodes,
+                        (*panel_centres(edges), KRONROD_NODES))
+
+
 def measure() -> dict:
     ns = {}
     for lam in ORDERS:
@@ -106,6 +133,11 @@ def measure() -> dict:
         nodes = np.linspace(0.3, 1.7, cols)
         layer = RadialKernel(lam, x, nodes, np.ones(cols), nodes)
         fields[f"lam={lam:g} {rows}x{cols}"] = _timing(lambda: layer.field(np.zeros(1)))
+    far = {}
+    for lam in FAR_ORDERS:
+        layer = _far_layer(lam)
+        far[f"lam={lam:g} z in [{FAR_BAND[0]:g}, {FAR_BAND[1]:g})"] = _timing(
+            lambda: layer.field(np.zeros(1)), 1e9 / (layer.x.size * FAR_COLS), 2)
     sup = {}
     for a, N in SUP_FIELDS:
         p = SymbolParams(a=a, n=2)
@@ -142,6 +174,7 @@ def measure() -> dict:
                     "repeats": REPEATS},
             "kernel_ns_per_element": ns,
             "radial_kernel_field_s": fields,
+            "far_rows_ns_per_element": far,
             "chebyshev_sup_s": sup,
             "oracle_s": oracle,
             "selector_s": selector}

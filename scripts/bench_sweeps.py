@@ -7,15 +7,15 @@ oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
 The first two sweeps are the session fixtures of tests/conftest.py, over
 N in {2, 4, ..., 128}; the third is the costliest cell of the slow a = 3
-sweep, and the fourth one cell of the large-N modulated regime in which the
+sweep, and the last two cells of the large-N modulated regime in which the
 a < 1 threshold is probed:
 
 - a = 2, n = 2, shell family, global range, s in {0.25, 0.75, 1.5};
 - a = 1/2, n = 2, shell family, local range, 16 modulations,
   s in {0.0625, 0.375};
 - a = 3, n = 2, shell family, global range, N = 32, s = 0.75;
-- a = 1/2, n = 2, shell family, local range, 16 modulations, N = 4096,
-  s = 0.0625.
+- a = 1/2, n = 2, shell family, local range, 16 modulations, N = 4096
+  and N = 8192, s = 0.0625.
 
 Each sweep runs in-process (`workers=0`) in a child process of its own, with
 BLAS pinned to one thread, so the peak resident set size that the child
@@ -56,6 +56,11 @@ SWEEPS = {
                                   modulated=False),
     "a=0.5 N=4096 modulated local shell": dict(a=0.5, n=2, s_list=(0.0625,),
                                                N_list=(4096.0,),
+                                               range_kind="local",
+                                               family="shell", modulated=True,
+                                               y_count=16),
+    "a=0.5 N=8192 modulated local shell": dict(a=0.5, n=2, s_list=(0.0625,),
+                                               N_list=(8192.0,),
                                                range_kind="local",
                                                family="shell", modulated=True,
                                                y_count=16),

@@ -24,6 +24,21 @@ lam > -1/2; `certify_asymptotic` measures the best constant empirically
 over a dyadic range of arguments and returns it as a certificate that
 downstream operator bounds can consume.
 
+Far from the origin, `hankel_series` serves rows that know their
+quadrature panels (`radial.RadialKernel`): with omega = z - lam*pi/2 - pi/4
+and a_k(lam) the coefficients of DLMF 10.17.1, Hankel's expansion
+(DLMF 10.17.3) reads
+
+    k_lam(z) = sqrt(2/pi) z^(-lam-1/2) Re[e^{i omega} sum_k a_k(lam) (i/z)^k],
+
+which needs e^{i z} and powers of z only.  It is used at
+z >= HANKEL_Z0 (and z >= lam^2, so the terms fall from the first), cut at
+the first term below rounding for the smallest such z.  For lam >= 0
+DLMF 10.17(iii) bounds the remainder of each of its real and imaginary
+sums by its first neglected term, given enough kept terms, and
+`hankel_series` returns those terms for the caller's error bound; for
+half-integer lam the sum ends and the expansion is exact.
+
 Everything is vectorized over the argument; the order is a scalar.
 """
 
@@ -37,6 +52,13 @@ from scipy import special
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SAMPLES_PER_OCTAVE = 512
+_ROUNDING = np.finfo(float).eps / 2.0
+# Least argument of the Hankel rows.  The Hankel terms reach rounding from
+# z = 17.5 on for 0 <= lam <= 4, and wherever they do, a far row costs
+# about 14 ns per element against scipy's 44-50 ns, with the same error
+# (measured on z in [20, 40) to [60, 120), lam = 0 and 1); 20 leaves a
+# margin.
+HANKEL_Z0 = 20.0
 
 # Closed trigonometric forms, exact for half-integer orders (used for
 # arguments >= 0.5; below that they cancel and scipy takes over).
@@ -193,17 +215,20 @@ def certify_asymptotic(order: float, rho_min: float,
                        rho_max: float) -> AsymptoticCertificate:
     """Measure sup rho^(3/2) |J_lam - main term| over [rho_min, rho_max].
 
-    The range must sit strictly above 1 and span at least 8 dyadic octaves.
+    The range must be finite, sit strictly above 1 and span at least 8
+    dyadic octaves.
     Per-octave suprema are recorded; a growth trend across octaves would
     contradict the O(rho^(-3/2)) remainder and is reported via the
     certificate rather than silently absorbed.  Each octave is sampled at
     _SAMPLES_PER_OCTAVE log-spaced points.
     """
     lam = _lam(order)
+    if not (math.isfinite(rho_min) and math.isfinite(rho_max)):
+        raise ValueError("certified range must be finite")
     if rho_min <= 1.0:
         raise ValueError("certified range must start above 1")
-    n_octaves = math.log2(rho_max / rho_min)
-    if n_octaves < 8.0 - 1e-9:
+    # A reversed or negative rho_max fails here, before any logarithm.
+    if not rho_max >= rho_min * 2.0 ** (8.0 - 1e-9):
         raise ValueError("need at least 8 dyadic octaves")
     octave_sups = []
     lo = rho_min
@@ -217,3 +242,43 @@ def certify_asymptotic(order: float, rho_min: float,
     return AsymptoticCertificate(lam=lam, rho_min=rho_min, rho_max=rho_max,
                                  c_lambda_empirical=max(octave_sups),
                                  octave_sups=tuple(octave_sups))
+
+
+def hankel_series(order: float, z_min: float):
+    """(a, tail): the Hankel coefficients that k_lam needs at z >= z_min.
+
+    a holds a_0(lam), ..., a_{K-1}(lam) of DLMF 10.17.1,
+    a_k = a_{k-1} (4 lam^2 - (2k - 1)^2) / (8k), a_0 = 1, cut at the first k
+    with |a_k| z_min^-k below rounding, or at the first a_k = 0.  For
+    lam >= 0, DLMF 10.17(iii) bounds the remainder of the even and of the
+    odd sum by its first neglected term once they keep at least
+    max(lam/2 - 1/4, 1) and max(lam/2 - 3/4, 1) terms, so K never falls
+    below that.  tail = (|a_K|, |a_{K+1}|), so at z >= z_min
+
+        |k_lam(z) - far rows| <= sqrt(2/pi) z^(-lam-1/2) (|a_K| z^-K + |a_{K+1}| z^-K-1),
+
+    which is 0 for half-integer lam: its sum ends at a_K = 0.  z_min must
+    be at least max(HANKEL_Z0, lam^2): there |4 lam^2 - (2k - 1)^2| / (8 k z)
+    stays below 1 until the terms are far below rounding.
+    """
+    lam = _lam(order)
+    if not (lam >= 0.0 or lam == -0.5):
+        raise ValueError("Hankel rows need lam >= 0 or lam = -1/2")
+    if not z_min >= max(HANKEL_Z0, lam * lam):
+        raise ValueError("Hankel rows need z >= max(HANKEL_Z0, lam^2)")
+    need_even = max(0.5 * lam - 0.25, 1.0)
+    need_odd = max(0.5 * lam - 0.75, 1.0)
+    a, term = [1.0], 1.0
+    while True:
+        k = len(a)
+        ratio = (4.0 * lam * lam - (2 * k - 1) ** 2) / (8.0 * k)
+        nxt = a[-1] * ratio
+        term *= abs(ratio) / z_min
+        if nxt == 0.0 or (term < _ROUNDING and (k + 1) // 2 >= need_even
+                          and k // 2 >= need_odd):
+            break
+        if 2 * k - 1 > 2.0 * lam and abs(ratio) >= z_min:
+            raise ValueError("the Hankel terms grow before reaching rounding")
+        a.append(nxt)
+    after = nxt * (4.0 * lam * lam - (2 * k + 1) ** 2) / (8.0 * (k + 1))
+    return np.array(a), (abs(nxt), abs(after))

@@ -38,7 +38,8 @@ from .bessel import bessel_kernel_reduced
 from .oscillatory import (SymbolParams, arrival_radius, frequency_rule,
                           propagator, spatial_extent)
 from .profiles import NumericalFailure, Profile, annular, shell
-from .quadrature import kronrod_rule, oscillatory_rule, phase_breakpoints
+from .quadrature import (KRONROD_NODES, kronrod_rule, oscillatory_rule,
+                         panel_centres, phase_breakpoints)
 from .radial import (chebyshev_degree, chebyshev_times, profile_rule,
                      sphere_factor)
 
@@ -104,6 +105,7 @@ class MaximalField:
     r_audit: float = 0.0              # summed |K15 - G7| panel gaps on the norm
     r_panels: int = 0                 # G7/K15 panels of the final radii
     r_rows_evaluated: int = 0         # radii evaluated, discarded ones included
+    r_rows_far: int = 0               # of those, radii evaluated as Hankel rows
     rho_audit: float = 0.0            # centre-row gaps to a finer rho rule
 
 
@@ -194,7 +196,8 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
         norm_history=tuple(history), t_bound=t_bound, rho_points=rho_points,
         r_audit=e_sum / max(2.0 * k_sum, 1e-300),
         r_panels=sum(s.nodes.shape[0] for s in segments),
-        r_rows_evaluated=sum(s.rows for s in segments), rho_audit=rho_audit)
+        r_rows_evaluated=sum(s.rows for s in segments),
+        r_rows_far=sum(s.rows_far for s in segments), rho_audit=rho_audit)
 
 
 def _rho_rules(g, p, r_max):
@@ -233,6 +236,7 @@ class _Panels:
     rho_e: np.ndarray
     degree: int
     rows: int            # rows evaluated, discarded parents included
+    rows_far: int        # of those, the rows evaluated as Hankel rows
 
 
 def _start_edges(g, r_first, lo, hi):
@@ -240,6 +244,14 @@ def _start_edges(g, r_first, lo, hi):
     wide, with 1 as an edge, r_first the field's first r_max."""
     return phase_breakpoints(lo, hi, panel_cap=min(0.25 / g.scale, r_first / 8.0),
                              forced=(1.0,))
+
+
+def _kronrod_layer(g, p, edges, rho_rule, keep=slice(None)):
+    """The propagator on the G7/K15 rows of the panels keep of edges, which
+    knows those panels, so its far rows are Hankel rows."""
+    mid, half = (a[keep] for a in panel_centres(edges))
+    x = (mid[:, None] + half[:, None] * KRONROD_NODES).ravel()
+    return propagator(g, p, x, rho_rule, (mid, half, KRONROD_NODES))
 
 
 def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
@@ -253,18 +265,20 @@ def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
     streamed pass and drops their parents' rows; at most _ROUNDS rounds.
     g may be a sequence of profiles, stacked in every pass; a panel is
     then bisected if any profile's gap is over its share.  `rows` counts
-    the rows evaluated on the first rule; the audit adds one per panel.
+    the rows evaluated on the first rule, and `rows_far` those of them that
+    were Hankel rows; the audit adds one row per panel and, with no panel
+    rows to share e^{i mid rho}, takes the near path.
     `tau` depends on a rule's powers alone, so every round takes the degree
     of the rule's first pass.
     """
     rho_rule, finer = rho_rules
     slack = np.maximum(sum(_R_TOL * s.k_p.sum(-1) - s.e_p.sum(-1)
                            for s in prior), 0.0)
-    layer = propagator(g, p, kronrod_rule(edges)[0], rho_rule)
+    layer = _kronrod_layer(g, p, edges, rho_rule)
     degree = chebyshev_degree(layer.tau)
     cert = [np.reshape(a, (-1, edges.size - 1, 15))
             for a in layer.chebyshev_sup(degree)]
-    rows = 15 * (edges.size - 1)
+    rows, rows_far = layer.x.size, layer.far_rows
     for round_ in range(_ROUNDS + 1):
         nodes, k_w, g_w = (a.reshape(-1, 15) for a in kronrod_rule(edges))
         dens = cert[0] ** 2 * nodes ** (p.n - 1)
@@ -279,9 +293,10 @@ def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
         child = np.repeat(split, 1 + split)
         edges = np.insert(edges, np.flatnonzero(split) + 1,
                           0.5 * (edges[:-1] + edges[1:])[split])
-        new = kronrod_rule(edges)[0].reshape(-1, 15)[child].ravel()
-        rows += new.size
-        vals = propagator(g, p, new, rho_rule).chebyshev_sup(degree)
+        layer = _kronrod_layer(g, p, edges, rho_rule, child)
+        rows += layer.x.size
+        rows_far += layer.far_rows
+        vals = layer.chebyshev_sup(degree)
         for i, val in enumerate(vals):
             out = np.empty(cert[i].shape[:1] + (child.size, 15))
             out[:, ~child] = cert[i][:, ~split]
@@ -295,7 +310,8 @@ def _adaptive_panels(g, p, rho_rules, edges, prior=()) -> _Panels:
     mass = np.diff(edges) * mid ** (p.n - 1)
     coarse = cert[0][..., 7] ** 2
     return _Panels(nodes, k_w, g_w, *cert, k_p, e_p, np.sum(mass * coarse, -1),
-                   np.sum(mass * np.abs(coarse - fine ** 2), -1), degree, rows)
+                   np.sum(mass * np.abs(coarse - fine ** 2), -1), degree, rows,
+                   rows_far)
 
 
 class InsufficientCoverage(NumericalFailure):

@@ -70,17 +70,18 @@ def frequency_rule(g: Profile, p: SymbolParams, r_max: float, t_max: float,
                         budget=FREQUENCY_BUDGET / refine)
 
 
-def propagator(g, p: SymbolParams, r, rho_rule) -> RadialKernel:
+def propagator(g, p: SymbolParams, r, rho_rule, panels=None) -> RadialKernel:
     """The propagator at radii r on a rho rule: its `field(t)` is u(r, t).
 
     g is a profile, or a sequence of profiles that share the rule: the
     layer then stacks one base per profile, and every kernel chunk serves
-    them all.
+    them all.  panels, the (mid, half, ref) that r was built from, lets
+    its far rows take the Hankel path (`radial.RadialKernel`).
     """
     rho, w = rho_rule
     weight = (2.0 * math.pi) ** (-p.n / 2.0) * w * rho ** (p.n - 1)
     vals = g(rho) if isinstance(g, Profile) else np.stack([gi(rho) for gi in g])
-    return RadialKernel(p.lam, r, rho, weight * vals, rho ** p.a)
+    return RadialKernel(p.lam, r, rho, weight * vals, rho ** p.a, panels)
 
 
 def dispersive_field(g: Profile, p: SymbolParams, r, t, *, rho_rule=None):

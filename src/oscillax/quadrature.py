@@ -30,16 +30,21 @@ def _gl_reference(order: int):
     return x, w
 
 
-def _composite(breakpoints, x, *weights):
-    """A reference rule (nodes x and weight sets on [-1, 1]) mapped to each
-    panel, as flat arrays in increasing node order."""
+def panel_centres(breakpoints):
+    """(mid, half): each panel's centre and half-width.  A reference node x
+    on [-1, 1] maps to mid + half * x on its panel."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("need at least two panel edges")
     if np.any(np.diff(bp) <= 0):
         raise ValueError("panel edges must be strictly increasing")
-    mid = 0.5 * (bp[1:] + bp[:-1])[:, None]
-    half = 0.5 * np.diff(bp)[:, None]
+    return 0.5 * (bp[1:] + bp[:-1]), 0.5 * np.diff(bp)
+
+
+def _composite(breakpoints, x, *weights):
+    """A reference rule (nodes x and weight sets on [-1, 1]) mapped to each
+    panel, as flat arrays in increasing node order."""
+    mid, half = (a[:, None] for a in panel_centres(breakpoints))
     return ((mid + half * x).ravel(),) + tuple((half * w).ravel() for w in weights)
 
 
@@ -65,15 +70,19 @@ _G7_W = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664,
          0.0, 0.3818300505051189, 0.0, 0.4179591836734694)
 
 
+# The 15 G7/K15 nodes on [-1, 1], increasing.
+KRONROD_NODES = np.concatenate((np.negative(_GK15_X), _GK15_X[-2::-1]))
+KRONROD_NODES.flags.writeable = False
+
+
 def kronrod_rule(breakpoints):
     """Composite G7/K15 Gauss-Kronrod (nodes, K15 weights, G7 weights).
 
     15 nodes per panel, increasing; the G7 weights vanish at the eight
     Kronrod-only nodes, so one set of values gives both sums.
     """
-    x = np.concatenate((np.negative(_GK15_X), _GK15_X[-2::-1]))
     k_w, g_w = (np.concatenate((w, w[-2::-1])) for w in (_K15_W, _G7_W))
-    return _composite(breakpoints, x, k_w, g_w)
+    return _composite(breakpoints, KRONROD_NODES, k_w, g_w)
 
 
 def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,

@@ -21,6 +21,12 @@ the kernel: it phases the weights once, evaluates one `row_chunks` chunk
 of rows, contracts it against them into samples at the given times and
 drops it, so no call holds more than one chunk, and a stack of bases on
 the same nodes (the modulations of one profile) shares every chunk.
+A layer whose rows are panel nodes, as the maximal fields' G7/K15 rows
+are, evaluates its far rows, x min(nodes) >= bessel.HANKEL_Z0, by Hankel's
+expansion (DLMF 10.17.3) with e^{i x rho} = e^{i mid rho} e^{i half ref rho}
+taken from a per-panel and a per-half-width table, and adds the
+expansion's truncation bound (DLMF 10.17(iii)) to each such row's error
+bound; every other row comes from `bessel_kernel_reduced`.
 `field(t)` copies the samples out; `chebyshev_sup(K)` samples the K + 1
 Chebyshev times and returns (sup, arg, bound), the certified continuous
 sup over [-1, 1] of one interpolant per row, a time reaching it and its
@@ -44,18 +50,22 @@ evaluates f only where |x| can lie in a compact support.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .bessel import bessel_kernel_reduced
+from .bessel import HANKEL_Z0, bessel_kernel_reduced, hankel_series
 from .profiles import NumericalFailure, Profile
 from .quadrature import PHASE_BUDGET, oscillatory_rule
 
 _CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
 _T_CHUNK = 384           # times per `_phases` call: temporaries ~2.5x its matrices
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
+_FAR_BLOCK = 2 ** 14     # kernel elements per block of Hankel rows: in L2 cache
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _DENSE = 8               # dense search points per Chebyshev degree
 _SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
 _NEWTON_STEPS = 3
@@ -236,6 +246,28 @@ def _interpolant_max(samples: np.ndarray, t: np.ndarray):
             np.where(at_sample, t[col], np.cos(best_theta)))
 
 
+@dataclass(frozen=True)
+class _FarRows:
+    """A layer's Hankel-row tables (`RadialKernel._far`).
+
+    mask marks the rows with x rho_min >= max(HANKEL_Z0, lam^2), rho_min the
+    least node.  coef is sqrt(2/pi) times `bessel.hankel_series` at the
+    least such x rho_min, tail its remainder coefficients, and cols the
+    (K, 2 J) real view of (rho_min / rho_j)^(k + lam + 1/2) i^k.
+    node_phase holds e^{i(h ref_l rho_j - lam pi/2 - pi/4)} for each
+    distinct half-width h of a panel with a far row, one row per (h, l),
+    and first_row[q] is the row of (h, 0) for panel q's half-width h.
+    """
+
+    mask: np.ndarray
+    rho_min: float
+    coef: np.ndarray
+    tail: tuple
+    cols: np.ndarray
+    node_phase: np.ndarray
+    first_row: np.ndarray
+
+
 class RadialKernel:
     """u(x_i, t) = sum_j k_lam(x_i nodes_j) base_j e^{i t power_j}.
 
@@ -246,33 +278,144 @@ class RadialKernel:
     may be a (B, J) stack of bases on the same nodes, which then share
     every chunk, and every result gains a leading axis of length B.
     `field(t)` returns u at the times t, shape (len(x), len(t)).
+
+    panels, when given, is (mid, half, ref) with
+    x == (mid[:, None] + half[:, None] * ref).ravel(), as
+    `quadrature._composite` builds a panel rule.  Then a row with
+    z = x rho >= max(HANKEL_Z0, lam^2) at every node rho (and lam >= 0 or
+    lam = -1/2) is a Hankel row (`bessel.hankel_series`):
+
+        k_lam(x rho) = sqrt(2/pi) Re[z^(-lam-1/2) H(z) e^{i mid rho}
+                                     e^{i(half ref rho - lam pi/2 - pi/4)}],
+
+    with H(z) = sum_k a_k(lam) (i/z)^k.  The first two factors are one
+    small real GEMM over the K series terms, the third is built per panel
+    and the last once per distinct half-width, so a far kernel element
+    costs a few products and no trigonometric function.  Every other row,
+    and every chunk with no far row, takes bessel_kernel_reduced.  The
+    series' remainder is bounded per row by `_truncation`.
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
-                 base: np.ndarray, power: np.ndarray):
+                 base: np.ndarray, power: np.ndarray, panels=None):
         if base.shape[-1] != nodes.size:
             raise ValueError("a base must match the kernel's columns")
+        if panels is not None and panels[0].size * panels[2].size != x.size:
+            raise ValueError("the panels must hold every row")
         self.lam = lam
         self.x = x
         self.nodes = nodes
         self.base = base
         self.power = power
+        self.panels = panels
 
     @property
     def tau(self) -> float:
         """Exponential type of u in t once demodulated: half the spread of power."""
         return 0.5 * float(np.max(self.power) - np.min(self.power))
 
+    @property
+    def far_rows(self) -> int:
+        """The number of Hankel rows."""
+        return 0 if self._far is None else int(np.count_nonzero(self._far.mask))
+
+    @functools.cached_property
+    def _far(self) -> _FarRows | None:
+        """The layer's Hankel-row tables, or None when no row is far."""
+        lam = self.lam
+        if self.panels is None or self.nodes.size == 0 or not (
+                lam >= 0.0 or lam == -0.5):
+            return None
+        rho_min = float(np.min(self.nodes))
+        z = self.x * rho_min
+        mask = z >= max(HANKEL_Z0, lam * lam)
+        if not mask.any():
+            return None
+        coef, tail = hankel_series(lam, float(np.min(z[mask])))
+        k = np.arange(coef.size)
+        i_k = np.array([1.0, 1j, -1.0, -1j])[k % 4, None]
+        cols = (rho_min / self.nodes) ** (k + lam + 0.5)[:, None] * i_k
+        mid, half, ref = self.panels
+        far_panels = np.unique(np.flatnonzero(mask) // ref.size)
+        widths, cls = np.unique(half[far_panels], return_inverse=True)
+        first_row = np.zeros(mid.size, dtype=np.intp)
+        first_row[far_panels] = cls * ref.size
+        phase = np.multiply.outer(widths[:, None] * ref, self.nodes)
+        phase -= lam * (0.5 * math.pi) + 0.25 * math.pi
+        return _FarRows(mask, rho_min, _SQRT_2_OVER_PI * coef, tail,
+                        cols.view(float),
+                        np.exp(1j * phase).reshape(-1, self.nodes.size),
+                        first_row)
+
+    def _kernel(self, rows: slice) -> np.ndarray:
+        """The kernel rows x[rows]: Hankel rows where `_far` marks them, one
+        bessel_kernel_reduced call on the others."""
+        far = self._far
+        x = self.x[rows]
+        if far is None or not far.mask[rows].any():
+            return bessel_kernel_reduced(self.lam, np.outer(x, self.nodes))
+        mask = far.mask[rows]
+        kern = np.empty((x.size, self.nodes.size))
+        if not mask.all():
+            kern[~mask] = bessel_kernel_reduced(self.lam,
+                                                np.outer(x[~mask], self.nodes))
+        self._hankel_rows(far, rows.start, np.flatnonzero(mask), kern)
+        return kern
+
+    def _hankel_rows(self, far: _FarRows, start: int, pos: np.ndarray,
+                     kern: np.ndarray):
+        """Write the Hankel rows start + pos into kern[pos], in blocks of
+        about _FAR_BLOCK elements so that their temporaries stay in cache."""
+        mid, _, ref = self.panels
+        panel, l = np.divmod(start + pos, ref.size)
+        panels, panel = np.unique(panel, return_inverse=True)
+        panel_phase = np.exp(1j * np.outer(mid[panels], self.nodes))
+        node_row = far.first_row[panels][panel] + l
+        # sqrt(2/pi) a_k z^(-k-lam-1/2) at z = x rho_min, by running products.
+        z = self.x[start + pos] * far.rho_min
+        lead = np.empty((pos.size, far.coef.size))
+        lead[:, 0] = z ** -(self.lam + 0.5)
+        lead[:, 1:] = (1.0 / z)[:, None]
+        np.cumprod(lead, axis=1, out=lead)
+        lead *= far.coef
+        step = max(1, _FAR_BLOCK // self.nodes.size)
+        buf = np.empty((2, min(step, pos.size), self.nodes.size), dtype=complex)
+        for i0 in range(0, pos.size, step):
+            blk = slice(i0, i0 + step)
+            e, f = buf[:, :min(step, pos.size - i0)]
+            np.take(panel_phase, panel[blk], axis=0, out=e)
+            np.take(far.node_phase, node_row[blk], axis=0, out=f)
+            e *= f
+            # A one-row product would take BLAS's matrix-vector path, which
+            # rounds otherwise: a row must not change with the chunking.
+            terms = lead[blk] if len(e) > 1 else np.repeat(lead[blk], 2, axis=0)
+            e *= (terms @ far.cols)[:len(e)].view(complex)
+            kern[pos[blk]] = e.real
+
+    def _truncation(self) -> np.ndarray:
+        """Per row, a bound on the Hankel remainder over every column:
+        sqrt(2/pi) z^(-lam-1/2) (|a_K| z^-K + |a_{K+1}| z^-K-1) at
+        z = x rho_min, where it is largest (`bessel.hankel_series`); 0 on
+        the other rows."""
+        out = np.zeros(self.x.size)
+        far = self._far
+        if far is not None:
+            z = self.x[far.mask] * far.rho_min
+            out[far.mask] = (_SQRT_2_OVER_PI * z ** -(self.lam + 0.5)
+                             * (far.tail[0] + far.tail[1] / z)
+                             * z ** -float(far.coef.size))
+        return out
+
     def _rows(self, a: np.ndarray) -> np.ndarray:
         """a, shaped base.shape[:-1] + (len(x), ...), as (B, len(x), ...)."""
         return a.reshape((-1, self.x.size) + a.shape[self.base.ndim:])
 
-    def _phases(self, t: np.ndarray, power: np.ndarray):
-        """Real and imaginary parts of base_j e^{i t_k power_j}, one contiguous
-        (J, len(t)) matrix per base."""
+    def _phases(self, t: np.ndarray, power: np.ndarray) -> np.ndarray:
+        """base_bj e^{i t_k power_j} as a real (B, J, 2 len(t)) stack: the
+        real and imaginary parts of time k in columns 2k and 2k + 1, so a
+        real kernel GEMM yields complex samples."""
         m = self.base[..., None] * np.exp(1j * np.outer(power, t))
-        m = m.reshape((-1,) + m.shape[-2:])
-        return np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
+        return m.reshape((-1,) + m.shape[-2:]).view(float)
 
     def _samples(self, t: np.ndarray, power: np.ndarray, value_bytes: int = 0):
         """(row slice, kernel rows, samples) per row chunk, with
@@ -280,7 +423,10 @@ class RadialKernel:
         (B, rows, len(t)).
 
         The phase matrices of all times, 16 B J len(t) bytes, are built once
-        in column chunks of _T_CHUNK and serve every row chunk.  A row chunk
+        in column chunks of _T_CHUNK and serve every row chunk.  Each column
+        chunk takes one batched real matmul for every base: BLAS sees one
+        GEMM per base, of the same shape as a single-base layer's, so a
+        base's samples do not depend on the stack it is in.  A row chunk
         holds its kernel rows, its samples and value_bytes per row for the
         caller, who may overwrite the kernel rows.
         """
@@ -289,11 +435,10 @@ class RadialKernel:
         phases = [self._phases(t[c], power) for c in cols]
         row_bytes = 8 * self.nodes.size + 16 * stack * t.size + value_bytes
         for rows in row_chunks(self.x.size, row_bytes):
-            kern = bessel_kernel_reduced(self.lam, np.outer(self.x[rows], self.nodes))
+            kern = self._kernel(rows)
             samples = np.empty((stack, kern.shape[0], t.size), dtype=complex)
-            for c, (m_re, m_im) in zip(cols, phases):
-                for b in range(stack):
-                    samples[b, :, c] = kern @ m_re[b] + 1j * (kern @ m_im[b])
+            for c, m in zip(cols, phases):
+                samples[:, :, c] = (kern @ m).view(complex)
             yield rows, kern, samples
 
     def field(self, t: np.ndarray) -> np.ndarray:
@@ -314,7 +459,8 @@ class RadialKernel:
         `_interpolant_max`, which takes as many bases at once as fit in
         _SEARCH_ROWS rows, and at least one.  bound is
         bernstein_bound(tau, K) * A_i, A_i = (|kernel| @ |base|)_i, which
-        bounds |u - p_K| on row i.  A row chunk holds its kernel rows, the
+        bounds |u - p_K| on row i, plus, on a Hankel row, its `_truncation`
+        times sum_j |base_j|.  A row chunk holds its kernel rows, the
         samples of every base and the dense search values of one such call;
         once the samples are taken, |kernel| overwrites the kernel rows.
         """
@@ -324,11 +470,13 @@ class RadialKernel:
         out = [np.empty(self.base.shape[:-1] + self.x.shape) for _ in range(3)]
         sup, arg, bound = (self._rows(a) for a in out)
         abs_base = np.abs(self.base.reshape(len(sup), -1))
+        trunc = np.outer(abs_base.sum(axis=1), self._truncation())
         search_bytes = 16 * (_DENSE * degree + 1)
         for rows, kern, samples in self._samples(t, shifted, search_bytes):
             abs_kern = np.abs(kern, out=kern)
-            for b in range(len(sup)):
-                bound[b, rows] = error * (abs_kern @ abs_base[b])
+            # One batched matrix-vector product per base, as for a single base.
+            bound[:, rows] = (error * (abs_kern @ abs_base[..., None])[..., 0]
+                              + trunc[:, rows])
             step = max(1, _SEARCH_ROWS // kern.shape[0])
             for b in range(0, len(sup), step):
                 group = samples[b:b + step].reshape(-1, t.size)

@@ -96,6 +96,7 @@ def _cell_task(task):
         "r_growths": max(len(f.norm_history) - 1 for f in fields),
         "r_panels": max(f.r_panels for f in fields),
         "r_rows_evaluated": max(f.r_rows_evaluated for f in fields),
+        "r_rows_far": max(f.r_rows_far for f in fields),
         "rho_audit": max(f.rho_audit for f in fields),
     }
     return out

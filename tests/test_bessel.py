@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from oscillax.bessel import (bessel_j, bessel_kernel_reduced,
-                             bessel_main_term, certify_asymptotic)
+from oscillax.bessel import (HANKEL_Z0, bessel_j, bessel_kernel_reduced,
+                             bessel_main_term, certify_asymptotic,
+                             hankel_series)
 
 # Independent series oracle for J_1: sum_{k<=40} (-1)^k (x/2)^(2k+1)/(k!(k+1)!)
 def j1_series_oracle(x, terms=41):
@@ -192,3 +193,49 @@ def test_kernel_small_arguments_against_mpmath(lam):
     k = bessel_kernel_reduced(lam, z)
     np.testing.assert_array_equal(z, given_z)
     assert np.all(np.abs(k - k_ref) <= 1e-11 * float(k0))
+
+
+@pytest.mark.parametrize("rho_min, rho_max", [
+    (2.0, math.nan), (2.0, math.inf), (2.0, -5.0), (math.nan, 4096.0),
+])
+def test_certify_rejects_non_finite_or_reversed_range(rho_min, rho_max):
+    with pytest.raises(ValueError, match="finite|8 dyadic octaves"):
+        certify_asymptotic(0.0, rho_min, rho_max)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("z", [HANKEL_Z0, 57.0, 1e3])
+def test_hankel_tail_bounds_the_remainder(lam, z):
+    # H(z) = sqrt(pi z / 2) e^{-i omega} H^(1)_lam(z) = sum_k a_k (i/z)^k; the
+    # kept terms miss it by at most |a_K| z^-K + |a_{K+1}| z^-K-1 (DLMF
+    # 10.17(iii), one bound for each of its real and imaginary parts).
+    a, (t0, t1) = hankel_series(lam, z)
+    k = a.size
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        omega = zm - lam * mpmath.pi / 2 - mpmath.pi / 4
+        exact = (mpmath.sqrt(mpmath.pi * zm / 2) * mpmath.exp(-1j * omega)
+                 * mpmath.hankel1(lam, zm))
+        kept = mpmath.fsum(mpmath.mpf(c) * (1j / zm) ** i for i, c in enumerate(a))
+        miss = exact - kept
+        bound = mpmath.mpf(t0) / zm ** k + mpmath.mpf(t1) / zm ** (k + 1)
+    # The doubles a_k round by a few ulps: at most 4 k eps a_1 / z in all.
+    slack = 4 * k * np.finfo(float).eps * abs(a[1] if k > 1 else 0.0) / z
+    assert abs(float(mpmath.re(miss))) <= float(bound) + slack
+    assert abs(float(mpmath.im(miss))) <= float(bound) + slack
+    assert 0.0 < float(bound) < np.finfo(float).eps
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.5, 1.5, 2.5])
+def test_hankel_series_ends_for_half_integer_orders(lam):
+    a, tail = hankel_series(lam, HANKEL_Z0)
+    assert a.size == max(1, int(lam + 0.5)) and tail == (0.0, 0.0)
+
+
+def test_hankel_series_rejects_arguments_below_its_range():
+    with pytest.raises(ValueError):
+        hankel_series(0.0, HANKEL_Z0 / 2)
+    with pytest.raises(ValueError):
+        hankel_series(6.0, 30.0)        # below lam^2
+    with pytest.raises(ValueError):
+        hankel_series(-0.25, 100.0)     # DLMF's bound needs lam >= 0

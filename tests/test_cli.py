@@ -247,7 +247,12 @@ def test_empty_check_is_usage_error(tmp_path, argv, option):
 @pytest.mark.parametrize("rho_min, rho_max, message", [
     ("10", "2", "8 dyadic octaves"),
     ("0", "4096", "start above 1"),
-], ids=["reversed", "from-zero"])
+    ("2", "nan", "must be finite"),
+    ("2", "inf", "must be finite"),
+    ("2", "-5", "8 dyadic octaves"),
+    ("nan", "4096", "must be finite"),
+], ids=["reversed", "from-zero", "max-nan", "max-inf", "max-negative",
+        "min-nan"])
 def test_bad_bessel_check_range_writes_nothing(tmp_path, rho_min, rho_max,
                                                message):
     res = run_cli(["bessel-check", "--lambda", "0", "--rho-min", rho_min,

@@ -136,10 +136,10 @@ def test_growth_keeps_computed_rows(monkeypatch):
         audit_rules.append(out[1])
         return out
 
-    def recording(g_, p_, nodes, rho_rule):
+    def recording(g_, p_, nodes, rho_rule, panels=None):
         audit = any(rho_rule is rule for rule in audit_rules)
         (audited if audit else evaluated).append(nodes)
-        return original(g_, p_, nodes, rho_rule)
+        return original(g_, p_, nodes, rho_rule, panels)
 
     monkeypatch.setattr(norms, "_rho_rules", rules)
     monkeypatch.setattr(norms, "propagator", recording)

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import mpmath
+
 import oscillax.radial as radial
-from oscillax.bessel import bessel_kernel_reduced
+from oscillax.bessel import HANKEL_Z0, bessel_kernel_reduced
 from oscillax.norms import (converged_maximal_field, range_norm,
                             sharpness_profile)
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
@@ -21,6 +23,7 @@ from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   propagator)
 from oscillax.profiles import (Profile, annular, bandlimited, bump, gaussian,
                                sampled)
+from oscillax.quadrature import KRONROD_NODES, panel_centres
 from oscillax.radial import (bernstein_bound, chebyshev_degree,
                              chebyshev_times, hankel_fourier, nd_oracle,
                              profile_rule, sobolev_norm, sphere_factor)
@@ -332,8 +335,8 @@ def test_stacked_bases_match_single_base_layers():
 
 def test_phases_are_built_once_per_pass(monkeypatch):
     # Times in chunks of 4 columns and rows in three chunks: each column
-    # chunk's phases are built once and serve every row chunk, even under
-    # a 1-byte cap on held phases.
+    # chunk's phases are built once, as one real (B, J, 2 times) stack with
+    # the real and imaginary parts interleaved, and serve every row chunk.
     rng = np.random.default_rng(7)
     rho, w = frequency_rule(annular(4.0), SymbolParams(a=2.0, n=2),
                             r_max=6.0, t_max=1.0)
@@ -347,12 +350,13 @@ def test_phases_are_built_once_per_pass(monkeypatch):
     original = layer._phases
 
     def phases(t_cols, power):
+        m = original(t_cols, power)
+        assert m.shape == (2, rho.size, 2 * t_cols.size) and m.dtype == float
         built.append(t_cols.size)
-        return original(t_cols, power)
+        return m
 
     monkeypatch.setattr(layer, "_phases", phases)
     monkeypatch.setattr(radial, "_T_CHUNK", 4)
-    monkeypatch.setattr(radial, "_PHASE_BYTES", 1, raising=False)
     # Kernel rows and samples of 17 rows per chunk: 50 rows in three.
     row_bytes = 8 * rho.size + 16 * 2 * t.size
     monkeypatch.setattr(radial, "_SAMPLE_BYTES", 17 * row_bytes)
@@ -454,3 +458,111 @@ def test_bernstein_bound_covers_exponential_interpolation_error(monkeypatch):
     monkeypatch.setattr(radial, "_CHEB_TOL", 1e-300)
     monkeypatch.setattr(radial, "_MAX_LEVEL", 6)
     assert chebyshev_degree(tau) == 64
+
+
+def _panel_layer(lam, z_lo, z_hi, panels=40, cols=64, seed=3):
+    """A layer on the G7/K15 rows of `panels` geometric panels, with its
+    panels, nodes in [7, 9] and a random complex base: every x rho lies in
+    [z_lo, z_hi]."""
+    nodes = np.linspace(7.0, 9.0, cols)
+    mid, half = panel_centres(np.geomspace(z_lo / 7.0, z_hi / 9.0, panels + 1))
+    x = (mid[:, None] + half[:, None] * KRONROD_NODES).ravel()
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+    return radial.RadialKernel(lam, x, nodes, base / cols, nodes ** 2,
+                               (mid, half, KRONROD_NODES))
+
+
+def _envelope(lam, z):
+    return math.sqrt(2.0 / math.pi) * z ** (-lam - 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5])
+def test_hankel_rows_match_the_scipy_kernel(lam):
+    layer = _panel_layer(lam, HANKEL_Z0, 1e4)
+    assert layer.far_rows == layer.x.size
+    far = layer._kernel(slice(0, layer.x.size))
+    z = np.outer(layer.x, layer.nodes)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(far - bessel_kernel_reduced(lam, z))
+                  <= (8.0 * eps * z + 1e-15) * _envelope(lam, z))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_hankel_rows_no_worse_than_scipy_against_mpmath(lam):
+    # Both errors are the rounding of the phase x rho, about eps z / 2 of
+    # the envelope at z = x rho, so which one is larger at any point is
+    # chance: in units of eps z, both stay below 1.
+    layer = _panel_layer(lam, HANKEL_Z0, 1e4)
+    far = layer._kernel(slice(0, layer.x.size))
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, layer.x.size, 30)
+    cols = rng.integers(0, layer.nodes.size, 30)
+    errors = {"far": [], "scipy": []}
+    with mpmath.workdps(40):
+        for i, j in zip(rows, cols):
+            zm = mpmath.mpf(layer.x[i]) * mpmath.mpf(layer.nodes[j])
+            ref = mpmath.besselj(lam, zm) / zm ** lam
+            unit = np.finfo(float).eps * float(zm) * _envelope(lam, float(zm))
+            scipy_k = bessel_kernel_reduced(lam, layer.x[i] * layer.nodes[j])
+            errors["far"].append(abs(float(far[i, j] - ref)) / unit)
+            errors["scipy"].append(abs(float(scipy_k - ref)) / unit)
+    assert max(errors["far"]) <= max(1.0, max(errors["scipy"]))
+
+
+def test_all_near_chunks_are_the_scipy_kernel():
+    # Below HANKEL_Z0 a layer that knows its panels is the one that does not,
+    # bit for bit; in a mixed chunk its near rows are the scipy ones.
+    near = _panel_layer(0.0, 1.0, HANKEL_Z0 * 7.0 / 9.0)
+    plain = radial.RadialKernel(0.0, near.x, near.nodes, near.base, near.power)
+    assert near.far_rows == 0
+    t = np.linspace(-0.9, 0.9, 7)
+    np.testing.assert_array_equal(near.field(t), plain.field(t))
+    for a, b in zip(near.chebyshev_sup(32), plain.chebyshev_sup(32)):
+        np.testing.assert_array_equal(a, b)
+    mixed = _panel_layer(0.0, 5.0, 200.0)
+    rows = np.flatnonzero(mixed.x * mixed.nodes.min() < HANKEL_Z0)
+    assert 0 < rows.size and mixed.far_rows == mixed.x.size - rows.size
+    np.testing.assert_array_equal(
+        mixed._kernel(slice(0, mixed.x.size))[rows],
+        bessel_kernel_reduced(0.0, np.outer(mixed.x[rows], mixed.nodes)))
+
+
+def test_row_chunks_that_cut_panels_match_one_chunk(monkeypatch):
+    layer = _panel_layer(1.0, 5.0, 400.0)
+    degree = 32
+    t = chebyshev_times(degree)
+    whole_field = layer.field(t)
+    whole = layer.chebyshev_sup(degree)
+    # Chunks of 7 rows: every 15-row panel is cut.
+    row_bytes = 8 * layer.nodes.size + 16 * t.size + 16 * (radial._DENSE * degree + 1)
+    monkeypatch.setattr(radial, "_SAMPLE_BYTES", 7 * row_bytes)
+    assert len(radial.row_chunks(layer.x.size, row_bytes)) > layer.x.size // 15
+    cut = radial.RadialKernel(layer.lam, layer.x, layer.nodes, layer.base,
+                              layer.power, layer.panels)
+    chunked_field = cut.field(t)
+    assert np.abs(chunked_field - whole_field).max() \
+        <= 1e-13 * np.abs(whole_field).max()
+    # The argmax times are left out: near-ties move them by far more.
+    (sup, _, bound), (whole_sup, _, whole_bound) = cut.chebyshev_sup(degree), whole
+    for a, b in ((sup, whole_sup), (bound, whole_bound)):
+        assert np.abs(a - b).max() <= 1e-13 * b.max()
+
+
+def test_bound_holds_the_hankel_truncation():
+    layer = _panel_layer(0.0, 5.0, 400.0)
+    degree = chebyshev_degree(layer.tau)
+    _, _, bound = layer.chebyshev_sup(degree)
+    trunc = layer._truncation()
+    far = layer.x * layer.nodes.min() >= HANKEL_Z0
+    assert np.all(trunc[far] > 0.0) and np.all(trunc[~far] == 0.0)
+    # Its terms are below rounding: a few ulps of the envelope at x rho_min.
+    z = layer.x[far] * layer.nodes.min()
+    assert np.all(trunc[far] <= np.finfo(float).eps * _envelope(0.0, z))
+    kern = np.abs(layer._kernel(slice(0, layer.x.size)))
+    abs_base = np.abs(layer.base)
+    expected = (bernstein_bound(layer.tau, degree) * (kern @ abs_base)
+                + trunc * abs_base.sum())
+    np.testing.assert_allclose(bound, expected, rtol=1e-12)
+    # Half-integer orders have no remainder.
+    assert not np.any(_panel_layer(0.5, 5.0, 400.0)._truncation())

@@ -151,3 +151,16 @@ def test_cells_count_radial_work(a2_global_shell_sweep, a05_modulated_sweep):
     rows = {r.diagnostics["r_rows_evaluated"]
             for r in a2_global_shell_sweep[0] if r.N == 8.0}
     assert len(rows) == 1 and rows.pop() < 5940
+
+
+def test_cells_count_hankel_rows(a2_global_shell_sweep, a05_modulated_sweep):
+    # The global fields' far rows take the Hankel path; a local field at
+    # N <= 16 has x rho < HANKEL_Z0 on every row.
+    for r in a2_global_shell_sweep[0]:
+        d = r.diagnostics
+        assert d["r_rows_evaluated"] >= d["r_rows_far"] > 0
+    for r in a05_modulated_sweep[0]:
+        far = r.diagnostics["r_rows_far"]
+        assert far == 0 if r.N <= 16 else far >= 0
+    assert all(r.diagnostics["r_rows_far"] > 0
+               for r in a05_modulated_sweep[0] if r.N >= 64)
