@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Time the Bessel kernel layer, its sup search, the tensor-quadrature oracle
-and the split pass.
+"""Time bessel_j, the Bessel kernel layer, its sup search, the
+tensor-quadrature oracle and the split pass.
 
     python3 scripts/bench_kernel.py --label change --out BENCH_kernel.json
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Six things are timed, each recorded as
+BLAS is pinned to one thread.  Seven things are timed, each recorded as
 {"median": ..., "min": ...} over REPEATS runs; the minimum is the steadier
 figure when runs are compared back to back:
 
 - `bessel_kernel_reduced` in ns per element, for each order on a 1024 x 1024
   array of arguments spread over [0, 12) and over [12, 1024);
+- `bessel_j` in ns per element (`bessel_j_ns_per_element`), for each of
+  `J_ORDERS` on a 1024 x 1024 array of arguments spread over [1/2, 1000);
 - one `RadialKernel.field` at the single time t = 0, for three fixed
   kernel shapes (`KERNELS`: lam = 1/2 as for n = 3, lam = 1 as for n = 4).
   They were the higher-dim benchmark workload's largest kernels once; that
@@ -21,9 +23,7 @@ figure when runs are compared back to back:
   plus one matrix-vector product per chunk;
 - one `RadialKernel.field` at t = 0 on Hankel rows (`far_rows_ns_per_element`),
   in ns per kernel element: the G7/K15 rows of 200 equal panels, `FAR_COLS`
-  nodes in [7, 9] and every x rho in [40, 1000), for lam = 0 and 1.  The
-  layer knows its panels where the checkout's kernel layer takes them,
-  so there its rows are Hankel rows, and scipy rows elsewhere;
+  nodes in [7, 9] and every x rho in [40, 1000), for lam = 0 and 1;
 - the sup/argmax layer (`chebyshev_sup_s`) on the a = 2 and a = 3, n = 2,
   N = 8 global shell fields: on the field's final radii, the rho rule of
   its last radial segment and its Chebyshev degree K, one
@@ -62,17 +62,21 @@ import scipy  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import oscillax.split as split  # noqa: E402
-from oscillax.bessel import bessel_kernel_reduced  # noqa: E402
+from oscillax.bessel import bessel_j, bessel_kernel_reduced  # noqa: E402
 from oscillax.norms import converged_maximal_field, sharpness_profile  # noqa: E402
 from oscillax.oscillatory import (SymbolParams, frequency_rule,  # noqa: E402
                                   propagator)
 from oscillax.profiles import bump, gaussian  # noqa: E402
-from oscillax.quadrature import kronrod_rule  # noqa: E402
+from oscillax.quadrature import (KRONROD_NODES, kronrod_rule,  # noqa: E402
+                                 panel_centres)
 from oscillax.radial import (RadialKernel, chebyshev_times,  # noqa: E402
                              nd_oracle_batch)
 
 ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5)
 BANDS = ((0.0, 12.0), (12.0, 1024.0))
+# Orders and argument band of the bessel_j case.
+J_ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5)
+J_BAND = (0.5, 1000.0)
 SIDE = 1024
 REPEATS = 7
 # Fixed (lam, rows, columns, largest radius); frequency nodes span [0.3, 1.7].
@@ -106,16 +110,11 @@ def _timing(fn, scale: float = 1.0, digits: int = 4) -> dict:
 
 def _far_layer(lam: float) -> RadialKernel:
     """The Hankel-row case's layer: G7/K15 rows on FAR_PANELS equal panels,
-    with x rho in FAR_BAND, a unit base and its panels where the kernel
-    layer takes them."""
+    with x rho in FAR_BAND, a unit base and its panels."""
     lo, hi = FAR_BAND
     nodes = np.linspace(7.0, 9.0, FAR_COLS)
     edges = np.linspace(lo / 7.0, hi / 9.0, FAR_PANELS + 1)
     x = kronrod_rule(edges)[0]
-    try:
-        from oscillax.quadrature import KRONROD_NODES, panel_centres
-    except ImportError:     # a checkout whose kernel layer takes no panels
-        return RadialKernel(lam, x, nodes, np.ones(FAR_COLS), nodes)
     return RadialKernel(lam, x, nodes, np.ones(FAR_COLS), nodes,
                         (*panel_centres(edges), KRONROD_NODES))
 
@@ -127,6 +126,11 @@ def measure() -> dict:
             z = np.linspace(lo, hi, SIDE * SIDE, endpoint=False).reshape(SIDE, SIDE)
             ns[f"lam={lam:g} z in [{lo:g}, {hi:g})"] = _timing(
                 lambda: bessel_kernel_reduced(lam, z), 1e9 / z.size, 2)
+    j_ns = {}
+    z = np.linspace(*J_BAND, SIDE * SIDE, endpoint=False).reshape(SIDE, SIDE)
+    for lam in J_ORDERS:
+        j_ns[f"lam={lam:g} rho in [{J_BAND[0]:g}, {J_BAND[1]:g})"] = _timing(
+            lambda: bessel_j(lam, z), 1e9 / z.size, 2)
     fields = {}
     for lam, rows, cols, r_max in KERNELS:
         x = np.linspace(0.0, r_max, rows)
@@ -173,6 +177,7 @@ def measure() -> dict:
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "repeats": REPEATS},
             "kernel_ns_per_element": ns,
+            "bessel_j_ns_per_element": j_ns,
             "radial_kernel_field_s": fields,
             "far_rows_ns_per_element": far,
             "chebyshev_sup_s": sup,

@@ -20,7 +20,10 @@ a < 1 threshold is probed:
 Each sweep runs in-process (`workers=0`) in a child process of its own, with
 BLAS pinned to one thread, so the peak resident set size that the child
 reads from getrusage is that sweep's alone.  The child also reports the wall
-time of `run_sweep`, which excludes interpreter start and imports.
+time of `run_sweep`, which excludes interpreter start and imports.  A sweep
+listed in `REPEATS` runs that many times in its child, which reports the
+median (`wall_s`) and the minimum (`wall_s_min`): the a = 1/2 sweep takes
+about 0.2 s, too short for one run to resolve a change.
 
 Each run, with nproc, the BLAS thread count and the numpy and scipy
 versions, is appended to the list runs[label] of the --out file, so runs of
@@ -37,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -65,6 +69,8 @@ SWEEPS = {
                                                family="shell", modulated=True,
                                                y_count=16),
 }
+# In-process runs of a sweep in its child; one for the sweeps not listed.
+REPEATS = {"a=0.5 modulated local shell": 9}
 
 
 def run_child(name: str) -> None:
@@ -73,11 +79,17 @@ def run_child(name: str) -> None:
     from oscillax.sweep import SweepConfig, run_sweep
 
     cfg = SweepConfig(**SWEEPS[name])
-    t0 = time.perf_counter()
-    run_sweep(cfg, workers=0)
-    wall = time.perf_counter() - t0
+    walls = []
+    for _ in range(REPEATS.get(name, 1)):
+        t0 = time.perf_counter()
+        run_sweep(cfg, workers=0)
+        walls.append(time.perf_counter() - t0)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"wall_s": round(wall, 3), "peak_rss_mb": round(peak_mb, 1)}))
+    out = {"wall_s": round(statistics.median(walls), 3),
+           "peak_rss_mb": round(peak_mb, 1)}
+    if len(walls) > 1:
+        out.update(wall_s_min=round(min(walls), 3), repeats=len(walls))
+    print(json.dumps(out))
 
 
 def measure() -> dict:

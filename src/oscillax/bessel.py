@@ -3,9 +3,10 @@
 Values come from scipy.special, with the routine picked by the order:
 j0 for lam = 0, j1 for lam = 1, spherical_jn for half-integer lam >= 1/2
 (J_{k+1/2}(x) = sqrt(2x/pi) j_k(x)) and jv for every other order.  For
-the half-integer orders -1/2 to 5/2, `bessel_j` uses the exact
-trigonometric closed forms at arguments >= 1/2, which keeps the remainder
-of the leading asymptotic term at rounding level.
+lam = -1/2 and 1/2 at arguments >= 1/2, `bessel_j` returns the leading
+asymptotic term `bessel_main_term` itself: Hankel's expansion (DLMF
+10.17.3) ends after its first term for these two orders, so the term is
+exact and the remainder J - main term is 0.
 
 The entire kernel k_lam(z) = J_lam(z)/z^lam of `bessel_kernel_reduced`
 writes each order into one output array, with no boolean gather/scatter:
@@ -59,15 +60,6 @@ _ROUNDING = np.finfo(float).eps / 2.0
 # (measured on z in [20, 40) to [60, 120), lam = 0 and 1); 20 leaves a
 # margin.
 HANKEL_Z0 = 20.0
-
-# Closed trigonometric forms, exact for half-integer orders (used for
-# arguments >= 0.5; below that they cancel and scipy takes over).
-_HALF_INTEGER_FORMS = {
-    -0.5: lambda x: np.cos(x),
-    0.5: lambda x: np.sin(x),
-    1.5: lambda x: np.sin(x) / x - np.cos(x),
-    2.5: lambda x: (3.0 / (x * x) - 1.0) * np.sin(x) - (3.0 / x) * np.cos(x),
-}
 
 
 @dataclass(frozen=True)
@@ -128,21 +120,23 @@ def _scipy_j(lam: float, x: np.ndarray) -> np.ndarray:
 def bessel_j(order: float, rho) -> np.ndarray | float:
     """J_lam(rho) for rho >= 0.
 
-    Within 1e-11 * min(1, sqrt(2/(pi rho))) of the 40-digit value for
-    lam in {0, 1/2, 1, 3/2, 2} and 0 <= rho <= 1e4 (checked against mpmath
-    by the test suite).
+    The scipy routine of the module docstring, except for lam = +-1/2 at
+    rho >= 1/2, where the value is `bessel_main_term`: DLMF 10.17.3 ends
+    after one term there.  Below 1/2 scipy takes over, since the rounding
+    of cos(pi/2) in the term would show against the small sin rho of
+    lam = 1/2.  Within 1e-11 * min(1, sqrt(2/(pi rho))) of the 40-digit
+    value for lam in {-1/2, 0, 1/2, 1, 3/2, 2, 5/2} and 0 < rho <= 1e4
+    (checked against mpmath by the test suite).
     """
     lam = _lam(order)
     rho_arr, scalar = _validated(rho)
-    form = _HALF_INTEGER_FORMS.get(lam)
-    if form is None:
-        out = _scipy_j(lam, rho_arr)
-    else:
+    if abs(lam) == 0.5:
         out = np.empty_like(rho_arr)
         big = rho_arr >= 0.5
-        xb = rho_arr[big]
-        out[big] = _SQRT_2_OVER_PI / np.sqrt(xb) * form(xb)
+        out[big] = bessel_main_term(lam, rho_arr[big])
         out[~big] = _scipy_j(lam, rho_arr[~big])
+    else:
+        out = _scipy_j(lam, rho_arr)
     return float(out[0]) if scalar else out
 
 

@@ -101,8 +101,12 @@ def _add_family_flags(sp):
     sp.add_argument("--seed", type=int, default=0, help="bandlimited seed")
 
 
-def _write_csv(path: Path, header: str, rows: list[str]):
-    path.write_text("\n".join([header] + rows) + "\n")
+def _write_csv(path: Path, **columns):
+    """Write equal-length columns of numbers as CSV: the column names are
+    the header and every value goes through `format_float`."""
+    rows = zip(*(map(format_float, col) for col in columns.values()))
+    path.write_text("\n".join([",".join(columns)] + [",".join(row) for row in rows])
+                    + "\n")
 
 
 def _write_summary(args, out_dir: Path, **fields) -> dict:
@@ -143,14 +147,10 @@ def _cmd_eval_grid(args, out_dir: Path) -> int:
     rs = _parse_grid(args.r_grid)
     ts = _parse_grid(args.t_grid)
     vals = dispersive_field(g, p, rs, ts)
-    rows = []
-    for i, r in enumerate(rs):
-        for j, t in enumerate(ts):
-            v = vals[i, j]
-            rows.append(",".join([format_float(r), format_float(t),
-                                  format_float(v.real), format_float(v.imag),
-                                  format_float(abs(v))]))
-    _write_csv(out_dir / "eval_grid.csv", "r,t,re,im,abs", rows)
+    # hypot rounds like abs() of each complex value; np.abs need not.
+    _write_csv(out_dir / "eval_grid.csv", r=np.repeat(rs, ts.size),
+               t=np.tile(ts, rs.size), re=vals.real.ravel(), im=vals.imag.ravel(),
+               abs=np.hypot(vals.real, vals.imag).ravel())
     _write_summary(args, out_dir)
     return EXIT_OK
 
@@ -158,10 +158,8 @@ def _cmd_eval_grid(args, out_dir: Path) -> int:
 def _cmd_transform(args, out_dir: Path) -> int:
     f0 = _PROFILES[args.family](args)
     rhos = _parse_grid(args.rho_grid)
-    vals = np.atleast_1d(hankel_fourier(f0, args.n, rhos))
-    rows = [",".join([format_float(r), format_float(v)])
-            for r, v in zip(rhos, vals)]
-    _write_csv(out_dir / "transform.csv", "rho,fhat", rows)
+    _write_csv(out_dir / "transform.csv", rho=rhos,
+               fhat=np.atleast_1d(hankel_fourier(f0, args.n, rhos)))
     _write_summary(args, out_dir)
     return EXIT_OK
 
@@ -172,8 +170,8 @@ def _cmd_sweep(args, out_dir: Path) -> int:
                       family=args.family, modulated=args.modulated,
                       y_count=args.y_count)
     records, exponents = run_sweep(cfg, workers=_workers(args))
-    header, *rows = records_to_csv_lines(records)
-    _write_csv(out_dir / "sweep.csv", header, rows)
+    (out_dir / "sweep.csv").write_text("\n".join(records_to_csv_lines(records))
+                                       + "\n")
     all_converged = all(r.diagnostics["converged"] for r in records)
     _write_summary(args, out_dir, exponents=exponents, converged=all_converged,
                    cells=[{"family": r.family, "N": r.N, "s": r.p.s,
@@ -190,9 +188,7 @@ def _cmd_kernel(args, out_dir: Path) -> int:
     p = SymbolParams(a=args.a, n=1, s=args.s)
     [(x, k_vals, l1, t_degree, l1_bound)] = pinned_map(
         partial(kernel_sample, args.m, args.mu), [p], 1)
-    rows = [",".join([format_float(xx), format_float(kk)])
-            for xx, kk in zip(x, k_vals)]
-    _write_csv(out_dir / "kernel.csv", "x,K", rows)
+    _write_csv(out_dir / "kernel.csv", x=x, K=k_vals)
     _write_summary(args, out_dir, l1_estimate=l1, t_degree=t_degree,
                    l1_bound=l1_bound)
     return EXIT_OK
@@ -230,12 +226,8 @@ def _cmd_bessel_check(args, out_dir: Path) -> int:
     j = np.asarray(bessel_j(lam, rhos))
     main = np.asarray(bessel_main_term(lam, rhos))
     rem = j - main
-    scaled = rhos ** 1.5 * np.abs(rem)
-    rows = [",".join([format_float(r), format_float(jj), format_float(mm),
-                      format_float(re), format_float(sc)])
-            for r, jj, mm, re, sc in zip(rhos, j, main, rem, scaled)]
-    _write_csv(out_dir / "bessel_check.csv",
-               "rho,j,main,remainder,scaled_remainder", rows)
+    _write_csv(out_dir / "bessel_check.csv", rho=rhos, j=j, main=main,
+               remainder=rem, scaled_remainder=rhos ** 1.5 * np.abs(rem))
     _write_summary(args, out_dir, c_lambda_empirical=cert.c_lambda_empirical,
                    octave_sups=list(cert.octave_sups))
     return EXIT_OK
@@ -247,10 +239,8 @@ def _cmd_oracle_compare(args, out_dir: Path) -> int:
     hv = hankel_fourier(f0, args.n, rhos)
     ov = nd_oracle_batch(f0, args.n, rhos)
     rel = np.abs(hv - ov) / np.maximum(np.abs(ov), 1e-300)
-    rows = [",".join([format_float(r), format_float(h), format_float(o.real),
-                      format_float(e)])
-            for r, h, o, e in zip(rhos, hv, ov, rel)]
-    _write_csv(out_dir / "oracle_compare.csv", "rho,hankel,oracle,rel_err", rows)
+    _write_csv(out_dir / "oracle_compare.csv", rho=rhos, hankel=hv,
+               oracle=ov.real, rel_err=rel)
     _write_summary(args, out_dir, max_rel_err=float(np.max(rel)))
     return EXIT_OK
 

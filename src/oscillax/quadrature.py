@@ -132,10 +132,8 @@ def phase_breakpoints(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
 
 
 def oscillatory_rule(lo, hi, linear_rate=0.0, power_coeff=0.0, power=1.0,
-                     panel_cap=None, order: int = DEFAULT_ORDER, forced=(),
-                     budget=PHASE_BUDGET):
-    """Nodes/weights resolving the given oscillation model on [lo, hi]."""
-    edges = phase_breakpoints(lo, hi, linear_rate, power_coeff, power,
-                              panel_cap, forced, budget)
-    return panel_rule(edges, order)
+                     panel_cap=None, forced=(), budget=PHASE_BUDGET):
+    """GL-16 nodes/weights resolving the given oscillation model on [lo, hi]."""
+    return panel_rule(phase_breakpoints(lo, hi, linear_rate, power_coeff, power,
+                                        panel_cap, forced, budget))
 

@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .bessel import HANKEL_Z0, bessel_kernel_reduced, hankel_series
+from .bessel import (_SQRT_2_OVER_PI, HANKEL_Z0, bessel_kernel_reduced,
+                     hankel_series)
 from .profiles import NumericalFailure, Profile
 from .quadrature import PHASE_BUDGET, oscillatory_rule
 
@@ -65,7 +66,6 @@ _CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
 _T_CHUNK = 384           # times per `_phases` call: temporaries ~2.5x its matrices
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
 _FAR_BLOCK = 2 ** 14     # kernel elements per block of Hankel rows: in L2 cache
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _DENSE = 8               # dense search points per Chebyshev degree
 _SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
 _NEWTON_STEPS = 3
@@ -176,17 +176,14 @@ def row_chunks(rows: int, row_bytes: int) -> list[slice]:
     row_bytes per row but at least one row; none if rows or row_bytes is 0.
     The one row-chunk rule of the kernel layer and of `split`.
 
-    When a chunk holds 64 rows or more, each starts on a multiple of 16, so
-    BLAS rounds every row alike whatever the chunk size: its matrix-vector
-    products group rows from the start of each call, and a short tail
-    chunk could take its small-matrix path.
+    Rows in different chunks need not round alike: BLAS may pick another
+    kernel for a product of another size, so a chunked result matches one
+    chunk to rounding, not bitwise.
     """
     if rows == 0 or row_bytes == 0:
         return []
-    cap = max(1, _SAMPLE_BYTES // row_bytes)
-    align = 16 if cap >= 64 else 1
-    count = -(-rows // (cap - align + 1))
-    edges = [align * (k * rows // (align * count)) for k in range(count)]
+    count = -(-rows // max(1, _SAMPLE_BYTES // row_bytes))
+    edges = [k * rows // count for k in range(count)]
     return [slice(i0, i1) for i0, i1 in zip(edges, edges[1:] + [rows])]
 
 

@@ -149,7 +149,7 @@ def _oracle_points():
                            np.exp(rng.uniform(np.log(30.0), np.log(1e4), 200))])
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
 def test_against_mpmath_oracle(lam):
     # 40-digit reference, independent of scipy; errors are measured against
     # the envelope min(1, sqrt(2/(pi z))) of J_lam (divided by z^lam for k_lam).
@@ -167,15 +167,27 @@ def test_against_mpmath_oracle(lam):
 
 
 def test_minus_half_kernel_against_mpmath():
-    # k_{-1/2}(z) = z^(1/2) J_{-1/2}(z) = sqrt(2/pi) cos(z); J_{-1/2} itself
-    # is infinite at 0, so only the kernel is checked.
+    # k_{-1/2}(z) = z^(1/2) J_{-1/2}(z) = sqrt(2/pi) cos(z).  J_{-1/2} itself
+    # is infinite at 0, so it is checked on z > 0 only, against its
+    # envelope sqrt(2/(pi z)).
     z = _oracle_points()
+    pos = z[z > 0.0]
     with mpmath.workdps(40):
+        j_ref = np.array([float(mpmath.besselj(-0.5, mpmath.mpf(x))) for x in pos])
         k_ref = np.array([float(mpmath.besselj(-0.5, mpmath.mpf(x)) * mpmath.sqrt(x))
                           if x > 0 else float(mpmath.sqrt(2 / mpmath.pi))
                           for x in z])
     k = np.asarray(bessel_kernel_reduced(-0.5, z))
     assert np.all(np.abs(k - k_ref) <= 1e-15)
+    j = np.asarray(bessel_j(-0.5, pos))
+    assert np.all(np.abs(j - j_ref) <= 1e-15 * np.sqrt(2.0 / (np.pi * pos)))
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.5])
+def test_half_orders_are_their_main_term(lam):
+    # Hankel's expansion of J_{+-1/2} ends after its first term (DLMF 10.17.3).
+    x = np.exp(np.linspace(np.log(0.5), np.log(4096.0), 5000))
+    np.testing.assert_array_equal(bessel_j(lam, x), bessel_main_term(lam, x))
 
 
 @pytest.mark.filterwarnings("error")

@@ -16,7 +16,8 @@ from oscillax.oscillatory import (SymbolParams, dispersive_field,
                                   propagator)
 from oscillax.profiles import (NumericalFailure, Profile, annular, gaussian,
                                shell)
-from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
+from oscillax.quadrature import (PHASE_BUDGET, kronrod_rule, oscillatory_rule,
+                                 panel_rule, phase_breakpoints)
 from oscillax.radial import chebyshev_degree, sobolev_norm
 from oscillax.sweep import SweepConfig, run_sweep
 
@@ -66,8 +67,8 @@ def _doubled_gl8_norms(fld, g, p, range_kind):
     rule = frequency_rule(g, p, r_max=fld.r_max + g.modulation_rate, t_max=1.0)
     out = []
     for width in (cap, cap / 2.0):
-        radii, weights = oscillatory_rule(0.0, fld.r_max, panel_cap=width,
-                                          order=8, forced=(1.0,))
+        radii, weights = panel_rule(
+            phase_breakpoints(0.0, fld.r_max, panel_cap=width, forced=(1.0,)), 8)
         layer = propagator(g, p, radii, rule)
         sup = layer.chebyshev_sup(fld.t_grid.count - 1)[0]
         out.append(range_norm(replace(fld, radii=radii, weights=weights,
@@ -282,8 +283,8 @@ def test_gaussian_center_sup_matches_dense_scan():
     # radial node against a dense scan
     p = SymbolParams(a=2.0, n=2)
     g = gaussian(1.0)
-    radii, _ = oscillatory_rule(0.0, 2.0, panel_cap=0.25, order=8,
-                                forced=(1.0,))
+    radii, _ = panel_rule(phase_breakpoints(0.0, 2.0, panel_cap=0.25,
+                                            forced=(1.0,)), 8)
     layer = propagator(g, p, radii, frequency_rule(g, p, r_max=2.0, t_max=1.0))
     sups, args = grid_sup(layer, np.arange(-(2 ** 6 - 1), 2 ** 6) / 2 ** 6)
     r0, sup, arg = radii[0], sups[0], args[0]
