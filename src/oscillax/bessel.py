@@ -133,7 +133,7 @@ def bessel_j(order: float, rho) -> np.ndarray | float:
     if abs(lam) == 0.5:
         out = np.empty_like(rho_arr)
         big = rho_arr >= 0.5
-        out[big] = bessel_main_term(lam, rho_arr[big])
+        out[big] = _main_term(lam, rho_arr[big])
         out[~big] = _scipy_j(lam, rho_arr[~big])
     else:
         out = _scipy_j(lam, rho_arr)
@@ -154,11 +154,19 @@ def bessel_main_term(order: float, rho) -> np.ndarray | float:
     rho_arr = np.atleast_1d(rho_arr)
     if np.any(rho_arr <= 0):
         raise ValueError("main term requires rho > 0")
+    out = _main_term(lam, rho_arr)
+    return float(out[0]) if scalar else out
+
+
+def _main_term(lam: float, rho: np.ndarray) -> np.ndarray:
+    """`bessel_main_term` on a checked order and array, rho > 0.  At
+    lam = -1/2, phi = 0 and sin phi is exactly 0, so the sine is skipped."""
     phi = lam * (0.5 * math.pi) + 0.25 * math.pi
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    out = _SQRT_2_OVER_PI / np.sqrt(rho_arr) * (
-        np.cos(rho_arr) * cos_phi + np.sin(rho_arr) * sin_phi)
-    return float(out[0]) if scalar else out
+    wave = np.cos(rho) * cos_phi
+    if sin_phi != 0.0:
+        wave += np.sin(rho) * sin_phi
+    return _SQRT_2_OVER_PI / np.sqrt(rho) * wave
 
 
 def bessel_kernel_reduced(order: float, z) -> np.ndarray:

@@ -383,7 +383,10 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     symmetric, so the two fields share every sup, bound, K15/G7 sum and
     audit term, and their maximizing times differ in sign.  The pass then
     stacks one base per distinct |y| and expands its panels to every y;
-    for a complex g it stacks one per distinct y.
+    for a complex g it stacks one per distinct y.  At y = 0 the identity
+    reads u(r, -t) = conj u(r, t), which every layer with a real base uses
+    inside `radial.RadialKernel.chebyshev_sup` to sample t >= 0 only; a
+    stack with any y != 0 is complex and samples every time.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_arr.size == 0:

@@ -30,7 +30,12 @@ bound; every other row comes from `bessel_kernel_reduced`.
 `field(t)` copies the samples out; `chebyshev_sup(K)` samples the K + 1
 Chebyshev times and returns (sup, arg, bound), the certified continuous
 sup over [-1, 1] of one interpolant per row, a time reaching it and its
-error bound.
+error bound.  A layer with a real base, as every layer of a real profile
+has, is real in all but its phases: demodulated, u(x, -t) = conj u(x, t),
+so Re u is even in t, Im u is odd and |u| is even.  Its interpolant keeps
+the parity (Re p has only even Chebyshev coefficients, Im p only odd
+ones), so such a layer is sampled at the K/2 + 1 times t >= 0 only and
+searched over t in [0, 1], and every arg it returns is >= 0.
 
 The inhomogeneous Sobolev norm of f is computed on the frequency side,
 
@@ -193,11 +198,10 @@ def _interpolant_max(samples: np.ndarray, t: np.ndarray):
     t is chebyshev_times(K).  With t = cos(theta), p = sum_m c_m cos(m theta)
     and the DCT-I of the samples gives the c_m.  A zero-padded DCT-I, in
     single precision since it only picks the starting angle, evaluates p at
-    about _DENSE * K angles; steps on |p|^2 in theta, in double precision,
-    polish the best of them (Newton where |p|^2 is concave, else one dense
-    spacing uphill), and the best iterate is kept.
-    Returns the larger of the best sample and the polished value, with its
-    time.
+    about _DENSE * K angles of [0, pi], and `_polished_max` polishes the best
+    of them.  A real layer's samples satisfy s(-t) = conj s(t), so its c_m
+    are real for even m and imaginary for odd m, and |p| is even in t:
+    `_even_interpolant_max` finds the same max from half the samples.
     """
     rows, deg = samples.shape[0], t.size - 1
     coef = scipy.fft.dct(samples, type=1, axis=1) / deg
@@ -211,33 +215,119 @@ def _interpolant_max(samples: np.ndarray, t: np.ndarray):
     dense = np.abs(scipy.fft.dct(padded, type=1, axis=1))   # 2 |p(cos theta_j)|
     theta = np.pi * np.argmax(dense, axis=1) / n_dense
     m = np.arange(deg + 1)
-    polished = np.zeros(rows)
-    best_theta = theta
+    m_coef, m2_coef = m * coef, m * m * coef
     powers = np.empty((rows, deg + 1), dtype=complex)
-    for step in range(_NEWTON_STEPS + 1):
-        # e^{i m theta} by running products: error ~ m * eps, and no trig.
-        powers[:, 0] = 1.0
-        powers[:, 1:] = np.exp(1j * theta)[:, None]
-        np.cumprod(powers, axis=1, out=powers)
+
+    def local(theta, slopes):
+        _unit_powers(theta, powers)
         cos = powers.real
         q = np.einsum("ij,ij->i", cos, coef)
-        better = np.abs(q) > polished
-        polished = np.where(better, np.abs(q), polished)
+        if not slopes:
+            return np.abs(q), None, None
+        dq = -np.einsum("ij,ij->i", powers.imag, m_coef)
+        d2q = -np.einsum("ij,ij->i", cos, m2_coef)
+        return (np.abs(q), np.real(np.conj(q) * dq),
+                np.real(np.conj(q) * d2q) + np.abs(dq) ** 2)
+
+    return _polished_max(samples, t, theta, np.pi / n_dense, np.pi, local)
+
+
+def _even_interpolant_max(samples: np.ndarray, t: np.ndarray):
+    """`_interpolant_max` for a real layer, over t in [0, 1] only.
+
+    t is chebyshev_times(K)[:K // 2 + 1], the times t >= 0, of which the
+    last is 0.  A real layer has p(-t) = conj p(t), so |p| is even in t, Re p
+    has only even Chebyshev coefficients and Im p only odd ones:
+
+        Re c_2j = (2/K) DCT-I(Re s)_j,  halved at j = 0 and j = K/2,
+        Im c_2j+1 = (2/K) DCT-III(Im s[:K/2])_j,
+
+    on the samples s.  With theta_l = pi l / n_dense, l <= n_dense / 2,
+    2 Re p(cos theta_l) is the DCT-I of the zero-padded even coefficients
+    (the first doubled) and 2 Im p(cos theta_l), l < n_dense / 2, the DCT-II
+    of the zero-padded odd ones; at l = n_dense / 2, t = 0, Im p is 0.  Both
+    transforms are real, single precision and half the length of the
+    complex one.  `_polished_max` polishes the best angle in [0, pi/2].
+    """
+    rows, half = samples.shape[0], t.size - 1
+    even = scipy.fft.dct(samples.real, type=1, axis=1) / half
+    even[:, 0] *= 0.5
+    even[:, half] *= 0.5
+    odd = scipy.fft.dct(samples.imag[:, :half], type=3, axis=1) / half
+    # Dense angles on [0, pi/2]: n_dense = 2 n, n 5-smooth for both transforms.
+    n = scipy.fft.next_fast_len(_DENSE * half, real=True)
+    padded = np.zeros((rows, n + 1), dtype=np.float32)
+    padded[:, :half + 1] = even
+    padded[:, 0] *= 2.0
+    dense = np.zeros((rows, n + 1), dtype=np.complex64)     # 2 p(cos theta_l)
+    dense.real = scipy.fft.dct(padded, type=1, axis=1)
+    padded = np.zeros((rows, n), dtype=np.float32)
+    padded[:, :half] = odd
+    dense.imag[:, :n] = scipy.fft.dct(padded, type=2, axis=1)
+    # The ends, t = 1 and t = 0, are samples and stationary points of |p|^2
+    # by symmetry, where a step would not leave them: start inside.
+    spacing = np.pi / (2 * n)
+    theta = np.clip(spacing * np.argmax(np.abs(dense), axis=1), 0.5 * spacing,
+                    0.5 * np.pi - 0.5 * spacing)
+    m = np.arange(2 * half + 1)
+    m_even, m2_even = m[0::2] * even, m[0::2] ** 2 * even
+    m_odd, m2_odd = m[1::2] * odd, m[1::2] ** 2 * odd
+    powers = np.empty((rows, half + 1), dtype=complex)
+    odd_powers = np.empty((rows, half), dtype=complex)
+
+    def local(theta, slopes):
+        # e^{i 2j theta}, and e^{i (2j + 1) theta} from them in one product.
+        _unit_powers(2.0 * theta, powers)
+        np.multiply(powers[:, :half], np.exp(1j * theta)[:, None],
+                    out=odd_powers)
+        cos_even, cos_odd = powers.real, odd_powers.real
+        re = np.einsum("ij,ij->i", cos_even, even)
+        im = np.einsum("ij,ij->i", cos_odd, odd)
+        if not slopes:
+            return np.hypot(re, im), None, None
+        d_re = -np.einsum("ij,ij->i", powers.imag, m_even)
+        d_im = -np.einsum("ij,ij->i", odd_powers.imag, m_odd)
+        d2_re = -np.einsum("ij,ij->i", cos_even, m2_even)
+        d2_im = -np.einsum("ij,ij->i", cos_odd, m2_odd)
+        return (np.hypot(re, im), re * d_re + im * d_im,
+                re * d2_re + im * d2_im + d_re ** 2 + d_im ** 2)
+
+    return _polished_max(samples, t, theta, spacing, 0.5 * np.pi, local)
+
+
+def _unit_powers(theta: np.ndarray, out: np.ndarray):
+    """out[i, m] = e^{i m theta_i} by running products: error ~ m * eps, and
+    no trigonometric function past the first power."""
+    out[:, 0] = 1.0
+    out[:, 1:] = np.exp(1j * theta)[:, None]
+    np.cumprod(out, axis=1, out=out)
+
+
+def _polished_max(samples, t, theta, spacing, top, local):
+    """The larger of the best sample and the polished value of |p|, per row,
+    with its time.
+
+    From the starting angles theta in [0, top], steps on |p|^2 in theta, in
+    double precision, polish the maximum (Newton where |p|^2 is concave,
+    else one dense spacing uphill, never more than one spacing), and the
+    best iterate is kept.  local(theta, slopes) returns |p(cos theta)| and,
+    if slopes, the first and second theta-derivatives of |p|^2 / 2.
+    """
+    polished = np.zeros(theta.size)
+    best_theta = theta
+    for step in range(_NEWTON_STEPS + 1):
+        value, slope, curv = local(theta, step < _NEWTON_STEPS)
+        better = value > polished
+        polished = np.where(better, value, polished)
         best_theta = np.where(better, theta, best_theta)
         if step == _NEWTON_STEPS:
             break
-        dq = -np.einsum("ij,ij->i", powers.imag, m * coef)
-        d2q = -np.einsum("ij,ij->i", cos, m * m * coef)
-        slope = np.real(np.conj(q) * dq)
-        curv = np.real(np.conj(q) * d2q) + np.abs(dq) ** 2
-        # Newton where |p|^2 is concave, else one dense spacing uphill.
-        spacing = np.pi / n_dense
         newton = np.where(curv < 0.0, -slope / np.where(curv < 0.0, curv, -1.0),
                           np.sign(slope) * spacing)
-        theta = np.clip(theta + np.clip(newton, -spacing, spacing), 0.0, np.pi)
+        theta = np.clip(theta + np.clip(newton, -spacing, spacing), 0.0, top)
     mag = np.abs(samples)
     col = np.argmax(mag, axis=1)
-    sampled = mag[np.arange(rows), col]
+    sampled = mag[np.arange(theta.size), col]
     at_sample = sampled >= polished
     return (np.where(at_sample, sampled, polished),
             np.where(at_sample, t[col], np.cos(best_theta)))
@@ -454,21 +544,28 @@ class RadialKernel:
         unchanged and makes u of exponential type `tau`.  Each row is
         sampled once at chebyshev_times(K) and maximized by
         `_interpolant_max`, which takes as many bases at once as fit in
-        _SEARCH_ROWS rows, and at least one.  bound is
+        _SEARCH_ROWS rows, and at least one.  A real base makes the
+        demodulated u(x, -t) = conj u(x, t): its rows are sampled at the
+        K/2 + 1 times t >= 0, chebyshev_times(K)[:K // 2 + 1], and
+        maximized over t in [0, 1] by `_even_interpolant_max`, so arg >= 0;
+        a complex base, a stack with any complex base included, takes the
+        full path.  bound is
         bernstein_bound(tau, K) * A_i, A_i = (|kernel| @ |base|)_i, which
         bounds |u - p_K| on row i, plus, on a Hankel row, its `_truncation`
         times sum_j |base_j|.  A row chunk holds its kernel rows, the
         samples of every base and the dense search values of one such call;
         once the samples are taken, |kernel| overwrites the kernel rows.
         """
-        t = chebyshev_times(degree)
+        t, search = chebyshev_times(degree), _interpolant_max
+        if not np.iscomplexobj(self.base):
+            t, search = t[:degree // 2 + 1], _even_interpolant_max
         shifted = self.power - 0.5 * (np.max(self.power) + np.min(self.power))
         error = bernstein_bound(self.tau, degree)
         out = [np.empty(self.base.shape[:-1] + self.x.shape) for _ in range(3)]
         sup, arg, bound = (self._rows(a) for a in out)
         abs_base = np.abs(self.base.reshape(len(sup), -1))
         trunc = np.outer(abs_base.sum(axis=1), self._truncation())
-        search_bytes = 16 * (_DENSE * degree + 1)
+        search_bytes = 16 * (_DENSE * (t.size - 1) + 1)
         for rows, kern, samples in self._samples(t, shifted, search_bytes):
             abs_kern = np.abs(kern, out=kern)
             # One batched matrix-vector product per base, as for a single base.
@@ -479,7 +576,7 @@ class RadialKernel:
                 group = samples[b:b + step].reshape(-1, t.size)
                 sup[b:b + step, rows], arg[b:b + step, rows] = (
                     v.reshape(-1, kern.shape[0])
-                    for v in _interpolant_max(group, t))
+                    for v in search(group, t))
         return tuple(out)
 
 

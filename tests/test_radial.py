@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
@@ -259,10 +260,12 @@ def test_row_chunks_reproduce_single_block_chebyshev_sup(monkeypatch,
     sup, arg, bound = layer.chebyshev_sup(degree)
     assert len(kernel_blocks) == 1
     _, cols = kernel_blocks.pop()
-    # The rows run in two-row chunks.
+    # The rows run in two-row chunks: the base is real, so its samples and
+    # dense search take the times t >= 0 only.
+    half = degree // 2
     monkeypatch.setattr(radial, "_SAMPLE_BYTES",
-                        2 * (8 * cols + 16 * (degree + 1)
-                             + 16 * (radial._DENSE * degree + 1)))
+                        2 * (8 * cols + 16 * (half + 1)
+                             + 16 * (radial._DENSE * half + 1)))
     chunked_sup, chunked_arg, chunked_bound = propagator(
         g, p, r, rule).chebyshev_sup(degree)
     assert len(kernel_blocks) >= 3
@@ -440,6 +443,68 @@ def test_chebyshev_times_symmetric_with_zero():
     np.testing.assert_array_equal(t, -t[::-1])
     assert t[6] == 0.0
     np.testing.assert_allclose(t, np.cos(np.pi * np.arange(13) / 12), atol=1e-15)
+
+
+def test_chebyshev_times_put_exact_zero_at_the_middle():
+    # A real layer's half search takes chebyshev_times(K)[:K // 2 + 1] and
+    # relies on its last time being t = 0 exactly.
+    for deg in range(2, 2 ** 13 + 1, 2):
+        assert chebyshev_times(deg)[deg // 2] == 0.0, deg
+
+
+def _real_layer(seed=5):
+    """A lam = 0 layer with a real base: 40 radii in [0, 3], 60 random nodes
+    in [0.5, 4] with powers in [-40, 40]."""
+    rng = np.random.default_rng(seed)
+    nodes = rng.uniform(0.5, 4.0, 60)
+    return radial.RadialKernel(0.0, np.linspace(0.0, 3.0, 40), nodes,
+                               rng.standard_normal(60) / 60,
+                               rng.uniform(-40.0, 40.0, 60))
+
+
+def test_real_layer_half_search_matches_complex_copy():
+    layer = _real_layer()
+    twin = radial.RadialKernel(layer.lam, layer.x, layer.nodes,
+                               layer.base.astype(complex), layer.power)
+    degree = chebyshev_degree(layer.tau)
+    sup, arg, bound = layer.chebyshev_sup(degree)
+    full_sup, _, full_bound = twin.chebyshev_sup(degree)
+    np.testing.assert_allclose(sup, full_sup, rtol=1e-9)
+    np.testing.assert_allclose(bound, full_bound, rtol=1e-14)
+    assert np.all((arg >= 0.0) & (arg <= 1.0))
+    at_arg = np.abs(np.diagonal(layer.field(arg)))
+    assert np.all(np.abs(at_arg - sup) <= bound)
+
+
+def test_half_search_covers_dense_scan_of_real_exponential_sum():
+    # At x = 0, k_0 = 1: the layer is u(t) = sum_j c_j e^{i q_j t}, c real.
+    rng = np.random.default_rng(11)
+    c, q = rng.standard_normal(30), rng.uniform(-60.0, 60.0, 30)
+    layer = radial.RadialKernel(0.0, np.zeros(1), np.ones(30), c, q)
+    sup, arg, bound = layer.chebyshev_sup(chebyshev_degree(layer.tau))
+    t = np.linspace(-1.0, 1.0, 20001)
+    scan = np.abs(np.exp(1j * np.outer(t, q)) @ c).max()
+    assert 0.0 <= arg[0] <= 1.0
+    assert scan - bound[0] <= sup[0] <= scan + bound[0]
+
+
+def test_half_search_leaves_the_stationary_end_t_1():
+    # Two packets peaked at t = +-t*, with t* = cos(0.3 h) for h the dense
+    # spacing in theta: the best dense angle is theta = 0, t = 1, where the
+    # slope of |p|^2 is 0, yet the peak of p lies just inside.
+    q = np.linspace(-60.0, 60.0, 121)
+    degree = chebyshev_degree(60.0)
+    h = np.pi / (2 * scipy.fft.next_fast_len(radial._DENSE * degree // 2,
+                                               real=True))
+    c = np.exp(-(q / 30.0) ** 2) * np.cos(q * np.cos(0.3 * h))
+    layer = radial.RadialKernel(0.0, np.zeros(1), np.ones(q.size), c, q)
+    sup, arg, _ = layer.chebyshev_sup(degree)
+    t = chebyshev_times(degree)
+    coef = np.polynomial.chebyshev.chebfit(t, layer.field(t)[0], degree)
+    peak = np.abs(np.polynomial.chebyshev.chebval(
+        np.linspace(np.cos(h), 1.0, 2001), coef)).max()
+    assert abs(layer.field(np.ones(1))[0, 0]) < (1.0 - 1e-10) * peak
+    assert sup[0] >= (1.0 - 1e-12) * peak and np.cos(h) <= arg[0] < 1.0
 
 
 def test_bernstein_bound_covers_exponential_interpolation_error(monkeypatch):
