@@ -25,10 +25,12 @@ figure when runs are compared back to back:
   in ns per kernel element: the G7/K15 rows of 200 equal panels, `FAR_COLS`
   nodes in [7, 9] and every x rho in [40, 1000), for lam = 0 and 1;
 - the sup/argmax layer (`chebyshev_sup_s`) on the a = 2 and a = 3, n = 2,
-  N = 8 global shell fields: on the field's final radii, the rho rule of
-  its last radial segment and its Chebyshev degree K, one
-  `RadialKernel.field` at the K + 1 Chebyshev times (the sampler alone)
-  and one `RadialKernel.chebyshev_sup(K)` (sampler, bound and search);
+  N = 8 global shell fields: on the G7/K15 rows of the field's final
+  panels, built as `norms._kronrod_layer` builds them (so the far rows
+  are Hankel rows), the rho rule of its last radial segment and its
+  Chebyshev degree K, one `RadialKernel.field` at the K/2 + 1 Chebyshev
+  times t >= 0 that a real layer samples (the sampler alone) and one
+  `RadialKernel.chebyshev_sup(K)` (sampler, bound and search);
 - `nd_oracle_batch` on acceptance criterion 2's cases (`oracle_s`): 20
   radii up to 12 for bump(1, 0.7) and up to 5.5 for gaussian(1), each at
   n = 2 and n = 3;
@@ -61,11 +63,11 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import oscillax.norms as norms  # noqa: E402
 import oscillax.split as split  # noqa: E402
 from oscillax.bessel import bessel_j, bessel_kernel_reduced  # noqa: E402
 from oscillax.norms import converged_maximal_field, sharpness_profile  # noqa: E402
-from oscillax.oscillatory import (SymbolParams, frequency_rule,  # noqa: E402
-                                  propagator)
+from oscillax.oscillatory import SymbolParams, frequency_rule  # noqa: E402
 from oscillax.profiles import bump, gaussian  # noqa: E402
 from oscillax.quadrature import (KRONROD_NODES, kronrod_rule,  # noqa: E402
                                  panel_centres)
@@ -147,10 +149,14 @@ def measure() -> dict:
         p = SymbolParams(a=a, n=2)
         g = sharpness_profile("shell", N, a)
         fld = converged_maximal_field(g, p)
-        rule = frequency_rule(g, p, r_max=fld.r_max + g.modulation_rate, t_max=1.0)
-        layer = propagator(g, p, fld.radii, rule)
+        rule = frequency_rule(g, p, r_max=fld.r_max, t_max=1.0)
+        # The final panels' edges: each panel's centre row less its half-width.
+        mid = fld.radii.reshape(-1, 15)[:, 7]
+        half = 0.5 * fld.weights.reshape(-1, 15).sum(axis=1)
+        layer = norms._kronrod_layer(g, p, np.append(mid - half, mid[-1] + half[-1]),
+                                     rule)
         degree = fld.t_grid.count - 1
-        times = chebyshev_times(degree)
+        times = chebyshev_times(degree)[:degree // 2 + 1]
         key = f"a={a:g} N={N:g} {fld.radii.size}x{rule[0].size} K={degree}"
         sup[key] = {"field_s": _timing(lambda: layer.field(times)),
                     "chebyshev_sup_s": _timing(lambda: layer.chebyshev_sup(degree))}

@@ -44,8 +44,7 @@ from .profiles import (NumericalFailure, annular, bandlimited, bump,
 from .radial import hankel_fourier, nd_oracle_batch
 from .split import (kernel_sample, recompose_residual, remainder_constant,
                     split_checks)
-from .sweep import (SweepConfig, format_float, pinned_map,
-                    records_to_csv_lines, run_sweep)
+from .sweep import SweepConfig, format_float, pinned_map, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,9 +101,11 @@ def _add_family_flags(sp):
 
 
 def _write_csv(path: Path, **columns):
-    """Write equal-length columns of numbers as CSV: the column names are
-    the header and every value goes through `format_float`."""
-    rows = zip(*(map(format_float, col) for col in columns.values()))
+    """Write equal-length columns as CSV: the column names are the header,
+    strings are written as they are and every other value goes through
+    `format_float`."""
+    rows = zip(*([v if isinstance(v, str) else format_float(v) for v in col]
+                 for col in columns.values()))
     path.write_text("\n".join([",".join(columns)] + [",".join(row) for row in rows])
                     + "\n")
 
@@ -170,8 +171,12 @@ def _cmd_sweep(args, out_dir: Path) -> int:
                       family=args.family, modulated=args.modulated,
                       y_count=args.y_count)
     records, exponents = run_sweep(cfg, workers=_workers(args))
-    (out_dir / "sweep.csv").write_text("\n".join(records_to_csv_lines(records))
-                                       + "\n")
+    _write_csv(out_dir / "sweep.csv", family=[r.family for r in records],
+               a=[r.p.a for r in records], n=[str(r.p.n) for r in records],
+               s=[r.p.s for r in records], N=[r.N for r in records],
+               range=[r.range_kind for r in records], Q=[r.Q for r in records],
+               A=[math.nan if r.A is None else r.A for r in records],
+               converged=[str(int(r.diagnostics["converged"])) for r in records])
     all_converged = all(r.diagnostics["converged"] for r in records)
     _write_summary(args, out_dir, exponents=exponents, converged=all_converged,
                    cells=[{"family": r.family, "N": r.N, "s": r.p.s,

@@ -27,7 +27,7 @@ sign change locates the admissible-regularity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,35 +54,28 @@ _ROUNDS = 8              # bisection rounds per radial segment
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Finite increasing time grid inside (-1, 1), or [-1, 1] if closed."""
+    """The degree + 1 Chebyshev-Lobatto times on [-1, 1] at which a maximal
+    field's interpolants are sampled; degree is even and >= 2."""
 
-    points: np.ndarray
-    level: int = -1
-    closed: bool = False
+    degree: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            raise ValueError("time grid must be nonempty")
-        if np.any(np.abs(pts) > 1) or (not self.closed and np.any(np.abs(pts) >= 1)):
-            raise ValueError("times must satisfy |t| < 1")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        chebyshev_times(self.degree)    # rejects an odd degree or one below 2
 
-    @staticmethod
-    def chebyshev(degree: int) -> "TimeGrid":
-        """The degree + 1 Chebyshev-Lobatto times on [-1, 1], increasing.
+    @property
+    def points(self) -> np.ndarray:
+        """The times, increasing."""
+        return chebyshev_times(self.degree)[::-1]
 
-        The level is the least L with degree <= 2^L, on the scale of
-        radial._MAX_LEVEL, the cap on `chebyshev_degree`.
-        """
-        return TimeGrid(points=chebyshev_times(degree)[::-1],
-                        level=(degree - 1).bit_length(), closed=True)
+    @property
+    def level(self) -> int:
+        """The least L with degree <= 2^L, on the scale of radial._MAX_LEVEL,
+        the cap on `chebyshev_degree`."""
+        return (self.degree - 1).bit_length()
 
     @property
     def count(self) -> int:
-        return int(self.points.size)
+        return self.degree + 1
 
 
 @dataclass(frozen=True)
@@ -146,17 +139,18 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     finer rule is the reference, so the audit estimates the error of the
     rule the field used.
 
-    _shared, from `modulated_numerators`, lends a local field the rho rules
-    of a wider modulation of the same profile, the panels, certified sups
-    and audit sums that one stacked pass per round took for every
-    modulation, and this field's index among them.  A mirrored modulation
-    -y of a real profile was not in that pass: its entries are those of +y,
-    with the maximizing times negated.
+    _shared = (rho_rules, seg, key, sign), from `modulated_numerators`,
+    lends a local field the rho rules of a wider modulation of the same
+    profile and the panels, certified sups and audit sums that one stacked
+    pass per round took for several modulations.  The field reads the
+    entries of base key of that stack, with its maximizing times multiplied
+    by sign: -1 for a mirrored modulation -y of a real profile, which was
+    not in the pass and shares every entry of +y but the sign of its times.
     """
     if _shared is not None and not local:
         raise ValueError("shared sups serve local fields only")
     r_first = 1.0 if local else arrival_radius(g, p, 1.0)
-    lo, r_max, b = 0.0, r_first, 0
+    lo, r_max, key, sign = 0.0, r_first, 0, 1.0
     segments, history, rho_points = [], [], 0
     for growth in range(4):
         if growth:
@@ -166,13 +160,15 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
             segments.append(_adaptive_panels(
                 g, p, rho_rules, _start_edges(g, r_first, lo, r_max), segments))
         else:
-            rho_rules, seg, b = _shared
+            rho_rules, seg, key, sign = _shared
             segments.append(seg)
         rho_points = max(rho_points, rho_rules[0][0].size)
         radii, k_w, g_w = (np.concatenate([getattr(s, k).ravel() for s in segments])
                            for k in ("nodes", "k_w", "g_w"))
-        sup, arg, bound = (np.concatenate([getattr(s, k)[b].ravel() for s in segments])
-                           for k in ("sup", "arg", "bound"))
+        sup, arg, bound = (
+            np.concatenate([getattr(s, k)[key].ravel() for s in segments])
+            for k in ("sup", "arg", "bound"))
+        arg = arg * sign
         norm = _range_norm_from(radii, k_w, sup, p.n)
         history.append((r_max, _range_norm_from(radii, g_w, sup, p.n), norm))
         tail = 0.0 if local else _range_norm_from(
@@ -183,12 +179,12 @@ def converged_maximal_field(g: Profile, p: SymbolParams, *,
     # the norm of the bounds.
     t_bound = _range_norm_from(radii, k_w, bound, p.n) / max(norm, 1e-300)
     k_sum, e_sum, rho_k, rho_e = (
-        sum(float(np.sum(getattr(s, k)[b])) for s in segments)
+        sum(float(np.sum(getattr(s, k)[key])) for s in segments)
         for k in ("k_p", "e_p", "rho_k", "rho_e"))
     rho_audit = rho_e / max(2.0 * rho_k, 1e-300)
     return MaximalField(
         p=p, radii=radii, weights=k_w, sup_values=sup, argmax_t=arg,
-        t_grid=TimeGrid.chebyshev(max(s.degree for s in segments)),
+        t_grid=TimeGrid(max(s.degree for s in segments)),
         r_max=r_max, tail_fraction=tail,
         t_converged=t_bound <= 0.5 * _REL_TOL,
         r_converged=(tail < _TAIL_TOL and e_sum <= _R_TOL * k_sum
@@ -204,11 +200,14 @@ def _rho_rules(g, p, r_max):
     """The rho rule of a radial segment ending at r_max, and its audit rule
     at half the phase budget.
 
-    The segment's own rule is built last: perfbench's traced GEMM count
-    sizes a field from the last rho rule built inside it.
+    Each resolves the phase r_max rho + rho^a and, through
+    `radial.profile_rule`, which adds it, the modulation rate of g: a
+    modulation's linear rate is counted once.  The segment's own rule is
+    built last: perfbench's traced GEMM count sizes a field from the last
+    rho rule built inside it.
     """
-    finer, rule = (frequency_rule(g, p, r_max=r_max + g.modulation_rate,
-                                  t_max=1.0, refine=k) for k in (2, 1))
+    finer, rule = (frequency_rule(g, p, r_max=r_max, t_max=1.0, refine=k)
+                   for k in (2, 1))
     return rule, finer
 
 
@@ -382,16 +381,17 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     u_{-y}(r, t) = conj(u_y(r, -t)).  The Chebyshev times are exactly
     symmetric, so the two fields share every sup, bound, K15/G7 sum and
     audit term, and their maximizing times differ in sign.  The pass then
-    stacks one base per distinct |y| and expands its panels to every y;
-    for a complex g it stacks one per distinct y.  At y = 0 the identity
-    reads u(r, -t) = conj u(r, t), which every layer with a real base uses
-    inside `radial.RadialKernel.chebyshev_sup` to sample t >= 0 only; a
-    stack with any y != 0 is complex and samples every time.
+    stacks one base per distinct |y|, and each y's field reads the entries
+    of its |y|, with the times negated when y < 0, so nothing is copied per
+    y; for a complex g it stacks one base per distinct y.  At y = 0 the
+    identity reads u(r, -t) = conj u(r, t), which every layer with a real
+    base uses inside `radial.RadialKernel.chebyshev_sup` to sample t >= 0
+    only; a stack with any y != 0 is complex and samples every time.
     """
     y_arr = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_arr.size == 0:
         raise ValueError("the modulation grid must be nonempty")
-    if np.any(np.abs(y_arr) >= 1):
+    if not np.all(np.abs(y_arr) < 1):
         raise ValueError("modulations must satisfy |y| < 1")
     wide = g.modulate(float(np.max(np.abs(y_arr))))
     rho_rules = _rho_rules(wide, p, 1.0)
@@ -399,16 +399,13 @@ def modulated_numerators(g: Profile, p: SymbolParams,
     keys, inv = np.unique(np.abs(y_arr) if real else y_arr, return_inverse=True)
     seg = _adaptive_panels([g.modulate(float(k)) for k in keys], p, rho_rules,
                            _start_edges(g, 1.0, 0.0, 1.0))
-    # y = -|y| takes its mirror's panels with the argmax times flipped.
-    flip = np.where(y_arr < keys[inv], -1.0, 1.0)[:, None, None]
-    seg = replace(seg, arg=seg.arg[inv] * flip, **{
-        k: getattr(seg, k)[inv]
-        for k in ("sup", "bound", "k_p", "e_p", "rho_k", "rho_e")})
+    # y = -|y| reads its mirror's entries with the argmax times flipped.
+    flip = np.where(y_arr < keys[inv], -1.0, 1.0)
     out = np.empty(y_arr.size)
     fields = []
-    for i, gy in enumerate(g.modulate(float(y)) for y in y_arr):
-        fld = converged_maximal_field(gy, p, local=True,
-                                      _shared=(rho_rules, seg, i))
+    for i, y in enumerate(y_arr):
+        fld = converged_maximal_field(g.modulate(float(y)), p, local=True,
+                                      _shared=(rho_rules, seg, inv[i], flip[i]))
         out[i] = range_norm(fld, p, "local") ** 2
         fields.append(fld)
     return out, fields

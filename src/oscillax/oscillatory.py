@@ -223,7 +223,7 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
     in it, since 0.9 r_new > r_old = r_new / 1.7.
     """
     t_arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(np.abs(t_arr) >= 1):
+    if not np.all(np.abs(t_arr) < 1):
         raise ValueError("times must satisfy |t| < 1")
     denom = sobolev_norm(g, p.n, 0.0)
     if denom == 0.0:

@@ -213,7 +213,11 @@ def _interpolant_max(samples: np.ndarray, t: np.ndarray):
     padded[:, :deg + 1] = coef
     padded[:, 0] *= 2.0
     dense = np.abs(scipy.fft.dct(padded, type=1, axis=1))   # 2 |p(cos theta_j)|
-    theta = np.pi * np.argmax(dense, axis=1) / n_dense
+    # The ends, t = +-1, are samples and stationary points of |p|^2, even
+    # about theta = 0 and pi, where a step would not leave them: start inside.
+    spacing = np.pi / n_dense
+    theta = np.clip(spacing * np.argmax(dense, axis=1), 0.5 * spacing,
+                    np.pi - 0.5 * spacing)
     m = np.arange(deg + 1)
     m_coef, m2_coef = m * coef, m * m * coef
     powers = np.empty((rows, deg + 1), dtype=complex)
@@ -229,7 +233,7 @@ def _interpolant_max(samples: np.ndarray, t: np.ndarray):
         return (np.abs(q), np.real(np.conj(q) * dq),
                 np.real(np.conj(q) * d2q) + np.abs(dq) ** 2)
 
-    return _polished_max(samples, t, theta, np.pi / n_dense, np.pi, local)
+    return _polished_max(samples, t, theta, spacing, np.pi, local)
 
 
 def _even_interpolant_max(samples: np.ndarray, t: np.ndarray):

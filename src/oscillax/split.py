@@ -73,7 +73,7 @@ class TimeSelector:
         v = np.asarray(self.values, dtype=float)
         if g.shape != v.shape or g.ndim != 1:
             raise ValueError("selector grid and values must be 1-D and aligned")
-        if np.any(np.abs(v) >= 1):
+        if not np.all(np.abs(v) < 1):
             raise ValueError("selector values must satisfy |t| < 1")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)

@@ -1,4 +1,4 @@
-"""Threshold sweep engine: (family, N, s) cells, exponent fits, CSV output.
+"""Threshold sweep engine: (family, N, s) cells and exponent fits.
 
 A sweep fixes (a, n, family, range) and walks dyadic frequency scales N and
 regularities s.  The expensive numerator (the maximal field of the scale-N
@@ -27,7 +27,6 @@ from .norms import (SweepRecord, converged_maximal_field, exponent_fit,
 from .oscillatory import SymbolParams
 from .radial import sobolev_norm
 
-_CSV_COLUMNS = ("family", "a", "n", "s", "N", "range", "Q", "A", "converged")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -166,20 +165,3 @@ def run_sweep(cfg: SweepConfig, workers: int = 0):
 
 def format_float(x) -> str:
     return f"{float(x):.14e}"
-
-
-def records_to_csv_lines(records) -> list[str]:
-    lines = [",".join(_CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join([
-            r.family,
-            format_float(r.p.a),
-            str(r.p.n),
-            format_float(r.p.s),
-            format_float(r.N),
-            r.range_kind,
-            format_float(r.Q),
-            format_float(r.A) if r.A is not None else "nan",
-            str(int(r.diagnostics["converged"])),
-        ]))
-    return lines

@@ -25,16 +25,13 @@ from conftest import grid_sup
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(points=np.array([]))
-    with pytest.raises(ValueError):
-        TimeGrid(points=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        TimeGrid(points=np.array([0.5, 0.25]))
+    for degree in (0, 7, 21):
+        with pytest.raises(ValueError, match="degree must be even"):
+            TimeGrid(degree)
 
 
 def test_chebyshev_grid_is_closed_and_final():
-    grid = TimeGrid.chebyshev(20)
+    grid = TimeGrid(20)
     assert grid.count == 21 and grid.level == 5
     assert grid.points[0] == -1.0 and grid.points[-1] == 1.0
     assert 0.0 in grid.points
@@ -64,7 +61,7 @@ def _doubled_gl8_norms(fld, g, p, range_kind):
     min(0.125 / scale, r_max / 16) wide and at half of that, sups from one
     rho rule."""
     cap = min(0.125 / g.scale, fld.r_max / 16.0)
-    rule = frequency_rule(g, p, r_max=fld.r_max + g.modulation_rate, t_max=1.0)
+    rule = frequency_rule(g, p, r_max=fld.r_max, t_max=1.0)
     out = []
     for width in (cap, cap / 2.0):
         radii, weights = panel_rule(
@@ -96,7 +93,7 @@ def _eightfold_oracle(fld, g, p, range_kind):
     half = 0.5 * fld.weights.reshape(-1, 15).sum(axis=1)
     radii, weights, sups, lo = [], [], [], 0.0
     for r_max, *_ in fld.norm_history:
-        rule = frequency_rule(g, p, r_max=r_max + g.modulation_rate, t_max=1.0)
+        rule = frequency_rule(g, p, r_max=r_max, t_max=1.0)
         inside = (lo < mid) & (mid < r_max)
         nodes, k_w = (np.concatenate(part) for part in zip(*(
             kronrod_rule(np.linspace(m - h, m + h, 9))[:2]
@@ -300,7 +297,7 @@ def test_range_norm_zero_field():
     radii = np.linspace(0.0, 3.0, 100)
     fld = MaximalField(p=p, radii=radii, weights=np.full(100, 0.03),
                        sup_values=np.zeros(100), argmax_t=np.zeros(100),
-                       t_grid=TimeGrid(points=np.array([0.0])), r_max=3.0,
+                       t_grid=TimeGrid(2), r_max=3.0,
                        tail_fraction=0.0)
     assert range_norm(fld, p, "global") == 0.0
     assert range_norm(fld, p, "local") == 0.0
@@ -324,7 +321,7 @@ def test_degenerate_grid_recovers_l2_norm():
     layer = propagator(g, p, radii, frequency_rule(g, p, r_max=14.0, t_max=0.0))
     sup, arg = grid_sup(layer, np.array([0.0]))
     fld = MaximalField(p=p, radii=radii, weights=weights, sup_values=sup,
-                       argmax_t=arg, t_grid=TimeGrid(points=np.array([0.0])),
+                       argmax_t=arg, t_grid=TimeGrid(2),
                        r_max=14.0, tail_fraction=0.0)
     norm = range_norm(fld, p, "global")
     assert norm == pytest.approx(sobolev_norm(g, 2, 0.0), abs=1e-5)
@@ -460,6 +457,18 @@ def test_modulation_grid_is_mirrored():
             # the midpoint grid of earlier releases, bit for bit
             old = np.linspace(-1.0 + 1.0 / y_count, 1.0 - 1.0 / y_count, y_count)
             assert y.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("y", [0.0, 0.5, -0.875])
+def test_rho_rule_counts_the_modulation_rate_once(y):
+    # The rule of a segment ending at r resolves the linear rate r + |y| of
+    # e^{i y rho} k(r rho), not r + 2 |y|.
+    p = SymbolParams(a=0.5, n=2)
+    g = sharpness_profile("shell", 32.0, p.a)
+    for r in (1.0, 7.5):
+        rule = norms._rho_rules(g.modulate(y), p, r)[0]
+        plain = frequency_rule(g, p, r_max=r + abs(y), t_max=1.0)
+        assert np.array_equal(rule[0], plain[0])
 
 
 def test_modulated_average_rejects_large_a():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oscillax.oscillatory as oscillatory
-from oscillax.norms import sharpness_profile
+from oscillax.norms import modulated_numerators, sharpness_profile
 from oscillax.oscillatory import (SymbolParams, arrival_radius,
                                   dispersive_field,
                                   dispersive_field_2d_oracle,
@@ -13,6 +13,7 @@ from oscillax.oscillatory import (SymbolParams, arrival_radius,
 from oscillax.profiles import (NumericalFailure, Profile, annular, bump,
                                gaussian, sampled)
 from oscillax.radial import hankel_fourier, profile_rule, sphere_factor
+from oscillax.split import TimeSelector
 
 
 def test_symbol_params_validation():
@@ -21,6 +22,20 @@ def test_symbol_params_validation():
     with pytest.raises(ValueError):
         SymbolParams(a=1.0, n=0)
     assert SymbolParams(a=2.0, n=3).lam == 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: TimeSelector(grid=np.array([0.0, 1.0]), values=np.array([0.0, v])),
+     "selector values must satisfy"),
+    (lambda v: modulated_numerators(annular(4.0), SymbolParams(a=0.5, n=2), [0.5, v]),
+     "modulations must satisfy"),
+    (lambda v: isometry_ratios(gaussian(1.0), SymbolParams(a=2.0, n=2), [0.3, v]),
+     "times must satisfy"),
+], ids=["TimeSelector", "modulated_numerators", "isometry_ratios"])
+def test_time_guards_reject_nan(call, message):
+    # NaN fails every comparison, so a guard must test |v| < 1, not |v| >= 1.
+    with pytest.raises(ValueError, match=message):
+        call(float("nan"))
 
 
 def test_eval_point_validation():

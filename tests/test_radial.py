@@ -488,15 +488,13 @@ def test_half_search_covers_dense_scan_of_real_exponential_sum():
     assert scan - bound[0] <= sup[0] <= scan + bound[0]
 
 
-def test_half_search_leaves_the_stationary_end_t_1():
+def _assert_search_leaves_the_stationary_end_t_1(h, degree, phase):
     # Two packets peaked at t = +-t*, with t* = cos(0.3 h) for h the dense
-    # spacing in theta: the best dense angle is theta = 0, t = 1, where the
-    # slope of |p|^2 is 0, yet the peak of p lies just inside.
+    # spacing in theta of the search the layer takes: the best dense angle
+    # is theta = 0, t = 1, where the slope of |p|^2 is 0, yet the peak of p
+    # lies just inside.
     q = np.linspace(-60.0, 60.0, 121)
-    degree = chebyshev_degree(60.0)
-    h = np.pi / (2 * scipy.fft.next_fast_len(radial._DENSE * degree // 2,
-                                               real=True))
-    c = np.exp(-(q / 30.0) ** 2) * np.cos(q * np.cos(0.3 * h))
+    c = np.exp(-(q / 30.0) ** 2) * np.cos(q * np.cos(0.3 * h)) * phase
     layer = radial.RadialKernel(0.0, np.zeros(1), np.ones(q.size), c, q)
     sup, arg, _ = layer.chebyshev_sup(degree)
     t = chebyshev_times(degree)
@@ -505,6 +503,20 @@ def test_half_search_leaves_the_stationary_end_t_1():
         np.linspace(np.cos(h), 1.0, 2001), coef)).max()
     assert abs(layer.field(np.ones(1))[0, 0]) < (1.0 - 1e-10) * peak
     assert sup[0] >= (1.0 - 1e-12) * peak and np.cos(h) <= arg[0] < 1.0
+
+
+def test_half_search_leaves_the_stationary_end_t_1():
+    degree = chebyshev_degree(60.0)
+    h = np.pi / (2 * scipy.fft.next_fast_len(radial._DENSE * degree // 2,
+                                               real=True))
+    _assert_search_leaves_the_stationary_end_t_1(h, degree, 1.0)
+
+
+def test_full_search_leaves_the_stationary_end_t_1():
+    # A complex base takes the full search, with its own dense spacing.
+    degree = chebyshev_degree(60.0)
+    h = np.pi / scipy.fft.next_fast_len(radial._DENSE * degree, real=True)
+    _assert_search_leaves_the_stationary_end_t_1(h, degree, np.exp(0.4j))
 
 
 def test_bernstein_bound_covers_exponential_interpolation_error(monkeypatch):
