@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time bessel_j, the Bessel kernel layer, its sup search, the
-tensor-quadrature oracle and the split pass.
+spatial-extent search, the tensor-quadrature oracle and the split pass.
 
     python3 scripts/bench_kernel.py --label change --out BENCH_kernel.json
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Seven things are timed, each recorded as
+BLAS is pinned to one thread.  Eight things are timed, each recorded as
 {"median": ..., "min": ...} over REPEATS runs; the minimum is the steadier
 figure when runs are compared back to back:
 
@@ -31,6 +31,9 @@ figure when runs are compared back to back:
   Chebyshev degree K, one `RadialKernel.field` at the K/2 + 1 Chebyshev
   times t >= 0 that a real layer samples (the sampler alone) and one
   `RadialKernel.chebyshev_sup(K)` (sampler, bound and search);
+- `oscillatory.spatial_extent` (`spatial_extent_s`) on the global shells
+  (a, n, N) of `EXTENT_SHELLS`: its 769-row grids, most of whose rows are
+  Hankel rows at these scales;
 - `nd_oracle_batch` on acceptance criterion 2's cases (`oracle_s`): 20
   radii up to 12 for bump(1, 0.7) and up to 5.5 for gaussian(1), each at
   n = 2 and n = 3;
@@ -67,7 +70,8 @@ import oscillax.norms as norms  # noqa: E402
 import oscillax.split as split  # noqa: E402
 from oscillax.bessel import bessel_j, bessel_kernel_reduced  # noqa: E402
 from oscillax.norms import converged_maximal_field, sharpness_profile  # noqa: E402
-from oscillax.oscillatory import SymbolParams, frequency_rule  # noqa: E402
+from oscillax.oscillatory import (SymbolParams, frequency_rule,  # noqa: E402
+                                  spatial_extent)
 from oscillax.profiles import bump, gaussian  # noqa: E402
 from oscillax.quadrature import (KRONROD_NODES, kronrod_rule,  # noqa: E402
                                  panel_centres)
@@ -91,6 +95,8 @@ FAR_PANELS = 200
 FAR_COLS = 480
 # Global shell fields whose sup layer is timed: (a, N), n = 2.
 SUP_FIELDS = ((2.0, 8.0), (3.0, 8.0))
+# Shells whose spatial extent is timed: (a, n, N).
+EXTENT_SHELLS = ((2.0, 2, 8.0), (2.0, 4, 2.0), (0.5, 2, 1024.0))
 # Criterion 2's oracle cases: (name, profile, largest radius).
 ORACLE_CASES = (("bump(1, 0.7)", bump(1.0, 0.7), 12.0),
                 ("gaussian(1)", gaussian(1.0), 5.5))
@@ -160,6 +166,11 @@ def measure() -> dict:
         key = f"a={a:g} N={N:g} {fld.radii.size}x{rule[0].size} K={degree}"
         sup[key] = {"field_s": _timing(lambda: layer.field(times)),
                     "chebyshev_sup_s": _timing(lambda: layer.chebyshev_sup(degree))}
+    extent = {}
+    for a, n, N in EXTENT_SHELLS:
+        g, p = sharpness_profile("shell", N, a), SymbolParams(a=a, n=n)
+        extent[f"a={a:g} n={n} N={N:g}"] = _timing(lambda: spatial_extent(g, p),
+                                                   digits=5)
     oracle = {}
     for name, f0, rho_hi in ORACLE_CASES:
         rhos = np.linspace(0.1, rho_hi, 20)
@@ -187,6 +198,7 @@ def measure() -> dict:
             "radial_kernel_field_s": fields,
             "far_rows_ns_per_element": far,
             "chebyshev_sup_s": sup,
+            "spatial_extent_s": extent,
             "oracle_s": oracle,
             "selector_s": selector}
 

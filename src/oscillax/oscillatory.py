@@ -167,29 +167,44 @@ def spatial_extent(g: Profile, p: SymbolParams) -> float:
     or past 70% of it (index 539 on) exceeds tol = _EXTENT_TOL times the
     grid's peak; otherwise the radius is the last such row plus R / 16.
 
-    |k_lam| <= k_lam(0) for lam >= -1/2, so every |u(r, 0)| on the rule is at
-    most P = k_lam(0) sum_j |base_j|, the bases of `propagator`.  The 16 rows
-    from index 539 are evaluated first: one of them over (tol + 4 J eps) P,
-    J the rule's nodes, is over tol times the grid's peak however the two
-    evaluations round their J-term sums, so it proves the grid rejected
-    without evaluating the rest.  Otherwise the whole grid takes one
-    `dispersive_field` call on the same rule and the test above decides.
-    That call sees the rows, rule and BLAS grouping of evaluating every
-    grid in full, and the probe skips only grids that test rejects, so the
-    radius is the one that evaluation returns, bit for bit.
+    The layer sees the grid as 49 panels of 16 equally spaced rows, the
+    last holding one row, so its far rows are Hankel rows
+    (`radial.RadialKernel`).  |k_lam| <= k_lam(0) for lam >= -1/2, so every
+    |u(r, 0)| on the rule is at most P = k_lam(0) sum_j |base_j|, the bases
+    of `propagator`.  The 16 rows from index 539 are evaluated first, as
+    rows 528 to 554 on the full grid's panels from the one holding 539: their
+    kernel elements are the full grid's to a few rounding units (the Hankel
+    series may stop earlier, at a remainder below rounding), so one of them
+    over (tol + 4 J eps) P, J the rule's nodes, is over tol times the grid's
+    peak however the two evaluations round their J-term sums, and it proves
+    the grid rejected without evaluating the rest.  Otherwise the whole
+    grid is evaluated on the same rule and the test above decides.  The
+    full-grid search that `dispersive_field` makes (no panels, every row
+    by `bessel_kernel_reduced`) returns the same radius on every tested
+    profile; the two could differ only where a grid value lies within
+    rounding of the threshold.
     """
     radius = 6.0 / g.scale + g.modulation_rate + 6.0
-    size = 769
-    first = math.ceil(0.7 * size)   # 539: the first row that can reject
+    size, width = 769, 16
+    first = math.ceil(0.7 * size)        # 539: the first row that can reject
+    q = first // width                   # 33: the panel holding it
+    ref = np.linspace(-1.0, 1.0, width)
     k0 = float(bessel_kernel_reduced(p.lam, np.zeros(1))[0])
     for _ in range(10):
+        # grid[i] = i * step, and mid + half * ref is within an ulp of the
+        # panel's largest row.
         grid = np.linspace(0.0, radius, size)
+        step = radius / (size - 1)
+        mid = (np.arange(0, size, width) + 0.5 * (width - 1)) * step
+        half = np.full(mid.size, 0.5 * (width - 1) * step)
         rule = frequency_rule(g, p, r_max=radius, t_max=0.0)
-        probe = propagator(g, p, grid[first:first + 16], rule)
+        probe = propagator(g, p, grid[q * width:first + 16], rule,
+                           (mid[q:q + 2], half[q:q + 2], ref))
         slack = 4.0 * rule[0].size * np.finfo(float).eps
         bound = (_EXTENT_TOL + slack) * k0 * float(np.sum(np.abs(probe.base)))
-        if not np.any(np.abs(probe.field(np.zeros(1))) > bound):
-            vals = np.abs(dispersive_field(g, p, grid, 0.0, rho_rule=rule))
+        if not np.any(np.abs(probe.field(np.zeros(1)))[first - q * width:] > bound):
+            layer = propagator(g, p, grid, rule, (mid, half, ref))
+            vals = np.abs(layer.field(np.zeros(1))[:, 0])
             peak = float(np.max(vals))
             if peak == 0.0:
                 raise ValueError("zero profile")

@@ -22,9 +22,10 @@ of rows, contracts it against them into samples at the given times and
 drops it, so no call holds more than one chunk, and a stack of bases on
 the same nodes (the modulations of one profile) shares every chunk.
 A layer whose rows are panel nodes, as the maximal fields' G7/K15 rows
-are, evaluates its far rows, x min(nodes) >= bessel.HANKEL_Z0, by Hankel's
-expansion (DLMF 10.17.3) with e^{i x rho} = e^{i mid rho} e^{i half ref rho}
-taken from a per-panel and a per-half-width table, and adds the
+and `oscillatory.spatial_extent`'s grid are, evaluates its far rows,
+x min(nodes) >= bessel.HANKEL_Z0, by Hankel's expansion (DLMF 10.17.3)
+with e^{i x rho} = e^{i mid rho} e^{i half ref rho} taken from a per-panel
+and a per-half-width table, whole panels at a time, and adds the
 expansion's truncation bound (DLMF 10.17(iii)) to each such row's error
 bound; every other row comes from `bessel_kernel_reduced`.
 `field(t)` copies the samples out; `chebyshev_sup(K)` samples the K + 1
@@ -370,9 +371,10 @@ class RadialKernel:
     every chunk, and every result gains a leading axis of length B.
     `field(t)` returns u at the times t, shape (len(x), len(t)).
 
-    panels, when given, is (mid, half, ref) with
-    x == (mid[:, None] + half[:, None] * ref).ravel(), as
-    `quadrature._composite` builds a panel rule.  Then a row with
+    panels, when given, is (mid, half, ref): x is the first x.size entries
+    of (mid[:, None] + half[:, None] * ref).ravel(), equal to them to within
+    an ulp, as `quadrature._composite` builds a panel rule; only the last
+    panel may hold fewer than ref.size rows of x.  Then a row with
     z = x rho >= max(HANKEL_Z0, lam^2) at every node rho (and lam >= 0 or
     lam = -1/2) is a Hankel row (`bessel.hankel_series`):
 
@@ -382,17 +384,22 @@ class RadialKernel:
     with H(z) = sum_k a_k(lam) (i/z)^k.  The first two factors are one
     small real GEMM over the K series terms, the third is built per panel
     and the last once per distinct half-width, so a far kernel element
-    costs a few products and no trigonometric function.  Every other row,
-    and every chunk with no far row, takes bessel_kernel_reduced.  The
-    series' remainder is bounded per row by `_truncation`.
+    costs a few products and no trigonometric function.  A chunk builds
+    every panel with a far row whole, run by run of consecutive panels of
+    one half-width, as (panel phase x node phase) x series, and keeps its
+    far rows.  Every other row, and every chunk with no far row, takes
+    bessel_kernel_reduced.  The series' remainder is bounded per row by
+    `_truncation`.
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
                  base: np.ndarray, power: np.ndarray, panels=None):
         if base.shape[-1] != nodes.size:
             raise ValueError("a base must match the kernel's columns")
-        if panels is not None and panels[0].size * panels[2].size != x.size:
-            raise ValueError("the panels must hold every row")
+        if panels is not None and not (
+                0 <= panels[0].size * panels[2].size - x.size < panels[2].size):
+            raise ValueError("the panels must hold every row and no whole "
+                             "panel more")
         self.lam = lam
         self.x = x
         self.nodes = nodes
@@ -447,41 +454,48 @@ class RadialKernel:
             return bessel_kernel_reduced(self.lam, np.outer(x, self.nodes))
         mask = far.mask[rows]
         kern = np.empty((x.size, self.nodes.size))
+        self._hankel_rows(far, rows, kern)
         if not mask.all():
             kern[~mask] = bessel_kernel_reduced(self.lam,
                                                 np.outer(x[~mask], self.nodes))
-        self._hankel_rows(far, rows.start, np.flatnonzero(mask), kern)
         return kern
 
-    def _hankel_rows(self, far: _FarRows, start: int, pos: np.ndarray,
-                     kern: np.ndarray):
-        """Write the Hankel rows start + pos into kern[pos], in blocks of
-        about _FAR_BLOCK elements so that their temporaries stay in cache."""
+    def _hankel_rows(self, far: _FarRows, rows: slice, kern: np.ndarray):
+        """Write the Hankel rows into kern, the kernel rows x[rows], whole
+        panels at a time in blocks of about _FAR_BLOCK elements, so that
+        their temporaries stay in cache; the caller overwrites near rows."""
         mid, _, ref = self.panels
-        panel, l = np.divmod(start + pos, ref.size)
-        panels, panel = np.unique(panel, return_inverse=True)
-        panel_phase = np.exp(1j * np.outer(mid[panels], self.nodes))
-        node_row = far.first_row[panels][panel] + l
-        # sqrt(2/pi) a_k z^(-k-lam-1/2) at z = x rho_min, by running products.
-        z = self.x[start + pos] * far.rho_min
-        lead = np.empty((pos.size, far.coef.size))
+        size, cols = ref.size, self.nodes.size
+        panels = np.unique((rows.start + np.flatnonzero(far.mask[rows])) // size)
+        # sqrt(2/pi) a_k z^(-k-lam-1/2) at z = x rho_min, by running products,
+        # on every row of those panels.  Clipping z keeps the near rows, and
+        # the rows past x in the last panel, finite.
+        start = panels[0] * size
+        i = np.arange(start, (panels[-1] + 1) * size)
+        z = np.maximum(self.x[np.minimum(i, self.x.size - 1)] * far.rho_min,
+                       HANKEL_Z0)
+        lead = np.empty((i.size, far.coef.size))
         lead[:, 0] = z ** -(self.lam + 0.5)
         lead[:, 1:] = (1.0 / z)[:, None]
         np.cumprod(lead, axis=1, out=lead)
         lead *= far.coef
-        step = max(1, _FAR_BLOCK // self.nodes.size)
-        buf = np.empty((2, min(step, pos.size), self.nodes.size), dtype=complex)
-        for i0 in range(0, pos.size, step):
-            blk = slice(i0, i0 + step)
-            e, f = buf[:, :min(step, pos.size - i0)]
-            np.take(panel_phase, panel[blk], axis=0, out=e)
-            np.take(far.node_phase, node_row[blk], axis=0, out=f)
-            e *= f
-            # A one-row product would take BLAS's matrix-vector path, which
-            # rounds otherwise: a row must not change with the chunking.
-            terms = lead[blk] if len(e) > 1 else np.repeat(lead[blk], 2, axis=0)
-            e *= (terms @ far.cols)[:len(e)].view(complex)
-            kern[pos[blk]] = e.real
+        step = max(1, _FAR_BLOCK // (size * cols))
+        cuts = np.flatnonzero((np.diff(panels) != 1)
+                              | (np.diff(far.first_row[panels]) != 0)) + 1
+        for run in np.split(panels, cuts):
+            for q in run[::step]:
+                n = min(step, run[-1] + 1 - q)
+                node = far.first_row[q]
+                e = (np.exp(1j * np.outer(mid[q:q + n], self.nodes))[:, None]
+                     * far.node_phase[node:node + size])
+                # Whole panels: the product has at least two rows, so it never
+                # takes BLAS's matrix-vector path, which rounds otherwise.
+                r0 = q * size - start
+                e *= (lead[r0:r0 + n * size] @ far.cols).view(complex).reshape(
+                    e.shape)
+                lo, hi = max(q * size, rows.start), min((q + n) * size, rows.stop)
+                kern[lo - rows.start:hi - rows.start] = e.reshape(-1, cols)[
+                    lo - q * size:hi - q * size].real
 
     def _truncation(self) -> np.ndarray:
         """Per row, a bound on the Hankel remainder over every column:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import oscillax.oscillatory as oscillatory
+import oscillax.radial as radial
 from oscillax.norms import modulated_numerators, sharpness_profile
 from oscillax.oscillatory import (SymbolParams, arrival_radius,
                                   dispersive_field,
                                   dispersive_field_2d_oracle,
                                   gaussian_free_evolution, isometry_ratios,
                                   spatial_extent)
-from oscillax.profiles import (NumericalFailure, Profile, annular, bump,
-                               gaussian, sampled)
+from oscillax.profiles import (NumericalFailure, Profile, annular,
+                               bandlimited, bump, gaussian, sampled)
 from oscillax.radial import hankel_fourier, profile_rule, sphere_factor
 from oscillax.split import TimeSelector
 
@@ -208,20 +209,38 @@ _TWO_BUMPS = bump(0.9, 0.6).plus(bump(1.1, 0.6).scaled(0.7))
     (sharpness_profile("annular", 8.0, 2.0), 2.0, 2),
     (_TWO_BUMPS, 2.0, 3),
     (gaussian(1.0).modulate(0.7), 2.0, 2),
+    (sharpness_profile("shell", 1024.0, 0.5), 0.5, 2),
+    (bandlimited(2), 2.0, 2),
 ], ids=["shell-N2", "shell-N8", "shell-N128", "shell-n3", "shell-n4",
-        "shell-a3-N16", "annular-N8", "two-bumps-n3", "modulated-gaussian"])
+        "shell-a3-N16", "annular-N8", "two-bumps-n3", "modulated-gaussian",
+        "shell-a05-N1024", "bandlimited-2"])
 def test_spatial_extent_matches_full_grid_oracle(g, a, n):
+    # The oracle's grids take no panels, so every row is bessel_kernel_reduced's.
     p = SymbolParams(a=a, n=n)
     assert spatial_extent(g, p) == _spatial_extent_oracle(g, p)
 
 
 def test_spatial_extent_evaluates_one_full_grid(monkeypatch):
     # Four grids are rejected before the radius is found; the full-grid
-    # search evaluates all five, 3,845 rows.
+    # search evaluates all five, 3,845 rows.  A probe checks 16 rows, which
+    # it evaluates from the first row of their panel on: 27 rows.
     rows = _kernel_rows(monkeypatch)
     spatial_extent(sharpness_profile("shell", 8.0, 2.0),
                    SymbolParams(a=2.0, n=2))
-    assert rows.count(769) == 1 and sum(rows) <= 769 + 16 * 5
+    assert rows.count(769) == 1 and sum(rows) <= 769 + 27 * 5
+
+
+def test_spatial_extent_grid_takes_hankel_rows(monkeypatch):
+    far, original = [], radial.RadialKernel._hankel_rows
+
+    def counting(self, table, rows, kern):
+        if self.x.size == 769:
+            far.append(int(np.count_nonzero(table.mask[rows])))
+        return original(self, table, rows, kern)
+
+    monkeypatch.setattr(radial.RadialKernel, "_hankel_rows", counting)
+    spatial_extent(sharpness_profile("shell", 8.0, 2.0), SymbolParams(a=2.0, n=2))
+    assert sum(far) >= 700
 
 
 def test_spatial_extent_full_grid_rejects_what_the_probe_passes(monkeypatch):
@@ -269,8 +288,7 @@ def test_isometry_growth_evaluates_no_radius_twice(monkeypatch):
     radii, original = [], oscillatory.dispersive_field
 
     def recording(g, p, r, t, **kwargs):
-        if np.ndim(t):      # spatial_extent evaluates at the scalar t = 0
-            radii.append(np.asarray(r))
+        radii.append(np.asarray(r))
         return original(g, p, r, t, **kwargs)
 
     monkeypatch.setattr(oscillatory, "dispersive_field", recording)

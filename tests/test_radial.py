@@ -603,6 +603,67 @@ def test_all_near_chunks_are_the_scipy_kernel():
         bessel_kernel_reduced(0.0, np.outer(mixed.x[rows], mixed.nodes)))
 
 
+def _hankel_reference(layer, rows):
+    """The Hankel rows `rows` of layer built one row at a time: panel phase
+    times node phase, then times the series, whose terms come from one GEMM
+    over every row (a one-row product would take BLAS's matrix-vector
+    path)."""
+    far = layer._far
+    mid, _, ref = layer.panels
+    z = layer.x[rows] * far.rho_min
+    lead = np.empty((rows.size, far.coef.size))
+    lead[:, 0] = z ** -(layer.lam + 0.5)
+    lead[:, 1:] = (1.0 / z)[:, None]
+    np.cumprod(lead, axis=1, out=lead)
+    lead *= far.coef
+    series = (lead @ far.cols).view(complex)
+    out = np.empty((rows.size, layer.nodes.size))
+    for k, (q, l) in enumerate(zip(*np.divmod(rows, ref.size))):
+        e = np.exp(1j * np.outer(mid[q:q + 1], layer.nodes))[0]
+        e *= far.node_phase[far.first_row[q] + l]
+        e *= series[k]
+        out[k] = e.real
+    return out
+
+
+def test_whole_panel_hankel_rows_match_a_row_by_row_reference():
+    # Two half-widths, 1/8 and 1/4, and x rho_min = 20 inside the panel
+    # [2.75, 3]; 64 nodes, so every GEMM row rounds alike at any row count.
+    edges = np.concatenate((np.arange(2, 13) * 0.25, 3.0 + np.arange(1, 9) * 0.5))
+    mid, half = panel_centres(edges)
+    x = (mid[:, None] + half[:, None] * KRONROD_NODES).ravel()
+    nodes = np.linspace(7.0, 9.0, 64)
+    layer = radial.RadialKernel(0.0, x, nodes, np.ones(nodes.size), nodes,
+                                (mid, half, KRONROD_NODES))
+    far = np.flatnonzero(layer._far.mask)
+    assert np.unique(half[far // 15]).size == 2 and far[0] % 15 != 0
+    reference = _hankel_reference(layer, far)
+    # One chunk; a chunk ending on the first far row, then one holding the
+    # next far row alone, then chunks of 7 rows that cut every panel.
+    b = far[0]
+    for cuts in ([0, x.size], [0, b + 1, b + 2] + list(range(b + 9, x.size, 7)) + [x.size]):
+        kern = np.concatenate([layer._kernel(slice(i0, i1))
+                               for i0, i1 in zip(cuts, cuts[1:])])
+        np.testing.assert_array_equal(kern[far], reference)
+        np.testing.assert_array_equal(
+            kern[:b], bessel_kernel_reduced(0.0, np.outer(x[:b], nodes)))
+
+
+def test_panels_must_hold_every_row_and_no_whole_panel_more():
+    layer = _panel_layer(0.0, 5.0, 400.0, panels=4)
+    mid, half, ref = layer.panels
+    args = (layer.lam, layer.x, layer.nodes, layer.base, layer.power)
+    with pytest.raises(ValueError, match="every row"):
+        radial.RadialKernel(*args, (mid[:3], half[:3], ref))
+    with pytest.raises(ValueError, match="every row"):
+        radial.RadialKernel(*args, (np.append(mid, 60.0), np.append(half, 1.0), ref))
+    # A last panel may hold fewer rows than the others.
+    short = radial.RadialKernel(layer.lam, layer.x[:-14], layer.nodes,
+                                layer.base, layer.power, layer.panels)
+    np.testing.assert_array_equal(short._kernel(slice(0, short.x.size)),
+                                  layer._kernel(slice(0, layer.x.size))[:-14])
+
+
 def test_row_chunks_that_cut_panels_match_one_chunk(monkeypatch):
     layer = _panel_layer(1.0, 5.0, 400.0)
     degree = 32
