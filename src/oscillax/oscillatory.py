@@ -172,38 +172,40 @@ def spatial_extent(g: Profile, p: SymbolParams) -> float:
     (`radial.RadialKernel`).  |k_lam| <= k_lam(0) for lam >= -1/2, so every
     |u(r, 0)| on the rule is at most P = k_lam(0) sum_j |base_j|, the bases
     of `propagator`.  The 16 rows from index 539 are evaluated first, as
-    rows 528 to 554 on the full grid's panels from the one holding 539: their
-    kernel elements are the full grid's to a few rounding units (the Hankel
-    series may stop earlier, at a remainder below rounding), so one of them
-    over (tol + 4 J eps) P, J the rule's nodes, is over tol times the grid's
-    peak however the two evaluations round their J-term sums, and it proves
-    the grid rejected without evaluating the rest.  Otherwise the whole
-    grid is evaluated on the same rule and the test above decides.  The
-    full-grid search that `dispersive_field` makes (no panels, every row
-    by `bessel_kernel_reduced`) returns the same radius on every tested
+    one panel of their own: a row is a Hankel row in both evaluations or in
+    neither, a Hankel element's amplitude is at most k_lam(0), and the two
+    build its phase x rho from different panel centres, so their elements
+    differ by at most 8 X eps k_lam(0), X the probe's largest x rho, and a
+    Hankel remainder below rounding.  One of the rows over
+    (tol + 4 (J + 2 X) eps) P, J the rule's nodes, is then over tol times
+    the grid's peak however the two evaluations round their J-term sums,
+    and proves the grid rejected without evaluating the rest.  Otherwise
+    the whole grid is evaluated on the same rule and the test above
+    decides.  The full-grid search of `dispersive_field` (no panels, every
+    row by `bessel_kernel_reduced`) returns the same radius on every tested
     profile; the two could differ only where a grid value lies within
     rounding of the threshold.
     """
     radius = 6.0 / g.scale + g.modulation_rate + 6.0
     size, width = 769, 16
     first = math.ceil(0.7 * size)        # 539: the first row that can reject
-    q = first // width                   # 33: the panel holding it
     ref = np.linspace(-1.0, 1.0, width)
     k0 = float(bessel_kernel_reduced(p.lam, np.zeros(1))[0])
     for _ in range(10):
-        # grid[i] = i * step, and mid + half * ref is within an ulp of the
-        # panel's largest row.
+        # The grid's 49 panels, then the probe's: each within an ulp of its rows.
         grid = np.linspace(0.0, radius, size)
         step = radius / (size - 1)
-        mid = (np.arange(0, size, width) + 0.5 * (width - 1)) * step
+        mid = (np.append(np.arange(0, size, width), first)
+               + 0.5 * (width - 1)) * step
         half = np.full(mid.size, 0.5 * (width - 1) * step)
         rule = frequency_rule(g, p, r_max=radius, t_max=0.0)
-        probe = propagator(g, p, grid[q * width:first + 16], rule,
-                           (mid[q:q + 2], half[q:q + 2], ref))
-        slack = 4.0 * rule[0].size * np.finfo(float).eps
+        probe = propagator(g, p, grid[first:first + width], rule,
+                           (mid[-1:], half[-1:], ref))
+        x_rho = grid[first + width - 1] * float(np.max(rule[0]))
+        slack = 4.0 * (rule[0].size + 2.0 * x_rho) * np.finfo(float).eps
         bound = (_EXTENT_TOL + slack) * k0 * float(np.sum(np.abs(probe.base)))
-        if not np.any(np.abs(probe.field(np.zeros(1)))[first - q * width:] > bound):
-            layer = propagator(g, p, grid, rule, (mid, half, ref))
+        if not np.any(np.abs(probe.field(np.zeros(1))) > bound):
+            layer = propagator(g, p, grid, rule, (mid[:-1], half[:-1], ref))
             vals = np.abs(layer.field(np.zeros(1))[:, 0])
             peak = float(np.max(vals))
             if peak == 0.0:

@@ -480,8 +480,7 @@ class RadialKernel:
         np.cumprod(lead, axis=1, out=lead)
         lead *= far.coef
         step = max(1, _FAR_BLOCK // (size * cols))
-        cuts = np.flatnonzero((np.diff(panels) != 1)
-                              | (np.diff(far.first_row[panels]) != 0)) + 1
+        cuts = np.flatnonzero(np.diff(far.first_row[panels])) + 1
         for run in np.split(panels, cuts):
             for q in run[::step]:
                 n = min(step, run[-1] + 1 - q)

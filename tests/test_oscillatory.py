@@ -222,12 +222,11 @@ def test_spatial_extent_matches_full_grid_oracle(g, a, n):
 
 def test_spatial_extent_evaluates_one_full_grid(monkeypatch):
     # Four grids are rejected before the radius is found; the full-grid
-    # search evaluates all five, 3,845 rows.  A probe checks 16 rows, which
-    # it evaluates from the first row of their panel on: 27 rows.
+    # search evaluates all five, 3,845 rows.
     rows = _kernel_rows(monkeypatch)
     spatial_extent(sharpness_profile("shell", 8.0, 2.0),
                    SymbolParams(a=2.0, n=2))
-    assert rows.count(769) == 1 and sum(rows) <= 769 + 27 * 5
+    assert rows.count(769) == 1 and sum(rows) <= 769 + 16 * 5
 
 
 def test_spatial_extent_grid_takes_hankel_rows(monkeypatch):
