@@ -71,7 +71,7 @@ from .quadrature import PHASE_BUDGET, oscillatory_rule
 _CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
 _T_CHUNK = 384           # times per `_phases` call: temporaries ~2.5x its matrices
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
-_FAR_BLOCK = 2 ** 14     # kernel elements per block of Hankel rows: in L2 cache
+_FAR_BLOCK = 2 ** 14     # elements per block of Hankel or split rows: in L2
 _DENSE = 8               # dense search points per Chebyshev degree
 _SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
 _NEWTON_STEPS = 3
@@ -177,10 +177,12 @@ def chebyshev_degree(tau: float) -> int:
     return 2 * lo
 
 
-def row_chunks(rows: int, row_bytes: int) -> list[slice]:
-    """Nearly equal slices of range(rows), each of at most _SAMPLE_BYTES at
-    row_bytes per row but at least one row; none if rows or row_bytes is 0.
-    The one row-chunk rule of the kernel layer and of `split`.
+def row_chunks(rows: int, row_bytes: int,
+               budget: int | None = None) -> list[slice]:
+    """Nearly equal slices of range(rows), each of at most budget (by
+    default _SAMPLE_BYTES) at row_bytes per row but at least one row; none
+    if rows or row_bytes is 0.  The one row-chunk rule of the kernel layer
+    and of `split`, which passes elements and _FAR_BLOCK.
 
     Rows in different chunks need not round alike: BLAS may pick another
     kernel for a product of another size, so a chunked result matches one
@@ -188,7 +190,7 @@ def row_chunks(rows: int, row_bytes: int) -> list[slice]:
     """
     if rows == 0 or row_bytes == 0:
         return []
-    count = -(-rows // max(1, _SAMPLE_BYTES // row_bytes))
+    count = -(-rows // max(1, (budget or _SAMPLE_BYTES) // row_bytes))
     edges = [k * rows // count for k in range(count)]
     return [slice(i0, i1) for i0, i1 in zip(edges, edges[1:] + [rows])]
 

@@ -23,11 +23,11 @@ fully explicit operator bound
     ||R_{t,2} f|| <= C_lam * (int psi(r)^2 r^-2 dr)^(1/2)
                            * (int rho^(-2-2s) psi(rho) drho)^(1/2) * ||f||,
 
-with C_lam taken from an empirical asymptotic certificate.
-`selector_parts` returns full, main and remainder from one pass over the
-selector grid in the row blocks of `radial.row_chunks`, each block
-building the Bessel, cosine and phase matrices once.  The pass sees only
-the rows with psi(r) != 0 and the frequency nodes whose weight
+with C_lam taken from an empirical asymptotic certificate (0 at |lam| = 1/2,
+as the computed remainder is).  `selector_parts` returns full, main and
+remainder from one pass over the selector grid in cache-sized row blocks,
+which dot real kernel rows against real phases (`_phase_contract`).  The
+pass sees only the rows with psi(r) != 0 and the frequency nodes whose weight
 w rho^-s psi(rho) f(rho) is nonzero (psi vanishes for rho <= 1, a bump
 profile between its bumps); every other row is an exact zero.  The last
 triple is kept in a one-entry memo keyed on the bytes of its inputs, so
@@ -58,7 +58,8 @@ from .cutoffs import CutoffFamily, chi, gamma_weight, psi
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
 from .quadrature import oscillatory_rule, panel_rule
-from .radial import RadialKernel, chebyshev_degree, profile_rule, row_chunks
+from .radial import (_FAR_BLOCK, RadialKernel, chebyshev_degree, profile_rule,
+                     row_chunks)
 
 
 @dataclass(frozen=True)
@@ -96,22 +97,36 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector,
     """The 1-D linearized operator with the dyadic Sobolev weight.
 
     f is interpreted as an even profile on the line.  Frequency nodes whose
-    weight is exactly zero are dropped, and the cosine-phase kernel is
-    built in the row blocks of `radial.row_chunks`, at 64 bytes per element.
+    weight is exactly zero are dropped, and the cosine kernel is contracted
+    against the phased weights by `_phase_contract`.
     """
     x, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(x))),
                           power_coeff=1.0, power=p.a)
     vec = w * np.sqrt(gamma_weight(-2.0 * p.s, rho)) * f(rho)
     live = vec != 0.0
-    rho, vec = rho[live], vec[live]
-    rho_a = rho ** p.a
-    out = np.zeros(x.size, dtype=complex)
     # Even integrand: int_R = 2 int_0^inf cos(x xi) ... dxi.
-    for rows in row_chunks(x.size, 64 * rho.size):
-        kern = np.exp(1j * np.outer(t[rows], rho_a))
-        kern *= np.cos(np.outer(x[rows], rho))
-        out[rows] = 2.0 * (kern @ vec)
+    out = _phase_contract(x, t, rho[live], vec[live], p.a,
+                          lambda z: np.cos(z, out=z)[None], 1)
+    return 2.0 * out[0]
+
+
+def _phase_contract(x, t, rho, weights, a, kernels, count):
+    """sum_j K_ij weights_j e^{i t_i rho_j^a}, shape (count, len(x)), for the
+    count real kernels K that kernels(outer(x[rows], rho)) stacks, in row
+    blocks of about _FAR_BLOCK elements (in cache).  A block builds
+    w cos(t rho^a) and w sin(t rho^a) once and dots every kernel row against
+    both; all else is elementwise, so the bits do not depend on the block."""
+    out = np.zeros((count, x.size), dtype=complex)
+    rho_a = rho ** a
+    for rows in row_chunks(x.size, rho.size, _FAR_BLOCK):
+        theta = np.outer(t[rows], rho_a)
+        phase = np.empty((theta.shape[0], 2, rho.size))
+        np.cos(theta, out=phase[:, 0])
+        np.sin(theta, out=phase[:, 1])
+        phase *= weights
+        kern = kernels(np.outer(x[rows], rho))
+        out[:, rows] = np.vecdot(kern[:, :, None], phase).view(complex)[..., 0]
     return out
 
 
@@ -122,28 +137,22 @@ _PARTS = ("full", "main", "remainder")
 
 
 def _selector_pass(r, t, rho, weights, lam, a):
-    """Full, main and remainder before the range cutoff, in row blocks.
-
-    Each block of `radial.row_chunks` builds (r rho)^(1/2) J_lam, the
-    cosine and the phase once and holds about 64 bytes per element; with
-    no column there is no block.
-    """
-    out = {part: np.zeros(r.size, dtype=complex) for part in _PARTS}
-    rho_a = rho ** a
-    for rows in row_chunks(r.size, 64 * rho.size):
-        z = np.outer(r[rows], rho)
-        full = np.sqrt(z) * bessel_j(lam, z)
+    """Full, main and remainder before the range cutoff.  At |lam| = 1/2
+    every element has r rho > 1, where `bessel_j` is its main term, so the
+    main term serves as the full kernel and the remainder is exactly 0."""
+    def kernels(z):
+        kern = np.empty((3,) + z.shape)
+        if abs(lam) != 0.5:
+            np.multiply(np.sqrt(z), bessel_j(lam, z), out=kern[0])
         z -= lam * (0.5 * math.pi)
         z -= 0.25 * math.pi
-        main = np.cos(z, out=z)
-        main *= _SQRT_2_OVER_PI
-        phase = np.exp(1j * np.outer(t[rows], rho_a))
-        prod = np.empty_like(phase)
-        out["full"][rows] = np.multiply(full, phase, out=prod) @ weights
-        out["main"][rows] = np.multiply(main, phase, out=prod) @ weights
-        full -= main
-        out["remainder"][rows] = np.multiply(full, phase, out=prod) @ weights
-    return out
+        np.multiply(np.cos(z, out=z), _SQRT_2_OVER_PI, out=kern[1])
+        if abs(lam) == 0.5:
+            kern[0] = kern[1]
+        np.subtract(kern[0], kern[1], out=kern[2])
+        return kern
+
+    return dict(zip(_PARTS, _phase_contract(r, t, rho, weights, a, kernels, 3)))
 
 
 def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
@@ -152,15 +161,15 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     Returns {"full", "main", "remainder"}: "main" keeps the cosine main term
     of the Bessel kernel and "remainder" the difference full - main, taken
     node by node and contracted on its own, so main + remainder recomposes
-    the full operator only up to rounding.  One row-blocked pass builds the
-    Bessel, cosine and phase matrices once for all three, and only on the
-    rows with psi(r) != 0 and the columns whose weight
+    the full operator only up to rounding (exactly at |lam| = 1/2).  One
+    `_selector_pass` builds the kernel rows and phases once for all three,
+    only on the rows with psi(r) != 0 and the columns whose weight
     w rho^-s psi(rho) f(rho) is nonzero: every other element is multiplied
     by an exact zero, so the skipped rows are exact zeros.  If no row or no
-    column is left, bessel_j is not called.  The last result is memoized
-    in one entry keyed on the exact bytes of everything it depends on, so
-    a hit returns what a recomputation would; the arrays returned are
-    always fresh copies.
+    column is left, or |lam| = 1/2, bessel_j is not called.  The last result
+    is memoized in one entry keyed on the exact bytes of everything it
+    depends on, so a hit returns what a recomputation would; the arrays
+    returned are always fresh copies.
     """
     r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),

@@ -198,6 +198,16 @@ def test_split_check_strict_flags_split_deviation(tmp_path, monkeypatch):
     assert summary["split_sum_deviation"] > 1e-9
 
 
+@pytest.mark.parametrize("a, s", [("0.5", "0.2"), ("2", "0.6")])
+def test_split_check_strict_passes_at_half_order(tmp_path, a, s):
+    # n = 3: the remainder bound is exactly 0, and so is the remainder.
+    rc = cli.main(["split-check", "--out-dir", str(tmp_path), "--a", a,
+                   "--n", "3", "--s", s, "--pairs", "2", "--strict"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "split_check_summary.json").read_text())
+    assert summary["remainder_bound"] == summary["remainder_max_ratio"] == 0.0
+
+
 _SWEEP_ARGS = ["sweep", "--a", "0.5", "--n", "2", "--s-list", "0.0625",
                "--N-list", "2", "--range", "local"]
 

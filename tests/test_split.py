@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-import oscillax.radial as radial
 import oscillax.split as split
 from oscillax.bessel import bessel_j, certify_asymptotic
 from oscillax.cutoffs import chi, gamma_weight, make_cutoff, psi
@@ -84,12 +83,16 @@ def test_split_sum_recomposes_full_operator():
 
 
 def _dense_parts(f, sel, p, kept=False):
-    """The three parts from whole matrices, as split built them before the
-    row-blocked pass, and the number of kernel elements they take.
+    """The three parts from whole matrices, and the number of kernel
+    elements they take.
 
-    kept=False builds the whole R x J matrices; kept=True only the rows with
-    psi(r) != 0 and the columns with a nonzero weight, the elements the
-    pass evaluates, and writes zeros in the other rows.
+    kept=False is the complex formula split used before its real pass: the
+    whole R x J matrices, (r rho)^(1/2) J_lam as the full kernel, the
+    complex phase e^{i t rho^a} and one gemv per part.  kept=True mirrors
+    the pass: only the rows with psi(r) != 0 and the columns with a nonzero
+    weight, the elements it evaluates, the main term as the full kernel at
+    |lam| = 1/2, the real phases w cos(t rho^a) and w sin(t rho^a), and one
+    dot per row against each; zeros in the other rows.
     """
     r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
@@ -101,15 +104,23 @@ def _dense_parts(f, sel, p, kept=False):
     r, t, rho, weights = r[rows], t[rows], rho[cols], weights[cols]
     z = np.outer(r, rho)
     arg = r[:, None] * rho[None, :] - p.lam * (0.5 * math.pi) - 0.25 * math.pi
-    full = np.sqrt(z) * np.asarray(bessel_j(p.lam, z))
-    kernels = {"full": full,
-               "main": math.sqrt(2.0 / math.pi) * np.cos(arg),
-               "remainder": full - math.sqrt(2.0 / math.pi) * np.cos(arg)}
-    phase = np.exp(1j * np.outer(t, rho ** p.a))
+    main = math.sqrt(2.0 / math.pi) * np.cos(arg)
+    if kept and abs(p.lam) == 0.5:
+        full = main
+    else:
+        full = np.sqrt(z) * np.asarray(bessel_j(p.lam, z))
+    kernels = {"full": full, "main": main, "remainder": full - main}
+    theta = np.outer(t, rho ** p.a)
+    cos_w, sin_w = np.cos(theta) * weights, np.sin(theta) * weights
     out = {}
     for part, kern in kernels.items():
         out[part] = np.zeros(sel.grid.size, dtype=complex)
-        out[part][rows] = psi_r[rows] * ((kern * phase) @ weights)
+        if kept:
+            vals = np.array([complex(np.dot(k, c), np.dot(k, s))
+                             for k, c, s in zip(kern, cos_w, sin_w)])
+        else:
+            vals = (kern * np.exp(1j * theta)) @ weights
+        out[part][rows] = psi_r[rows] * vals
     return out, z.size
 
 
@@ -129,11 +140,12 @@ def _counting_bessel(monkeypatch):
 @pytest.mark.parametrize("a", [0.5, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_selector_parts_match_dense_formula(monkeypatch, n, a):
-    # Elementwise kernels and one gemv per row give each row the same
-    # operations in the same order in any row block, so equality with the
-    # reference on the same rows and columns is bitwise.  Dropping the
-    # zero-weight columns changes each row's sum only by rounding.
-    monkeypatch.setattr(radial, "_SAMPLE_BYTES", 2 ** 22)
+    # Elementwise kernels and phases and one dot per row give each row the
+    # same operations in the same order in any row block, so equality with
+    # the reference on the same rows and columns is bitwise.  Dropping the
+    # zero-weight columns and the real arithmetic change each row's sum
+    # only by rounding.  At n = 3 (lam = 1/2) the main term is the full
+    # kernel and bessel_j is never called.
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
     sizes = _counting_bessel(monkeypatch)
     p = SymbolParams(a=a, n=n, s=0.2)
@@ -143,11 +155,52 @@ def test_selector_parts_match_dense_formula(monkeypatch, n, a):
     parts = selector_parts(f, sel, p)
     ref, elements = _dense_parts(f, sel, p, kept=True)
     whole, _ = _dense_parts(f, sel, p)
-    assert len(sizes) >= 3 and sum(sizes) == elements
+    if n == 3:
+        assert sizes == [] and not np.any(parts["remainder"])
+    else:
+        assert len(sizes) >= 3 and sum(sizes) == elements
     for part in ("full", "main", "remainder"):
         assert np.array_equal(parts[part], ref[part]), part
-        scale = np.abs(whole[part]).max()
+        # At n = 3 the remainder is exactly 0 and the formula's is the
+        # rounding of full - main, so the full part sets its scale.
+        scale = np.abs(whole["full" if (n, part) == (3, "remainder")
+                             else part]).max()
         assert np.abs(parts[part] - whole[part]).max() <= 1e-13 * scale, part
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_selector_parts_do_not_depend_on_the_block_size(monkeypatch, n):
+    # One row per block, blocks of 7 rows and the default _FAR_BLOCK
+    # elements give the same bits.
+    chunks, original = [], split.row_chunks
+
+    def recorded(rows, row_bytes, budget):
+        chunks.append((row_bytes, original(rows, row_bytes, budget)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(split, "row_chunks", recorded)
+    monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
+    p = SymbolParams(a=0.5, n=n, s=0.2)
+    grid, _ = selector_grid(12.0, 8.0)
+    args = (random_test_profile(5), TimeSelector.random(grid, seed=7), p)
+    ref = selector_parts(*args)
+    cols = chunks[-1][0]
+    for budget, rows in ((1, 1), (7 * cols, 7)):
+        monkeypatch.setattr(split, "_FAR_BLOCK", budget)
+        split._SELECTOR_MEMO.clear()
+        parts = selector_parts(*args)
+        assert max(c.stop - c.start for c in chunks[-1][1]) == rows
+        for part in ("full", "main", "remainder"):
+            assert np.array_equal(parts[part], ref[part]), (budget, part)
+    assert len(chunks[0][1]) > 3
+
+
+@pytest.mark.parametrize("a, s", [(0.5, 0.2), (2.0, 0.6)])
+def test_split_checks_at_half_order_have_an_exact_zero_remainder(a, s):
+    # bessel_j at lam = 1/2 is its main term, and certify_asymptotic's
+    # bound is exactly 0 there; the remainder must not show rounding.
+    dev, ratio = split.split_checks(SymbolParams(a=a, n=3, s=s), 2, 1000)
+    assert dev == 0.0 and ratio == 0.0
 
 
 def test_selector_triple_builds_kernels_once(monkeypatch):
