@@ -114,17 +114,21 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector,
 def _phase_contract(x, t, rho, weights, a, kernels, count):
     """sum_j K_ij weights_j e^{i t_i rho_j^a}, shape (count, len(x)), for the
     count real kernels K that kernels(outer(x[rows], rho)) stacks, in row
-    blocks of about _FAR_BLOCK elements (in cache).  A block builds
-    w cos(t rho^a) and w sin(t rho^a) once and dots every kernel row against
-    both; all else is elementwise, so the bits do not depend on the block."""
+    blocks of about _FAR_BLOCK elements (in cache).  A block builds the real
+    and imaginary parts of w e^{i t rho^a} once, w cos and w sin for real w,
+    and dots every kernel row against both; all else is elementwise, so the
+    bits do not depend on the block."""
     out = np.zeros((count, x.size), dtype=complex)
     rho_a = rho ** a
     for rows in row_chunks(x.size, rho.size, _FAR_BLOCK):
         theta = np.outer(t[rows], rho_a)
         phase = np.empty((theta.shape[0], 2, rho.size))
-        np.cos(theta, out=phase[:, 0])
-        np.sin(theta, out=phase[:, 1])
-        phase *= weights
+        cos, sin = np.cos(theta, out=phase[:, 0]), np.sin(theta, out=phase[:, 1])
+        if np.iscomplexobj(weights):
+            wr, wi = weights.real, weights.imag
+            phase[:, 0], phase[:, 1] = wr * cos - wi * sin, wr * sin + wi * cos
+        else:
+            phase *= weights
         kern = kernels(np.outer(x[rows], rho))
         out[:, rows] = np.vecdot(kern[:, :, None], phase).view(complex)[..., 0]
     return out
@@ -139,16 +143,16 @@ _PARTS = ("full", "main", "remainder")
 def _selector_pass(r, t, rho, weights, lam, a):
     """Full, main and remainder before the range cutoff.  At |lam| = 1/2
     every element has r rho > 1, where `bessel_j` is its main term, so the
-    main term serves as the full kernel and the remainder is exactly 0."""
+    full kernel serves as the main term and the remainder is exactly 0."""
     def kernels(z):
         kern = np.empty((3,) + z.shape)
-        if abs(lam) != 0.5:
-            np.multiply(np.sqrt(z), bessel_j(lam, z), out=kern[0])
-        z -= lam * (0.5 * math.pi)
-        z -= 0.25 * math.pi
-        np.multiply(np.cos(z, out=z), _SQRT_2_OVER_PI, out=kern[1])
+        np.multiply(np.sqrt(z), bessel_j(lam, z), out=kern[0])
         if abs(lam) == 0.5:
-            kern[0] = kern[1]
+            kern[1] = kern[0]
+        else:
+            z -= lam * (0.5 * math.pi)
+            z -= 0.25 * math.pi
+            np.multiply(np.cos(z, out=z), _SQRT_2_OVER_PI, out=kern[1])
         np.subtract(kern[0], kern[1], out=kern[2])
         return kern
 
@@ -166,10 +170,10 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     only on the rows with psi(r) != 0 and the columns whose weight
     w rho^-s psi(rho) f(rho) is nonzero: every other element is multiplied
     by an exact zero, so the skipped rows are exact zeros.  If no row or no
-    column is left, or |lam| = 1/2, bessel_j is not called.  The last result
-    is memoized in one entry keyed on the exact bytes of everything it
-    depends on, so a hit returns what a recomputation would; the arrays
-    returned are always fresh copies.
+    column is left, bessel_j is not called.  The last result is memoized
+    in one entry keyed on the exact bytes of everything it depends on, so
+    a hit returns what a recomputation would; the arrays returned are
+    always fresh copies.
     """
     r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),

@@ -90,9 +90,9 @@ def _dense_parts(f, sel, p, kept=False):
     whole R x J matrices, (r rho)^(1/2) J_lam as the full kernel, the
     complex phase e^{i t rho^a} and one gemv per part.  kept=True mirrors
     the pass: only the rows with psi(r) != 0 and the columns with a nonzero
-    weight, the elements it evaluates, the main term as the full kernel at
-    |lam| = 1/2, the real phases w cos(t rho^a) and w sin(t rho^a), and one
-    dot per row against each; zeros in the other rows.
+    weight, the elements it evaluates, the full kernel as the main term at
+    |lam| = 1/2, the real phases w cos(t rho^a) and w sin(t rho^a) of a real
+    weight, and one dot per row against each; zeros in the other rows.
     """
     r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
@@ -105,10 +105,9 @@ def _dense_parts(f, sel, p, kept=False):
     z = np.outer(r, rho)
     arg = r[:, None] * rho[None, :] - p.lam * (0.5 * math.pi) - 0.25 * math.pi
     main = math.sqrt(2.0 / math.pi) * np.cos(arg)
+    full = np.sqrt(z) * np.asarray(bessel_j(p.lam, z))
     if kept and abs(p.lam) == 0.5:
-        full = main
-    else:
-        full = np.sqrt(z) * np.asarray(bessel_j(p.lam, z))
+        main = full
     kernels = {"full": full, "main": main, "remainder": full - main}
     theta = np.outer(t, rho ** p.a)
     cos_w, sin_w = np.cos(theta) * weights, np.sin(theta) * weights
@@ -144,8 +143,8 @@ def test_selector_parts_match_dense_formula(monkeypatch, n, a):
     # same operations in the same order in any row block, so equality with
     # the reference on the same rows and columns is bitwise.  Dropping the
     # zero-weight columns and the real arithmetic change each row's sum
-    # only by rounding.  At n = 3 (lam = 1/2) the main term is the full
-    # kernel and bessel_j is never called.
+    # only by rounding.  At n = 3 (lam = 1/2) the full kernel is the main
+    # term, so the remainder is exactly 0.
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
     sizes = _counting_bessel(monkeypatch)
     p = SymbolParams(a=a, n=n, s=0.2)
@@ -155,10 +154,9 @@ def test_selector_parts_match_dense_formula(monkeypatch, n, a):
     parts = selector_parts(f, sel, p)
     ref, elements = _dense_parts(f, sel, p, kept=True)
     whole, _ = _dense_parts(f, sel, p)
+    assert len(sizes) >= 3 and sum(sizes) == elements
     if n == 3:
-        assert sizes == [] and not np.any(parts["remainder"])
-    else:
-        assert len(sizes) >= 3 and sum(sizes) == elements
+        assert not np.any(parts["remainder"])
     for part in ("full", "main", "remainder"):
         assert np.array_equal(parts[part], ref[part]), part
         # At n = 3 the remainder is exactly 0 and the formula's is the
@@ -236,6 +234,33 @@ def test_selector_triple_builds_kernels_once(monkeypatch):
     parts = selector_parts(f, sel, p)
     parts["main"] += 1.0
     assert np.array_equal(selector_parts(f, sel, p)["main"], base["main"])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complex_profiles_match_dense_formulas(monkeypatch, n):
+    # Modulated and complex-scaled profiles give complex weights, whose real
+    # and imaginary parts both enter the real rows of the pass.
+    monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
+    grid, _ = selector_grid(12.0, 8.0)
+    sel = TimeSelector.random(grid, seed=60 + n)
+    x, t = sel.grid, sel.values
+    base = random_test_profile(6)
+    for f in (base.modulate(1.5), base.scaled(1j), base.scaled(0.3 - 0.8j)):
+        p = SymbolParams(a=0.5, n=n, s=0.2)
+        parts = selector_parts(f, sel, p)
+        whole, _ = _dense_parts(f, sel, p)
+        for part in ("full", "main", "remainder"):
+            scale = np.abs(whole["full" if (n, part) == (3, "remainder")
+                                 else part]).max()
+            assert np.abs(parts[part] - whole[part]).max() <= 1e-13 * scale
+        p = SymbolParams(a=0.5, n=1, s=0.2)
+        vals = apply_selector_multiplier(f, sel, p)
+        rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(x))),
+                              power_coeff=1.0, power=p.a)
+        vec = w * np.sqrt(gamma_weight(-2.0 * p.s, rho)) * f(rho)
+        phase = np.exp(1j * np.outer(t, rho ** p.a))
+        ref = 2.0 * ((np.cos(np.outer(x, rho)) * phase) @ vec)
+        assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_selector_parts_skip_dead_rows_and_columns(monkeypatch):
