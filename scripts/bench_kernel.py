@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Time bessel_j, the Bessel kernel layer, its sup search, the
-spatial-extent search, the tensor-quadrature oracle and the split pass.
+spatial-extent search, the tensor-quadrature oracle, the split pass and
+the maximal kernel.
 
     python3 scripts/bench_kernel.py --label change --out BENCH_kernel.json
 
 oscillax is imported from the `src/` of the checkout this script sits in,
 so copying the script into another checkout times that checkout's code.
-BLAS is pinned to one thread.  Eight things are timed, each recorded as
+BLAS is pinned to one thread.  Nine things are timed, each recorded as
 {"median": ..., "min": ...} over REPEATS runs; the minimum is the steadier
 figure when runs are compared back to back:
 
@@ -41,7 +42,9 @@ figure when runs are compared back to back:
   benchmark workload's inputs at seed 1: selector_grid(12, 22), n = 2,
   (a, s) = (1/2, 0.2) and (2, 0.6), each with random_test_profile(2 + k)
   framed by bump(0.8, 0.8) / 2 and -bump(18.2, 0.8) / 2 and the random
-  selector of seed 1002 + k.
+  selector of seed 1002 + k;
+- `split.kernel_sample` (`kernel_sample_s`) at m = mu = 4 and 8, a = 1/2,
+  s = 0.2, as the split-bounds workload's `maximal_kernel` calls take it.
 
 Each run, with nproc, the BLAS thread count and the numpy and scipy
 versions, is appended to the list runs[label] of the --out file, so runs of
@@ -103,6 +106,8 @@ ORACLE_CASES = (("bump(1, 0.7)", bump(1.0, 0.7), 12.0),
 # The split-bounds workload at seed 1: selector grid and (a, s) pairs.
 SELECTOR_GRID = (12.0, 22.0)
 SELECTOR_PAIRS = ((0.5, 0.2), (2.0, 0.6))
+# The maximal kernel's localizations m = mu, at a = 1/2, s = 0.2.
+KERNEL_SAMPLE_M = (4.0, 8.0)
 
 
 def _timing(fn, scale: float = 1.0, digits: int = 4) -> dict:
@@ -190,6 +195,10 @@ def measure() -> dict:
             split.selector_parts(*args)
 
         selector[f"a={a:g} s={s_reg:g} rows={grid.size}"] = _timing(fresh)
+    kernel_sample = {}
+    for m in KERNEL_SAMPLE_M:
+        kernel_sample[f"m=mu={m:g} a=0.5 s=0.2"] = _timing(
+            lambda: split.kernel_sample(m, m, SymbolParams(a=0.5, n=1, s=0.2)))
     return {"env": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "repeats": REPEATS},
@@ -200,7 +209,8 @@ def measure() -> dict:
             "chebyshev_sup_s": sup,
             "spatial_extent_s": extent,
             "oracle_s": oracle,
-            "selector_s": selector}
+            "selector_s": selector,
+            "kernel_sample_s": kernel_sample}
 
 
 def main(argv=None) -> int:

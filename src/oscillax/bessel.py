@@ -32,13 +32,14 @@ and a_k(lam) the coefficients of DLMF 10.17.1, Hankel's expansion
 
     k_lam(z) = sqrt(2/pi) z^(-lam-1/2) Re[e^{i omega} sum_k a_k(lam) (i/z)^k],
 
-which needs e^{i z} and powers of z only.  It is used at
-z >= HANKEL_Z0 (and z >= lam^2, so the terms fall from the first), cut at
-the first term below rounding for the smallest such z.  For lam >= 0
-DLMF 10.17(iii) bounds the remainder of each of its real and imaginary
-sums by its first neglected term, given enough kept terms, and
+which needs e^{i z} and powers of z only.  It is used at z >= `hankel_z0`
+(lam), cut at the first term below rounding for the smallest such z.  For
+lam >= 0 DLMF 10.17(iii) bounds the remainder of each of its real and
+imaginary sums by its first neglected term, given enough kept terms, and
 `hankel_series` returns those terms for the caller's error bound; for
-half-integer lam the sum ends and the expansion is exact.
+half-integer lam the sum ends and the expansion is exact.  At lam = +-1/2
+it ends after the k = 0 term, so there the expansion is the closed form
+itself and serves every z the closed form does.
 
 Everything is vectorized over the argument; the order is a scalar.
 """
@@ -54,11 +55,11 @@ from scipy import special
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SAMPLES_PER_OCTAVE = 512
 _ROUNDING = np.finfo(float).eps / 2.0
-# Least argument of the Hankel rows.  The Hankel terms reach rounding from
-# z = 17.5 on for 0 <= lam <= 4, and wherever they do, a far row costs
-# about 14 ns per element against scipy's 44-50 ns, with the same error
-# (measured on z in [20, 40) to [60, 120), lam = 0 and 1); 20 leaves a
-# margin.
+# Least argument of the Hankel rows at every order but +-1/2 (`hankel_z0`).
+# The Hankel terms reach rounding from z = 17.5 on for 0 <= lam <= 4, and
+# wherever they do, a far row costs about 14 ns per element against
+# scipy's 44-50 ns, with the same error (measured on z in [20, 40) to
+# [60, 120), lam = 0 and 1); 20 leaves a margin.
 HANKEL_Z0 = 20.0
 
 
@@ -246,6 +247,23 @@ def certify_asymptotic(order: float, rho_min: float,
                                  octave_sups=tuple(octave_sups))
 
 
+def hankel_z0(order: float) -> float:
+    """Least argument z0(lam) of Hankel's expansion in `hankel_series`.
+
+    lam = -1/2: 0, since k_{-1/2}(z) = sqrt(2/pi) cos z exactly.  lam = 1/2:
+    1, where the single term sqrt(2/pi) sin z / z is exact (`bessel_j`
+    switches to it at 1/2) and its amplitude sqrt(2/pi) / z stays at most
+    k_{1/2}(0).  Every other order: max(HANKEL_Z0, lam^2), where the terms
+    fall from the first and reach rounding.
+    """
+    lam = _lam(order)
+    if lam == -0.5:
+        return 0.0
+    if lam == 0.5:
+        return 1.0
+    return max(HANKEL_Z0, lam * lam)
+
+
 def hankel_series(order: float, z_min: float):
     """(a, tail): the Hankel coefficients that k_lam needs at z >= z_min.
 
@@ -260,14 +278,15 @@ def hankel_series(order: float, z_min: float):
         |k_lam(z) - far rows| <= sqrt(2/pi) z^(-lam-1/2) (|a_K| z^-K + |a_{K+1}| z^-K-1),
 
     which is 0 for half-integer lam: its sum ends at a_K = 0.  z_min must
-    be at least max(HANKEL_Z0, lam^2): there |4 lam^2 - (2k - 1)^2| / (8 k z)
+    be at least `hankel_z0`(lam): at lam = +-1/2 the sum is a_0 alone (and
+    z_min may be 0 at lam = -1/2); elsewhere |4 lam^2 - (2k - 1)^2| / (8 k z)
     stays below 1 until the terms are far below rounding.
     """
     lam = _lam(order)
     if not (lam >= 0.0 or lam == -0.5):
         raise ValueError("Hankel rows need lam >= 0 or lam = -1/2")
-    if not z_min >= max(HANKEL_Z0, lam * lam):
-        raise ValueError("Hankel rows need z >= max(HANKEL_Z0, lam^2)")
+    if not z_min >= hankel_z0(lam):
+        raise ValueError("Hankel rows need z >= hankel_z0(lam)")
     need_even = max(0.5 * lam - 0.25, 1.0)
     need_odd = max(0.5 * lam - 0.75, 1.0)
     a, term = [1.0], 1.0
@@ -275,9 +294,11 @@ def hankel_series(order: float, z_min: float):
         k = len(a)
         ratio = (4.0 * lam * lam - (2 * k - 1) ** 2) / (8.0 * k)
         nxt = a[-1] * ratio
+        if nxt == 0.0:
+            break
         term *= abs(ratio) / z_min
-        if nxt == 0.0 or (term < _ROUNDING and (k + 1) // 2 >= need_even
-                          and k // 2 >= need_odd):
+        if (term < _ROUNDING and (k + 1) // 2 >= need_even
+                and k // 2 >= need_odd):
             break
         if 2 * k - 1 > 2.0 * lam and abs(ratio) >= z_min:
             raise ValueError("the Hankel terms grow before reaching rounding")

@@ -28,7 +28,9 @@ import numpy as np
 
 from .bessel import bessel_kernel_reduced
 from .profiles import NumericalFailure, Profile
-from .quadrature import oscillatory_rule
+from .quadrature import (DEFAULT_ORDER, _gl_reference, grid_panels,
+                         oscillatory_rule, panel_centres, panel_rule,
+                         phase_breakpoints)
 from .radial import RadialKernel, profile_rule, sobolev_norm, sphere_factor
 
 
@@ -173,10 +175,13 @@ def spatial_extent(g: Profile, p: SymbolParams) -> float:
     |u(r, 0)| on the rule is at most P = k_lam(0) sum_j |base_j|, the bases
     of `propagator`.  The 16 rows from index 539 are evaluated first, as
     one panel of their own: a row is a Hankel row in both evaluations or in
-    neither, a Hankel element's amplitude is at most k_lam(0), and the two
-    build its phase x rho from different panel centres, so their elements
-    differ by at most 8 X eps k_lam(0), X the probe's largest x rho, and a
-    Hankel remainder below rounding.  One of the rows over
+    neither, a Hankel element's amplitude sqrt(2/pi) z^(-lam-1/2) |H(z)|
+    is at most k_lam(0) on z >= z0(lam) (`bessel.hankel_z0`; H = 1 at
+    lam = +-1/2, where k_lam(0) = sqrt(2/pi): the amplitude equals it at
+    lam = -1/2 and is sqrt(2/pi) / z <= it on z >= 1 at lam = 1/2), and
+    the two build its phase x rho from different panel centres, so their
+    elements differ by at most 8 X eps k_lam(0), X the probe's largest
+    x rho, and a Hankel remainder below rounding.  One of the rows over
     (tol + 4 (J + 2 X) eps) P, J the rule's nodes, is then over tol times
     the grid's peak however the two evaluations round their J-term sums,
     and proves the grid rejected without evaluating the rest.  Otherwise
@@ -189,15 +194,13 @@ def spatial_extent(g: Profile, p: SymbolParams) -> float:
     radius = 6.0 / g.scale + g.modulation_rate + 6.0
     size, width = 769, 16
     first = math.ceil(0.7 * size)        # 539: the first row that can reject
-    ref = np.linspace(-1.0, 1.0, width)
     k0 = float(bessel_kernel_reduced(p.lam, np.zeros(1))[0])
     for _ in range(10):
         # The grid's 49 panels, then the probe's: each within an ulp of its rows.
         grid = np.linspace(0.0, radius, size)
-        step = radius / (size - 1)
-        mid = (np.append(np.arange(0, size, width), first)
-               + 0.5 * (width - 1)) * step
-        half = np.full(mid.size, 0.5 * (width - 1) * step)
+        mid, half, ref = grid_panels(
+            radius / (size - 1), np.append(np.arange(0, size, width), first),
+            width)
         rule = frequency_rule(g, p, r_max=radius, t_max=0.0)
         probe = propagator(g, p, grid[first:first + width], rule,
                            (mid[-1:], half[-1:], ref))
@@ -234,7 +237,8 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
 
     The multiplier e^{i t rho^a} has modulus one, so every time slice is an
     L2 isometry; these ratios returning 1 is an end-to-end quadrature check.
-    The radial grid and the Bessel kernel are shared across all the times.
+    The radial grid and the Bessel kernel are shared across all the times;
+    the layer knows the grid's GL-16 panels, so its far rows are Hankel rows.
     A growth keeps every row and evaluates only the new stretch
     [r_old, r_new], on the rho rule for r_new; the audited outer tenth lies
     in it, since 0.9 r_new > r_old = r_new / 1.7.
@@ -253,10 +257,12 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
     # 10 percent is negligible at the 1e-5 accuracy this check certifies.
     lo, totals = 0.0, 0.0
     for _attempt in range(5):
-        r_nodes, r_w = oscillatory_rule(lo, r_max, linear_rate=2.0 * hi,
-                                        panel_cap=min(1.0 / g.scale, r_max / 8.0))
+        edges = phase_breakpoints(lo, r_max, linear_rate=2.0 * hi,
+                                  panel_cap=min(1.0 / g.scale, r_max / 8.0))
+        r_nodes, r_w = panel_rule(edges)
         rho_rule = frequency_rule(g, p, r_max=r_max, t_max=t_max)
-        u = dispersive_field(g, p, r_nodes, t_arr, rho_rule=rho_rule)
+        panels = panel_centres(edges) + (_gl_reference(DEFAULT_ORDER)[0],)
+        u = propagator(g, p, r_nodes, rho_rule, panels).field(t_arr)
         dens = np.abs(u) ** 2 * r_nodes[:, None] ** (p.n - 1)
         totals = totals + sphere_factor(p.n) * (r_w @ dens)
         outer = r_nodes >= 0.9 * r_max

@@ -57,6 +57,40 @@ def panel_rule(breakpoints, order: int = DEFAULT_ORDER):
     return _composite(breakpoints, *_gl_reference(order))
 
 
+def grid_panels(step: float, starts, width: int = DEFAULT_ORDER):
+    """(mid, half, ref) of panels of `width` equally spaced rows of the grid
+    k * step: the panel at start s holds rows s, ..., s + width - 1, and
+    ref = linspace(-1, 1, width).  The rows of np.linspace(0, R, size),
+    step = R / (size - 1), are within an ulp of mid + half ref."""
+    mid = (np.asarray(starts) + 0.5 * (width - 1)) * step
+    half = np.full(mid.size, 0.5 * (width - 1) * step)
+    return mid, half, np.linspace(-1.0, 1.0, width)
+
+
+def gl_panels(nodes, order: int = DEFAULT_ORDER):
+    """(mid, half, ref) of the composite GL rule `panel_rule` made these
+    nodes from, or None.
+
+    The nodes are taken as panels of `order` consecutive nodes; each panel's
+    mid and half come from its two end nodes and ref is the reference rule.
+    The result is accepted only if mid + half ref is within one ulp of the
+    panel's largest node at every node of it, as `RadialKernel` takes panels;
+    otherwise, and when the count is not a multiple of order, it is None.
+    """
+    x = np.asarray(nodes, dtype=float)
+    if x.ndim != 1 or x.size == 0 or x.size % order:
+        return None
+    ref = _gl_reference(order)[0]
+    panel = x.reshape(-1, order)
+    mid = 0.5 * (panel[:, 0] + panel[:, -1])
+    half = (panel[:, -1] - panel[:, 0]) / (ref[-1] - ref[0])
+    error = np.abs(mid[:, None] + half[:, None] * ref - panel)
+    ulp = np.spacing(np.abs(panel).max(axis=1))
+    if not (np.all(half > 0.0) and np.all(error <= ulp[:, None])):
+        return None
+    return mid, half, ref
+
+
 # QUADPACK's qk15 (Piessens et al., 1983), to double precision: the Kronrod
 # abscissae in [0, 1), decreasing, their K15 weights, and the G7 weights of
 # the Gauss subset (0 at the four Kronrod-only abscissae here).

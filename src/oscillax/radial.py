@@ -15,19 +15,26 @@ makes fhat(0) = sphere_factor(n) * int f0 r^(n-1) dr, the integral of f.
 
 `RadialKernel` contracts k_lam(x_i * nodes_j) for the transform itself
 (`hankel_fourier` is its field at t = 0), the propagator, the maximal
-fields, the weighted split fields and the 1-D sup-in-t kernel
-(lam = -1/2, since 2 cos z = sqrt(2 pi) k_{-1/2}(z)).  One sampler streams
-the kernel: it phases the weights once, evaluates one `row_chunks` chunk
-of rows, contracts it against them into samples at the given times and
-drops it, so no call holds more than one chunk, and a stack of bases on
-the same nodes (the modulations of one profile) shares every chunk.
-A layer whose rows are panel nodes, as the maximal fields' G7/K15 rows
-and `oscillatory.spatial_extent`'s grid are, evaluates its far rows,
-x min(nodes) >= bessel.HANKEL_Z0, by Hankel's expansion (DLMF 10.17.3)
-with e^{i x rho} = e^{i mid rho} e^{i half ref rho} taken from a per-panel
-and a per-half-width table, whole panels at a time, and adds the
-expansion's truncation bound (DLMF 10.17(iii)) to each such row's error
-bound; every other row comes from `bessel_kernel_reduced`.
+fields, the weighted split fields, the linearized operators of `split`
+and the 1-D sup-in-t kernel (lam = -1/2, since 2 cos z = sqrt(2 pi)
+k_{-1/2}(z)).  One sampler streams the kernel: it phases the weights once,
+evaluates one `row_chunks` chunk of rows, contracts it against them into
+samples at the given times and drops it, so no call holds more than one
+chunk, and a stack of bases on the same nodes (the modulations of one
+profile) shares every chunk.  A layer whose rows are panel nodes, as the
+maximal fields' G7/K15 rows, `oscillatory.spatial_extent`'s grid, the
+isometry check's GL-16 rows, `split.kernel_sample`'s grid and the selector
+grids are, evaluates its far rows, x min(nodes) >= z0(lam)
+(`bessel.hankel_z0`: 0 at lam = -1/2, 1 at lam = 1/2, else
+max(HANKEL_Z0, lam^2)), by Hankel's expansion (DLMF 10.17.3) with
+e^{i x rho} = e^{i mid rho} e^{i half ref rho} taken from a per-panel and
+a per-half-width table, whole panels at a time, and adds the expansion's
+truncation bound (DLMF 10.17(iii)) to each such row's error bound; every
+other row comes from `bessel_kernel_reduced`.  `at_times(t)` evaluates
+one time per row, u(x_i, t_i), one row panel at a time, and there takes
+each panel's column suffix x_min rho >= z0 from the same tables, element
+by element; with parts it also returns the series' k = 0 term and its
+k >= 1 columns, the cosine split of `split.selector_parts`.
 `field(t)` copies the samples out; `chebyshev_sup(K)` samples the K + 1
 Chebyshev times and returns (sup, arg, bound), the certified continuous
 sup over [-1, 1] of one interpolant per row, a time reaching it and its
@@ -63,15 +70,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .bessel import (_SQRT_2_OVER_PI, HANKEL_Z0, bessel_kernel_reduced,
-                     hankel_series)
+from .bessel import (_SQRT_2_OVER_PI, bessel_kernel_reduced, hankel_series,
+                     hankel_z0)
 from .profiles import NumericalFailure, Profile
-from .quadrature import PHASE_BUDGET, oscillatory_rule
+from .quadrature import DEFAULT_ORDER, PHASE_BUDGET, oscillatory_rule
 
 _CLIP_MARGIN = 1e-12     # relative widening of the oracle's support clip
 _T_CHUNK = 384           # times per `_phases` call: temporaries ~2.5x its matrices
 _SAMPLE_BYTES = 2 ** 24  # soft cap on one row chunk's kernel rows and values
-_FAR_BLOCK = 2 ** 14     # elements per block of Hankel or split rows: in L2
+_FAR_BLOCK = 2 ** 14     # elements per block of Hankel rows: in L2
 _DENSE = 8               # dense search points per Chebyshev degree
 _SEARCH_ROWS = 256       # rows of stacked bases one dense search may take
 _NEWTON_STEPS = 3
@@ -177,12 +184,10 @@ def chebyshev_degree(tau: float) -> int:
     return 2 * lo
 
 
-def row_chunks(rows: int, row_bytes: int,
-               budget: int | None = None) -> list[slice]:
-    """Nearly equal slices of range(rows), each of at most budget (by
-    default _SAMPLE_BYTES) at row_bytes per row but at least one row; none
-    if rows or row_bytes is 0.  The one row-chunk rule of the kernel layer
-    and of `split`, which passes elements and _FAR_BLOCK.
+def row_chunks(rows: int, row_bytes: int) -> list[slice]:
+    """Nearly equal slices of range(rows), each of at most _SAMPLE_BYTES at
+    row_bytes per row but at least one row; none if rows or row_bytes is 0.
+    The one row-chunk rule of the kernel layer.
 
     Rows in different chunks need not round alike: BLAS may pick another
     kernel for a product of another size, so a chunked result matches one
@@ -190,7 +195,7 @@ def row_chunks(rows: int, row_bytes: int,
     """
     if rows == 0 or row_bytes == 0:
         return []
-    count = -(-rows // max(1, (budget or _SAMPLE_BYTES) // row_bytes))
+    count = -(-rows // max(1, _SAMPLE_BYTES // row_bytes))
     edges = [k * rows // count for k in range(count)]
     return [slice(i0, i1) for i0, i1 in zip(edges, edges[1:] + [rows])]
 
@@ -342,12 +347,14 @@ def _polished_max(samples, t, theta, spacing, top, local):
 
 @dataclass(frozen=True)
 class _FarRows:
-    """A layer's Hankel-row tables (`RadialKernel._far`).
+    """A layer's Hankel tables (`RadialKernel._tables`).
 
-    mask marks the rows with x rho_min >= max(HANKEL_Z0, lam^2), rho_min the
-    least node.  coef is sqrt(2/pi) times `bessel.hankel_series` at the
-    least such x rho_min, tail its remainder coefficients, and cols the
-    (K, 2 J) real view of (rho_min / rho_j)^(k + lam + 1/2) i^k.
+    mask marks the rows they serve: for `RadialKernel._far` the rows with
+    x rho_min >= z0(lam) (`bessel.hankel_z0`), rho_min the least node.  coef
+    is sqrt(2/pi) times `bessel.hankel_series` for the least such x rho_min
+    (for z0 itself in `RadialKernel.at_times`), tail its remainder
+    coefficients, and cols the (K, 2 J) real view of
+    (rho_min / rho_j)^(k + lam + 1/2) i^k.
     node_phase holds e^{i(h ref_l rho_j - lam pi/2 - pi/4)} for each
     distinct half-width h of a panel with a far row, one row per (h, l),
     and first_row[q] is the row of (h, 0) for panel q's half-width h.
@@ -377,8 +384,10 @@ class RadialKernel:
     of (mid[:, None] + half[:, None] * ref).ravel(), equal to them to within
     an ulp, as `quadrature._composite` builds a panel rule; only the last
     panel may hold fewer than ref.size rows of x.  Then a row with
-    z = x rho >= max(HANKEL_Z0, lam^2) at every node rho (and lam >= 0 or
-    lam = -1/2) is a Hankel row (`bessel.hankel_series`):
+    z = x rho >= z0(lam) at every node rho (`bessel.hankel_z0`: 0 at
+    lam = -1/2, 1 at lam = 1/2, where the series is its one exact term,
+    else max(HANKEL_Z0, lam^2); and lam >= 0 or lam = -1/2) is a Hankel
+    row (`bessel.hankel_series`):
 
         k_lam(x rho) = sqrt(2/pi) Re[z^(-lam-1/2) H(z) e^{i mid rho}
                                      e^{i(half ref rho - lam pi/2 - pi/4)}],
@@ -391,7 +400,9 @@ class RadialKernel:
     one half-width, as (panel phase x node phase) x series, and keeps its
     far rows.  Every other row, and every chunk with no far row, takes
     bessel_kernel_reduced.  The series' remainder is bounded per row by
-    `_truncation`.
+    `_truncation`.  `at_times`, one time per row, uses the same tables
+    element by element on each row panel's column suffix instead: the
+    field and sup path keeps whole Hankel rows, which measured faster there.
     """
 
     def __init__(self, lam: float, x: np.ndarray, nodes: np.ndarray,
@@ -419,19 +430,30 @@ class RadialKernel:
         """The number of Hankel rows."""
         return 0 if self._far is None else int(np.count_nonzero(self._far.mask))
 
+    @property
+    def _hankel(self) -> bool:
+        """Whether the layer may take Hankel elements: it knows its panels,
+        has nodes, and its order is one `bessel.hankel_series` serves."""
+        return self.panels is not None and self.nodes.size > 0 and (
+            self.lam >= 0.0 or self.lam == -0.5)
+
     @functools.cached_property
     def _far(self) -> _FarRows | None:
         """The layer's Hankel-row tables, or None when no row is far."""
-        lam = self.lam
-        if self.panels is None or self.nodes.size == 0 or not (
-                lam >= 0.0 or lam == -0.5):
+        if not self._hankel:
             return None
-        rho_min = float(np.min(self.nodes))
-        z = self.x * rho_min
-        mask = z >= max(HANKEL_Z0, lam * lam)
+        z = self.x * float(np.min(self.nodes))
+        mask = z >= hankel_z0(self.lam)
         if not mask.any():
             return None
-        coef, tail = hankel_series(lam, float(np.min(z[mask])))
+        return self._tables(mask, float(np.min(z[mask])))
+
+    def _tables(self, mask: np.ndarray, z_min: float) -> _FarRows:
+        """The Hankel tables for the panels that hold a row in mask, with the
+        series cut for z >= z_min."""
+        lam = self.lam
+        rho_min = float(np.min(self.nodes))
+        coef, tail = hankel_series(lam, z_min)
         k = np.arange(coef.size)
         i_k = np.array([1.0, 1j, -1.0, -1j])[k % 4, None]
         cols = (rho_min / self.nodes) ** (k + lam + 0.5)[:, None] * i_k
@@ -446,6 +468,16 @@ class RadialKernel:
                         cols.view(float),
                         np.exp(1j * phase).reshape(-1, self.nodes.size),
                         first_row)
+
+    def _lead(self, far: _FarRows, z: np.ndarray) -> np.ndarray:
+        """sqrt(2/pi) a_k z^(-k-lam-1/2), k < K, per z, by running products."""
+        lead = np.empty((z.size, far.coef.size))
+        lead[:, 0] = z ** -(self.lam + 0.5)
+        if far.coef.size > 1:
+            lead[:, 1:] = (1.0 / z)[:, None]
+            np.cumprod(lead, axis=1, out=lead)
+        lead *= far.coef
+        return lead
 
     def _kernel(self, rows: slice) -> np.ndarray:
         """The kernel rows x[rows]: Hankel rows where `_far` marks them, one
@@ -469,18 +501,14 @@ class RadialKernel:
         mid, _, ref = self.panels
         size, cols = ref.size, self.nodes.size
         panels = np.unique((rows.start + np.flatnonzero(far.mask[rows])) // size)
-        # sqrt(2/pi) a_k z^(-k-lam-1/2) at z = x rho_min, by running products,
-        # on every row of those panels.  Clipping z keeps the near rows, and
-        # the rows past x in the last panel, finite.
+        # The series' leads at z = x rho_min on every row of those panels.
+        # Clipping z at z0 keeps the near rows, and the rows past x in the
+        # last panel, finite.
         start = panels[0] * size
         i = np.arange(start, (panels[-1] + 1) * size)
-        z = np.maximum(self.x[np.minimum(i, self.x.size - 1)] * far.rho_min,
-                       HANKEL_Z0)
-        lead = np.empty((i.size, far.coef.size))
-        lead[:, 0] = z ** -(self.lam + 0.5)
-        lead[:, 1:] = (1.0 / z)[:, None]
-        np.cumprod(lead, axis=1, out=lead)
-        lead *= far.coef
+        lead = self._lead(far, np.maximum(
+            self.x[np.minimum(i, self.x.size - 1)] * far.rho_min,
+            hankel_z0(self.lam)))
         step = max(1, _FAR_BLOCK // (size * cols))
         cuts = np.flatnonzero(np.diff(far.first_row[panels])) + 1
         for run in np.split(panels, cuts):
@@ -489,14 +517,22 @@ class RadialKernel:
                 node = far.first_row[q]
                 e = (np.exp(1j * np.outer(mid[q:q + n], self.nodes))[:, None]
                      * far.node_phase[node:node + size])
-                # Whole panels: the product has at least two rows, so it never
-                # takes BLAS's matrix-vector path, which rounds otherwise.
                 r0 = q * size - start
-                e *= (lead[r0:r0 + n * size] @ far.cols).view(complex).reshape(
-                    e.shape)
+                block = lead[r0:r0 + n * size]
+                if far.coef.size == 1:
+                    # One real term (lam = +-1/2): the GEMM's products and
+                    # e times them, bit for bit, without a GEMM over one term.
+                    real = e.reshape(-1, cols).real * np.outer(
+                        block[:, 0], far.cols[0, 0::2])
+                else:
+                    # Whole panels: the product has at least two rows, so it
+                    # never takes BLAS's matrix-vector path, which rounds
+                    # otherwise.
+                    e *= (block @ far.cols).view(complex).reshape(e.shape)
+                    real = e.reshape(-1, cols).real
                 lo, hi = max(q * size, rows.start), min((q + n) * size, rows.stop)
-                kern[lo - rows.start:hi - rows.start] = e.reshape(-1, cols)[
-                    lo - q * size:hi - q * size].real
+                kern[lo - rows.start:hi - rows.start] = real[
+                    lo - q * size:hi - q * size]
 
     def _truncation(self) -> np.ndarray:
         """Per row, a bound on the Hankel remainder over every column:
@@ -505,7 +541,9 @@ class RadialKernel:
         the other rows."""
         out = np.zeros(self.x.size)
         far = self._far
-        if far is not None:
+        # A series that ends (half-integer lam) leaves no remainder, also at
+        # z = 0, where the formula below is 0 times infinity.
+        if far is not None and far.tail[0] != 0.0:
             z = self.x[far.mask] * far.rho_min
             out[far.mask] = (_SQRT_2_OVER_PI * z ** -(self.lam + 0.5)
                              * (far.tail[0] + far.tail[1] / z)
@@ -554,6 +592,102 @@ class RadialKernel:
         for rows, _, samples in self._samples(t, self.power):
             stack[:, rows] = samples
         return out
+
+    def at_times(self, t: np.ndarray, parts: bool = False):
+        """u(x_i, t_i) = sum_j k_lam(x_i nodes_j) base_j e^{i t_i power_j},
+        one time per row, shape base.shape[:-1] + x.shape; with parts, the
+        tuple (full, main, remainder) of such arrays.
+
+        The nodes must be ascending (repeats allowed).  Rows go one row
+        panel at a time (blocks of DEFAULT_ORDER rows without panels).  Panel
+        q's column suffix nodes_j >= z0 / x_min(q), z0 = `bessel.hankel_z0`
+        (lam) and x_min(q) its least row, holds its Hankel elements: every
+        one has x rho >= z0 and takes the layer's tables, e^{i mid rho} times
+        the node phase of its half-width times the series, cut for z >= z0 so
+        that a panel's values do not depend on the other rows.  The prefix,
+        and every element of a layer without panels, takes
+        bessel_kernel_reduced.  A block builds the real and imaginary parts
+        of base e^{i t power} once (w cos and w sin for a real base) and
+        dots each real kernel row against both.
+
+        On a Hankel element the main kernel is the k = 0 term of the series
+        and the remainder its k >= 1 columns, so the remainder is not formed
+        by cancellation, and it is exactly 0 (and not dotted) where the
+        series has one term and the block no prefix; full is their sum.  On
+        a prefix element the main kernel is the direct
+        sqrt(2/pi) z^(-lam-1/2) cos(z - lam pi/2 - pi/4), which needs z > 0,
+        and the remainder bessel_kernel_reduced minus it.
+        """
+        lam, x, nodes = self.lam, self.x, self.nodes
+        if t.shape != x.shape:
+            raise ValueError("at_times takes one time per row")
+        out = [np.zeros(self.base.shape[:-1] + x.shape, dtype=complex)
+               for _ in range(3 if parts else 1)]
+        if x.size == 0 or nodes.size == 0:
+            return tuple(out) if parts else out[0]
+        stacks = [self._rows(a) for a in out]
+        base = self.base.reshape(-1, nodes.size)
+        size = DEFAULT_ORDER if self.panels is None else self.panels[2].size
+        edges = np.arange(0, x.size, size)
+        starts = np.full(edges.size, nodes.size)
+        far = None
+        if self._hankel:
+            if np.any(np.diff(nodes) < 0.0):
+                raise ValueError("Hankel elements need ascending nodes")
+            z0 = hankel_z0(lam)
+            x_min = np.minimum.reduceat(x, edges)
+            starts = np.count_nonzero(np.multiply.outer(x_min, nodes) < z0,
+                                      axis=1)
+            hankel = starts < nodes.size
+            if hankel.any():
+                far = self._tables(np.repeat(hankel, size)[:x.size], z0)
+        phi = lam * (0.5 * math.pi) + 0.25 * math.pi
+        for q, (r0, c) in enumerate(zip(edges, starts)):
+            rows = slice(r0, r0 + size)
+            xr = x[rows]
+            full = np.empty((xr.size, nodes.size))
+            kernels = [full]
+            if parts:
+                main = np.empty_like(full)
+                rem = (None if c == 0 and far.coef.size == 1
+                       else np.zeros_like(full))
+                kernels += [main, rem]
+            if c:
+                z = np.outer(xr, nodes[:c])
+                full[:, :c] = bessel_kernel_reduced(lam, z)
+                if parts:
+                    np.divide(_SQRT_2_OVER_PI * np.cos(z - phi),
+                              z ** (lam + 0.5), out=main[:, :c])
+                    np.subtract(full[:, :c], main[:, :c], out=rem[:, :c])
+            if c < nodes.size:
+                lead = self._lead(far, xr * far.rho_min)
+                e = (np.exp(1j * self.panels[0][q] * nodes[c:])
+                     * far.node_phase[far.first_row[q]:][:xr.size, c:])
+                # The k = 0 term, whose column is real: the main kernel.
+                np.multiply(e.real, np.outer(lead[:, 0], far.cols[0, 2 * c::2]),
+                            out=full[:, c:])
+                if parts:
+                    main[:, c:] = full[:, c:]
+                if far.coef.size > 1:
+                    e *= (lead[:, 1:] @ far.cols[1:, 2 * c:]).view(complex)
+                    full[:, c:] += e.real
+                    if parts:
+                        rem[:, c:] = e.real
+            theta = np.outer(t[rows], self.power)
+            trig = np.empty((xr.size, 2, nodes.size))
+            np.cos(theta, out=trig[:, 0])
+            np.sin(theta, out=trig[:, 1])
+            if np.iscomplexobj(base):
+                wr, wi = base.real[:, None], base.imag[:, None]
+                phase = np.stack((wr * trig[:, 0] - wi * trig[:, 1],
+                                  wr * trig[:, 1] + wi * trig[:, 0]), axis=2)
+            else:
+                phase = trig * base[:, None, None]
+            for stack, kern in zip(stacks, kernels):
+                if kern is not None:
+                    stack[:, rows] = np.vecdot(kern[:, None], phase).view(
+                        complex)[..., 0]
+        return tuple(out) if parts else out[0]
 
     def chebyshev_sup(self, degree: int):
         """(sup, arg, bound): sup of |u| over t in [-1, 1] from its degree-K

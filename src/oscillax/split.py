@@ -24,14 +24,20 @@ fully explicit operator bound
                            * (int rho^(-2-2s) psi(rho) drho)^(1/2) * ||f||,
 
 with C_lam taken from an empirical asymptotic certificate (0 at |lam| = 1/2,
-as the computed remainder is).  `selector_parts` returns full, main and
-remainder from one pass over the selector grid in cache-sized row blocks,
-which dot real kernel rows against real phases (`_phase_contract`).  The
-pass sees only the rows with psi(r) != 0 and the frequency nodes whose weight
-w rho^-s psi(rho) f(rho) is nonzero (psi vanishes for rho <= 1, a bump
-profile between its bumps); every other row is an exact zero.  The last
-triple is kept in a one-entry memo keyed on the bytes of its inputs, so
-asking for the three parts in turn costs one build.  `split_checks`
+as the computed remainder is).  Both operators are one pass of the kernel
+layer, `RadialKernel.at_times`, with one time per row, on the panels that
+`TimeSelector.panels` recovers from the selector grid: the multiplier is
+its lam = -1/2 layer, whose elements all come from the layer's tables,
+and `selector_parts` returns full, main and remainder from one pass in
+k_lam form.  There the main term is the k = 0 term of Hankel's series
+and the remainder its k >= 1 columns on each row panel's Hankel elements
+(x rho >= z0(lam)), with no cancellation, and bessel_kernel_reduced minus
+the direct cosine on the others.  The pass sees only the panels with a
+row psi(r) != 0 and the frequency nodes whose weight w rho^-s psi(rho)
+f(rho) is nonzero (psi vanishes for rho <= 1, a bump profile between its
+bumps); every other row is an exact zero.  The last triple is kept in a
+one-entry memo keyed on the bytes of its inputs, so asking for the three
+parts in turn costs one build.  `split_checks`
 measures main + remainder - full and the remainder's norm ratio over
 random profile/selector pairs.  The kernel
 
@@ -51,15 +57,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bessel_kernel_reduced: unused; perfbench/spans.py traces it.
-from .bessel import (_SQRT_2_OVER_PI, AsymptoticCertificate, bessel_j,
-                     bessel_kernel_reduced)
+from .bessel import AsymptoticCertificate
+# Unused here; perfbench/spans.py looks it up in this module to trace it.
+from .bessel import bessel_j  # noqa: F401
+# Unused here; perfbench/spans.py looks it up in this module to trace it.
+from .bessel import bessel_kernel_reduced  # noqa: F401
 from .cutoffs import CutoffFamily, chi, gamma_weight, psi
 from .oscillatory import SymbolParams
 from .profiles import Profile, bump
-from .quadrature import oscillatory_rule, panel_rule
-from .radial import (_FAR_BLOCK, RadialKernel, chebyshev_degree, profile_rule,
-                     row_chunks)
+from .quadrature import gl_panels, grid_panels, oscillatory_rule, panel_rule
+from .radial import RadialKernel, chebyshev_degree, profile_rule
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,12 @@ class TimeSelector:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
+    @property
+    def panels(self):
+        """The grid's GL-16 panels (mid, half, ref), or None when the grid is
+        not a composite GL-16 rule (`quadrature.gl_panels`)."""
+        return gl_panels(self.grid)
+
     @staticmethod
     def random(grid, seed: int) -> "TimeSelector":
         rng = np.random.default_rng(seed)
@@ -96,42 +109,21 @@ def apply_selector_multiplier(f: Profile, sel: TimeSelector,
                               p: SymbolParams) -> np.ndarray:
     """The 1-D linearized operator with the dyadic Sobolev weight.
 
-    f is interpreted as an even profile on the line.  Frequency nodes whose
-    weight is exactly zero are dropped, and the cosine kernel is contracted
-    against the phased weights by `_phase_contract`.
+    f is interpreted as an even profile on the line, so the integrand is
+    2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi): the lam = -1/2 layer on the
+    selector's panels with base sqrt(2 pi) w gamma^(1/2) f, whose elements
+    are all table elements (`RadialKernel.at_times`).  Frequency nodes
+    whose weight is exactly zero are dropped.
     """
     x, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(x))),
                           power_coeff=1.0, power=p.a)
     vec = w * np.sqrt(gamma_weight(-2.0 * p.s, rho)) * f(rho)
     live = vec != 0.0
-    # Even integrand: int_R = 2 int_0^inf cos(x xi) ... dxi.
-    out = _phase_contract(x, t, rho[live], vec[live], p.a,
-                          lambda z: np.cos(z, out=z)[None], 1)
-    return 2.0 * out[0]
-
-
-def _phase_contract(x, t, rho, weights, a, kernels, count):
-    """sum_j K_ij weights_j e^{i t_i rho_j^a}, shape (count, len(x)), for the
-    count real kernels K that kernels(outer(x[rows], rho)) stacks, in row
-    blocks of about _FAR_BLOCK elements (in cache).  A block builds the real
-    and imaginary parts of w e^{i t rho^a} once, w cos and w sin for real w,
-    and dots every kernel row against both; all else is elementwise, so the
-    bits do not depend on the block."""
-    out = np.zeros((count, x.size), dtype=complex)
-    rho_a = rho ** a
-    for rows in row_chunks(x.size, rho.size, _FAR_BLOCK):
-        theta = np.outer(t[rows], rho_a)
-        phase = np.empty((theta.shape[0], 2, rho.size))
-        cos, sin = np.cos(theta, out=phase[:, 0]), np.sin(theta, out=phase[:, 1])
-        if np.iscomplexobj(weights):
-            wr, wi = weights.real, weights.imag
-            phase[:, 0], phase[:, 1] = wr * cos - wi * sin, wr * sin + wi * cos
-        else:
-            phase *= weights
-        kern = kernels(np.outer(x[rows], rho))
-        out[:, rows] = np.vecdot(kern[:, :, None], phase).view(complex)[..., 0]
-    return out
+    rho, vec = rho[live], vec[live]
+    layer = RadialKernel(-0.5, x, rho, math.sqrt(2.0 * math.pi) * vec,
+                         rho ** p.a, sel.panels)
+    return layer.at_times(t)
 
 
 # The last triple: content key -> {full, main, remainder}.  One entry, since
@@ -140,40 +132,26 @@ _SELECTOR_MEMO: dict = {}
 _PARTS = ("full", "main", "remainder")
 
 
-def _selector_pass(r, t, rho, weights, lam, a):
-    """Full, main and remainder before the range cutoff.  At |lam| = 1/2
-    every element has r rho > 1, where `bessel_j` is its main term, so the
-    full kernel serves as the main term and the remainder is exactly 0."""
-    def kernels(z):
-        kern = np.empty((3,) + z.shape)
-        np.multiply(np.sqrt(z), bessel_j(lam, z), out=kern[0])
-        if abs(lam) == 0.5:
-            kern[1] = kern[0]
-        else:
-            z -= lam * (0.5 * math.pi)
-            z -= 0.25 * math.pi
-            np.multiply(np.cos(z, out=z), _SQRT_2_OVER_PI, out=kern[1])
-        np.subtract(kern[0], kern[1], out=kern[2])
-        return kern
-
-    return dict(zip(_PARTS, _phase_contract(r, t, rho, weights, a, kernels, 3)))
-
-
 def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     """The psi-localized radial linearized operator and its two pieces.
 
     Returns {"full", "main", "remainder"}: "main" keeps the cosine main term
-    of the Bessel kernel and "remainder" the difference full - main, taken
-    node by node and contracted on its own, so main + remainder recomposes
-    the full operator only up to rounding (exactly at |lam| = 1/2).  One
-    `_selector_pass` builds the kernel rows and phases once for all three,
-    only on the rows with psi(r) != 0 and the columns whose weight
-    w rho^-s psi(rho) f(rho) is nonzero: every other element is multiplied
-    by an exact zero, so the skipped rows are exact zeros.  If no row or no
-    column is left, bessel_j is not called.  The last result is memoized
-    in one entry keyed on the exact bytes of everything it depends on, so
-    a hit returns what a recomputation would; the arrays returned are
-    always fresh copies.
+    of the Bessel kernel and "remainder" the rest, so main + remainder
+    recomposes the full operator up to rounding.  In k_lam form,
+    (r rho)^(1/2) J_lam(r rho) = r^(lam+1/2) rho^(lam+1/2) k_lam(r rho), so
+    the parts are r^(lam+1/2) psi(r) times one `RadialKernel.at_times` pass
+    with base rho^(lam+1/2) w rho^-s psi(rho) f(rho) and power rho^a: its
+    Hankel elements split into the series' k = 0 term and its k >= 1
+    columns, its near elements into the direct cosine and the kernel minus
+    it.  At |lam| = 1/2 every element r rho > 1 is a one-term Hankel
+    element, so the remainder is exactly 0, as its bound is.  The layer
+    holds the whole selector panels that have a row with psi(r) != 0 (the
+    rows with psi(r) != 0 when the grid has no panels) and the nodes with
+    a nonzero weight; every other element is multiplied by an exact zero,
+    so every other row is an exact zero.  If no row or no node is left, no
+    kernel is built.  The last result is memoized in one entry keyed on
+    the exact bytes of everything it depends on, so a hit returns what a
+    recomputation would; the arrays returned are always fresh copies.
     """
     r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
@@ -184,12 +162,21 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     if key not in _SELECTOR_MEMO:
         psi_r = psi(r)
         rows = psi_r != 0.0
+        panels = sel.panels
+        if panels is not None:
+            whole = rows.reshape(panels[0].size, -1).any(axis=1)
+            rows = np.repeat(whole, panels[2].size)
+            panels = (panels[0][whole], panels[1][whole], panels[2])
         cols = weights != 0.0
         parts = {k: np.zeros(r.size, dtype=complex) for k in _PARTS}
-        kept = _selector_pass(r[rows], t[rows], rho[cols], weights[cols],
-                              p.lam, p.a)
-        for k, v in kept.items():
-            parts[k][rows] = psi_r[rows] * v
+        if rows.any() and cols.any():
+            nodes, x = rho[cols], r[rows]
+            layer = RadialKernel(p.lam, x, nodes,
+                                 nodes ** (p.lam + 0.5) * weights[cols],
+                                 nodes ** p.a, panels)
+            scale = psi_r[rows] * x ** (p.lam + 0.5)
+            for k, v in zip(_PARTS, layer.at_times(t[rows], parts=True)):
+                parts[k][rows] = scale * v
         _SELECTOR_MEMO.clear()
         _SELECTOR_MEMO[key] = parts
     return {k: v.copy() for k, v in _SELECTOR_MEMO[key].items()}
@@ -268,7 +255,9 @@ def kernel_sample(m: float, mu: float, p: SymbolParams):
     onto [-2, 2]; its degree is `radial.chebyshev_degree` of the layer's
     type, the rule of `converged_maximal_field`.  m and mu must be finite.
     The even integrand on the line is the radial kernel at n = 1:
-    2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).
+    2 cos(x xi) = sqrt(2 pi) k_{-1/2}(x xi).  The x grid is given to the
+    layer as panels of 16 equally spaced rows (`quadrature.grid_panels`),
+    so, with z0(-1/2) = 0, every row is a table row.
     Returns (x, K, l1_estimate, t_degree, l1_bound): l1 by the trapezoidal
     rule, t_degree the Chebyshev degree in t, and l1_bound the same
     trapezoid of chi(x/m) times the certified error of the sup at x, so the
@@ -277,12 +266,14 @@ def kernel_sample(m: float, mu: float, p: SymbolParams):
     if not (1 < m < math.inf and 1 < mu < math.inf):
         raise ValueError("localization parameters must be finite and exceed 1")
     hi = 2.0 * mu
-    x_half = np.linspace(0.0, 2.0 * m, max(512, int(64 * m) + 1))
+    size = max(512, int(64 * m) + 1)
+    x_half = np.linspace(0.0, 2.0 * m, size)
     rho, w = oscillatory_rule(0.0, hi, linear_rate=float(x_half[-1]),
                               power_coeff=2.0, power=p.a, panel_cap=0.25)
     vec = w * gamma_weight(-2.0 * p.s, rho) * chi(rho / mu) ** 2
+    panels = grid_panels(2.0 * m / (size - 1), np.arange(0, size, 16))
     layer = RadialKernel(-0.5, x_half, rho, math.sqrt(2.0 * math.pi) * vec,
-                         2.0 * rho ** p.a)
+                         2.0 * rho ** p.a, panels)
     degree = chebyshev_degree(layer.tau)
     sup, _, bound = layer.chebyshev_sup(degree)
     chi_x = chi(x_half / m)

@@ -268,29 +268,51 @@ def test_isometry_first_grid_ends_at_the_arrival_radius(monkeypatch):
     # The isometry check truncates R^n where global maximal fields do; its
     # own tail test, not a tighter spatial tolerance, certifies the cut.
     g, p, ts = _TWO_BUMPS, SymbolParams(a=2.0, n=3), [-0.9, 0.0, 0.4]
-    ends, original = [], oscillatory.oscillatory_rule
+    ends, original = [], oscillatory.phase_breakpoints
 
     def recording(lo, hi, **kwargs):
         ends.append(hi)
         return original(lo, hi, **kwargs)
 
-    monkeypatch.setattr(oscillatory, "oscillatory_rule", recording)
+    monkeypatch.setattr(oscillatory, "phase_breakpoints", recording)
     ratios = isometry_ratios(g, p, ts)
     assert ends[0] == arrival_radius(g, p, 0.9)
     assert np.max(np.abs(ratios - 1.0)) <= 1e-5
+
+
+def test_isometry_layers_take_hankel_rows(monkeypatch):
+    # The layer knows its GL-16 panels, so its rows with x rho_min >= z0 are
+    # Hankel rows: at n = 3, z0 = 1.
+    g, p = _TWO_BUMPS, SymbolParams(a=2.0, n=3)
+    layers, original = [], oscillatory.propagator
+
+    def recording(*args):
+        layers.append(original(*args))
+        return layers[-1]
+
+    monkeypatch.setattr(oscillatory, "propagator", recording)
+    isometry_ratios(g, p, [-0.9, 0.0, 0.4])
+    layer = layers[-1]
+    assert layer.panels[0].size * 16 == layer.x.size
+    far = np.count_nonzero(layer.x * layer.nodes.min() >= 1.0)
+    assert layer.far_rows == far > 0
 
 
 def test_isometry_growth_evaluates_no_radius_twice(monkeypatch):
     # At a = 1/2 the Gaussian's slow tail makes the truncation grow; each
     # growth evaluates only the stretch past every radius evaluated before.
     g, p, ts = gaussian(1.0), SymbolParams(a=0.5, n=2), [-0.9, 0.0, 0.9]
-    radii, original = [], oscillatory.dispersive_field
+    # The first radius, taken before the spatial-extent layers are recorded.
+    r_max = arrival_radius(g, p, 0.9)
+    monkeypatch.setattr(oscillatory, "arrival_radius", lambda *args: r_max)
+    radii, original = [], oscillatory.propagator
 
-    def recording(g, p, r, t, **kwargs):
-        radii.append(np.asarray(r))
-        return original(g, p, r, t, **kwargs)
+    def recording(g, p, r, rho_rule, panels=None):
+        layer = original(g, p, r, rho_rule, panels)
+        radii.append(layer.x)
+        return layer
 
-    monkeypatch.setattr(oscillatory, "dispersive_field", recording)
+    monkeypatch.setattr(oscillatory, "propagator", recording)
     ratios = isometry_ratios(g, p, ts)
     assert len(radii) >= 2
     for before, stretch in zip(radii, radii[1:]):

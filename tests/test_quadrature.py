@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oscillax.profiles import annular, shell
-from oscillax.quadrature import PHASE_BUDGET, kronrod_rule, oscillatory_rule
+from oscillax.quadrature import (PHASE_BUDGET, gl_panels, grid_panels,
+                                 kronrod_rule, oscillatory_rule)
 from oscillax.radial import profile_rule
+from oscillax.split import selector_grid
 
 EDGES = np.array([0.0, 0.3, 1.0, 2.5])
 
@@ -61,3 +63,41 @@ def test_rules_default_to_the_phase_budget():
         for a, b in zip(default, explicit):
             assert np.array_equal(a, b)
         assert coarse[0].size < default[0].size
+
+
+@pytest.mark.parametrize("r_max, rho_max", [(12.0, 8.0), (12.0, 22.0),
+                                            (45.0, 22.0), (30.0, 20.0),
+                                            (40.0, 20.0)])
+def test_gl_panels_recover_the_selector_grids(r_max, rho_max):
+    # Every node within an ulp of mid + half ref; mid and half within a few
+    # ulps of the breakpoints' own, which the grid does not keep.
+    nodes, _ = selector_grid(r_max, rho_max)
+    mid, half, ref = gl_panels(nodes)
+    assert mid.size * ref.size == nodes.size
+    panel = nodes.reshape(-1, 16)
+    assert np.all(np.abs(mid[:, None] + half[:, None] * ref - panel)
+                  <= np.spacing(panel[:, -1])[:, None])
+    assert np.all(np.diff(mid) > 0.0) and np.all(half > 0.0)
+    lo, hi = mid - half, mid + half
+    assert np.abs(hi[:-1] - lo[1:]).max() <= 8 * np.spacing(r_max)
+    assert abs(lo[0]) <= 8 * np.spacing(1.0)
+    assert abs(hi[-1] - r_max) <= 8 * np.spacing(r_max)
+
+
+def test_gl_panels_reject_what_is_not_a_gl_rule():
+    assert gl_panels(np.linspace(0.0, 1.0, 64)) is None
+    nodes, _ = selector_grid(12.0, 8.0)
+    assert gl_panels(nodes[:-1]) is None
+    assert gl_panels(nodes[1:-15]) is None
+
+
+def test_grid_panels_hold_a_uniform_grid():
+    # The rows of np.linspace(0, R, size) are within an ulp of the panels'
+    # mid + half ref, the last panel holding size % 16 rows.
+    for size in (512, 513, 769, 1025):
+        for length in (4.0, 8.0, 16.0, 37.3):
+            grid = np.linspace(0.0, length, size)
+            mid, half, ref = grid_panels(length / (size - 1),
+                                         np.arange(0, size, 16))
+            rows = (mid[:, None] + half[:, None] * ref).ravel()[:size]
+            assert np.all(np.abs(rows - grid) <= np.spacing(grid.max()))

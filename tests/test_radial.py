@@ -17,6 +17,7 @@ import mpmath
 
 import oscillax.radial as radial
 from oscillax.bessel import HANKEL_Z0, bessel_kernel_reduced
+from oscillax.cutoffs import psi
 from oscillax.norms import (converged_maximal_field, range_norm,
                             sharpness_profile)
 from oscillax.oscillatory import (SymbolParams, dispersive_field,
@@ -28,6 +29,7 @@ from oscillax.quadrature import KRONROD_NODES, panel_centres
 from oscillax.radial import (bernstein_bound, chebyshev_degree,
                              chebyshev_times, hankel_fourier, nd_oracle,
                              profile_rule, sobolev_norm, sphere_factor)
+from oscillax.split import TimeSelector, random_test_profile, selector_grid
 
 from conftest import grid_sup
 
@@ -583,6 +585,89 @@ def test_hankel_rows_no_worse_than_scipy_against_mpmath(lam):
             errors["far"].append(abs(float(far[i, j] - ref)) / unit)
             errors["scipy"].append(abs(float(scipy_k - ref)) / unit)
     assert max(errors["far"]) <= max(1.0, max(errors["scipy"]))
+
+
+@pytest.mark.parametrize("lam, z_lo", [(-0.5, 0.0), (0.5, 1.0)])
+def test_half_order_table_rows_against_mpmath(lam, z_lo):
+    # z0(-1/2) = 0 and z0(1/2) = 1: every row with x rho in [z_lo, 20) is a
+    # table row, exact but for the rounding of its phase, with no
+    # truncation bound.  Units of eps max(z, 1) of the envelope, as above.
+    # The one-term series skips the GEMM and gives its bits.
+    nodes = np.linspace(7.0, 9.0, 48)
+    mid, half = panel_centres(np.linspace(z_lo / 7.0, 20.0 / 9.0, 41))
+    x = (mid[:, None] + half[:, None] * KRONROD_NODES).ravel()
+    layer = radial.RadialKernel(lam, x, nodes, np.ones(nodes.size), nodes,
+                                (mid, half, KRONROD_NODES))
+    assert layer.far_rows == x.size and not np.any(layer._truncation())
+    far = layer._kernel(slice(0, x.size))
+    np.testing.assert_array_equal(far, _hankel_reference(layer, np.arange(x.size)))
+    rng = np.random.default_rng(5)
+    errors = {"far": [], "scipy": []}
+    with mpmath.workdps(40):
+        for i, j in zip(rng.integers(0, x.size, 200), rng.integers(0, 48, 200)):
+            zm = mpmath.mpf(x[i]) * mpmath.mpf(nodes[j])
+            ref = mpmath.besselj(lam, zm) / zm ** lam
+            unit = (np.finfo(float).eps * max(float(zm), 1.0)
+                    * math.sqrt(2.0 / math.pi))
+            scipy_k = bessel_kernel_reduced(lam, x[i] * nodes[j])
+            errors["far"].append(abs(float(far[i, j] - ref)) / unit)
+            errors["scipy"].append(abs(float(scipy_k - ref)) / unit)
+    assert max(errors["far"]) <= max(1.0, max(errors["scipy"]))
+
+
+def _selector_layer(n, profile, panels=True):
+    """The layer of `split.selector_parts` for the profile on
+    selector_grid(12, 8)'s panels with a psi(r) != 0 row, with or without
+    those panels, and the selector's times on its rows."""
+    p = SymbolParams(a=0.5, n=n, s=0.2)
+    grid, _ = selector_grid(12.0, 8.0)
+    sel = TimeSelector.random(grid, seed=20 + n)
+    mid, half, ref = sel.panels
+    live = (psi(grid) != 0.0).reshape(-1, 16).any(axis=1)
+    rows = np.repeat(live, 16)
+    rho, w = profile_rule(profile, 1, osc_rate=12.0, power_coeff=1.0, power=p.a)
+    weights = w * rho ** (-p.s) * psi(rho) * profile(rho)
+    nodes = rho[weights != 0.0]
+    layer = radial.RadialKernel(
+        p.lam, grid[rows], nodes,
+        nodes ** (p.lam + 0.5) * weights[weights != 0.0], nodes ** p.a,
+        (mid[live], half[live], ref) if panels else None)
+    return layer, sel.values[rows]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_at_times_with_and_without_panels_agree(n):
+    # Hankel elements on the panels' column suffixes against
+    # bessel_kernel_reduced and the direct cosine everywhere: each part to
+    # 1e-13 of its max (of the full part's for the n = 3 remainder, which
+    # is exactly 0 on the panels and rounding without them).  With a
+    # common time, the pass is the field at that time.
+    base = random_test_profile(8)
+    for f in (base, base.modulate(1.5), base.scaled(1j)):
+        layer, t = _selector_layer(n, f)
+        plain, _ = _selector_layer(n, f, panels=False)
+        assert plain.far_rows == 0 and layer.far_rows > 0
+        tabled = layer.at_times(t, parts=True)
+        scipy_rows = plain.at_times(t, parts=True)
+        np.testing.assert_array_equal(layer.at_times(t), tabled[0])
+        if n == 3:
+            assert not np.any(tabled[2])
+        for k, (a, b) in enumerate(zip(tabled, scipy_rows)):
+            scale = np.abs(tabled[0 if (n, k) == (3, 2) else k]).max()
+            assert np.abs(a - b).max() <= 1e-13 * scale, k
+        assert np.abs(tabled[1] + tabled[2] - tabled[0]).max() \
+            <= 1e-15 * np.abs(tabled[0]).max()
+        common = layer.at_times(np.full(t.size, 0.3))
+        field = layer.field(np.array([0.3]))[:, 0]
+        assert np.abs(common - field).max() <= 1e-13 * np.abs(field).max()
+
+
+def test_at_times_needs_ascending_nodes():
+    layer, t = _selector_layer(2, bump(6.0, 3.0))
+    rev = radial.RadialKernel(layer.lam, layer.x, layer.nodes[::-1],
+                              layer.base[::-1], layer.power[::-1], layer.panels)
+    with pytest.raises(ValueError, match="ascending"):
+        rev.at_times(t)
 
 
 def test_all_near_chunks_are_the_scipy_kernel():

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import oscillax.radial as radial
 import oscillax.split as split
-from oscillax.bessel import bessel_j, certify_asymptotic
+from oscillax.bessel import bessel_j, certify_asymptotic, hankel_z0
 from oscillax.cutoffs import chi, gamma_weight, make_cutoff, psi
 from oscillax.oscillatory import SymbolParams
 from oscillax.profiles import annular, bump
@@ -82,115 +84,130 @@ def test_split_sum_recomposes_full_operator():
         assert np.abs(main + rem - full).max() <= 1e-9
 
 
-def _dense_parts(f, sel, p, kept=False):
-    """The three parts from whole matrices, and the number of kernel
-    elements they take.
-
-    kept=False is the complex formula split used before its real pass: the
-    whole R x J matrices, (r rho)^(1/2) J_lam as the full kernel, the
-    complex phase e^{i t rho^a} and one gemv per part.  kept=True mirrors
-    the pass: only the rows with psi(r) != 0 and the columns with a nonzero
-    weight, the elements it evaluates, the full kernel as the main term at
-    |lam| = 1/2, the real phases w cos(t rho^a) and w sin(t rho^a) of a real
-    weight, and one dot per row against each; zeros in the other rows.
-    """
+def _dense_parts(f, sel, p):
+    """The three parts from the complex formula split on whole matrices:
+    (r rho)^(1/2) J_lam as the full kernel, sqrt(2/pi) cos(r rho - phi) as
+    the main term, their difference as the remainder, the complex phase
+    e^{i t rho^a} and one gemv per part."""
     r, t = sel.grid, sel.values
     rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
                           power_coeff=1.0, power=p.a)
     weights = w * rho ** (-p.s) * CUT.psi(rho) * f(rho)
-    psi_r = CUT.psi(r)
-    rows = psi_r != 0.0 if kept else np.ones(r.size, dtype=bool)
-    cols = weights != 0.0 if kept else np.ones(rho.size, dtype=bool)
-    r, t, rho, weights = r[rows], t[rows], rho[cols], weights[cols]
     z = np.outer(r, rho)
     arg = r[:, None] * rho[None, :] - p.lam * (0.5 * math.pi) - 0.25 * math.pi
     main = math.sqrt(2.0 / math.pi) * np.cos(arg)
     full = np.sqrt(z) * np.asarray(bessel_j(p.lam, z))
-    if kept and abs(p.lam) == 0.5:
-        main = full
     kernels = {"full": full, "main": main, "remainder": full - main}
-    theta = np.outer(t, rho ** p.a)
-    cos_w, sin_w = np.cos(theta) * weights, np.sin(theta) * weights
-    out = {}
-    for part, kern in kernels.items():
-        out[part] = np.zeros(sel.grid.size, dtype=complex)
-        if kept:
-            vals = np.array([complex(np.dot(k, c), np.dot(k, s))
-                             for k, c, s in zip(kern, cos_w, sin_w)])
-        else:
-            vals = (kern * np.exp(1j * theta)) @ weights
-        out[part][rows] = psi_r[rows] * vals
-    return out, z.size
+    phase = np.exp(1j * np.outer(t, rho ** p.a))
+    return {part: CUT.psi(r) * ((kern * phase) @ weights)
+            for part, kern in kernels.items()}
 
 
-def _counting_bessel(monkeypatch):
-    """Patch split.bessel_j to record the size of each argument it gets."""
+def _near_elements(f, sel, p):
+    """The elements the pass takes from bessel_kernel_reduced: in each
+    selector panel with a row psi(r) != 0, its rows times the nodes with a
+    nonzero weight and x_min rho < z0(lam), x_min the panel's least row."""
+    r = sel.grid
+    rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
+                          power_coeff=1.0, power=p.a)
+    nodes = rho[w * rho ** (-p.s) * CUT.psi(rho) * f(rho) != 0.0]
+    panels = r.reshape(-1, 16)
+    live = panels[(CUT.psi(panels) != 0.0).any(axis=1)]
+    return 16 * int(np.count_nonzero(
+        np.multiply.outer(live[:, 0], nodes) < hankel_z0(p.lam)))
+
+
+def _counting_kernel(monkeypatch):
+    """Patch the kernel layer's bessel_kernel_reduced to record the size of
+    each argument it gets: the near elements."""
     sizes = []
-    original = split.bessel_j
+    original = radial.bessel_kernel_reduced
 
     def counted(lam, x):
         sizes.append(np.size(x))
         return original(lam, x)
 
-    monkeypatch.setattr(split, "bessel_j", counted)
+    monkeypatch.setattr(radial, "bessel_kernel_reduced", counted)
     return sizes
+
+
+def _mpmath_remainder(f, sel, p, rows):
+    """The remainder part on the given rows, each kernel element
+    (r rho)^(1/2) J_lam(r rho) - sqrt(2/pi) cos(r rho - phi) from mpmath at
+    30 digits, rounded once, and each row's sum by math.fsum."""
+    r, t = sel.grid, sel.values
+    rho, w = profile_rule(f, 1, osc_rate=float(np.max(np.abs(r))),
+                          power_coeff=1.0, power=p.a)
+    weights = w * rho ** (-p.s) * CUT.psi(rho) * f(rho)
+    live = weights != 0.0
+    rho, weights = rho[live], weights[live]
+    out = np.zeros(len(rows), dtype=complex)
+    with mpmath.workdps(30):
+        phi = p.lam * mpmath.pi / 2 + mpmath.pi / 4
+        amp = mpmath.sqrt(2 / mpmath.pi)
+        for k, i in enumerate(rows):
+            z = [mpmath.mpf(r[i]) * mpmath.mpf(v) for v in rho]
+            kern = np.array([float(mpmath.sqrt(zj) * mpmath.besselj(p.lam, zj)
+                                   - amp * mpmath.cos(zj - phi)) for zj in z])
+            terms = kern * weights * np.exp(1j * t[i] * rho ** p.a)
+            out[k] = CUT.psi(r[i]) * complex(math.fsum(terms.real),
+                                             math.fsum(terms.imag))
+    return out
 
 
 @pytest.mark.parametrize("a", [0.5, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_selector_parts_match_dense_formula(monkeypatch, n, a):
-    # Elementwise kernels and phases and one dot per row give each row the
-    # same operations in the same order in any row block, so equality with
-    # the reference on the same rows and columns is bitwise.  Dropping the
-    # zero-weight columns and the real arithmetic change each row's sum
-    # only by rounding.  At n = 3 (lam = 1/2) the full kernel is the main
-    # term, so the remainder is exactly 0.
+    # The pass takes from scipy only the near elements of the live panels;
+    # every part matches the complex dense formula to 1e-13 of its max.  At
+    # n = 3 (lam = 1/2) every live element is a one-term Hankel element, so
+    # the remainder is exactly 0 and the full part sets the scale.  At n = 4
+    # the formula's full - main rounds like the full kernel, not like the
+    # remainder, so that remainder is checked on sampled rows against
+    # mpmath instead.
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
-    sizes = _counting_bessel(monkeypatch)
+    sizes = _counting_kernel(monkeypatch)
     p = SymbolParams(a=a, n=n, s=0.2)
     grid, _ = selector_grid(12.0, 8.0)
     f = random_test_profile(n)
     sel = TimeSelector.random(grid, seed=10 * n + int(a))
     parts = selector_parts(f, sel, p)
-    ref, elements = _dense_parts(f, sel, p, kept=True)
-    whole, _ = _dense_parts(f, sel, p)
-    assert len(sizes) >= 3 and sum(sizes) == elements
+    whole = _dense_parts(f, sel, p)
+    assert sum(sizes) == _near_elements(f, sel, p)
+    assert (n == 3) == (sizes == [])
     if n == 3:
         assert not np.any(parts["remainder"])
     for part in ("full", "main", "remainder"):
-        assert np.array_equal(parts[part], ref[part]), part
-        # At n = 3 the remainder is exactly 0 and the formula's is the
-        # rounding of full - main, so the full part sets its scale.
+        if (n, part) == (4, "remainder"):
+            rows = np.argsort(np.abs(whole[part]))[-6:]
+            ref, got = _mpmath_remainder(f, sel, p, rows), parts[part][rows]
+        else:
+            ref, got = whole[part], parts[part]
         scale = np.abs(whole["full" if (n, part) == (3, "remainder")
                              else part]).max()
-        assert np.abs(parts[part] - whole[part]).max() <= 1e-13 * scale, part
+        assert np.abs(got - ref).max() <= 1e-13 * scale, part
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_selector_parts_do_not_depend_on_the_block_size(monkeypatch, n):
-    # One row per block, blocks of 7 rows and the default _FAR_BLOCK
-    # elements give the same bits.
-    chunks, original = [], split.row_chunks
-
-    def recorded(rows, row_bytes, budget):
-        chunks.append((row_bytes, original(rows, row_bytes, budget)))
-        return chunks[-1][1]
-
-    monkeypatch.setattr(split, "row_chunks", recorded)
+    # The pass goes one selector panel at a time, and a panel's rows do not
+    # depend on the other panels: a grid that keeps only some of the panels
+    # (the last one always, so the rho rule stays) gives the same bits on
+    # them.
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
     p = SymbolParams(a=0.5, n=n, s=0.2)
     grid, _ = selector_grid(12.0, 8.0)
-    args = (random_test_profile(5), TimeSelector.random(grid, seed=7), p)
-    ref = selector_parts(*args)
-    cols = chunks[-1][0]
-    for budget, rows in ((1, 1), (7 * cols, 7)):
-        monkeypatch.setattr(split, "_FAR_BLOCK", budget)
-        split._SELECTOR_MEMO.clear()
-        parts = selector_parts(*args)
-        assert max(c.stop - c.start for c in chunks[-1][1]) == rows
+    f, sel = random_test_profile(5), TimeSelector.random(grid, seed=7)
+    ref = selector_parts(f, sel, p)
+    count = grid.size // 16
+    for kept in ([5, count - 1], [count - 2, count - 1],
+                 list(range(0, count, 3)) + [count - 1]):
+        rows = (16 * np.array(kept)[:, None] + np.arange(16)).ravel()
+        sub = TimeSelector(grid=grid[rows], values=sel.values[rows])
+        assert sub.panels is not None
+        parts = selector_parts(f, sub, p)
         for part in ("full", "main", "remainder"):
-            assert np.array_equal(parts[part], ref[part]), (budget, part)
-    assert len(chunks[0][1]) > 3
+            assert np.array_equal(parts[part], ref[part][rows]), (kept, part)
 
 
 @pytest.mark.parametrize("a, s", [(0.5, 0.2), (2.0, 0.6)])
@@ -203,14 +220,20 @@ def test_split_checks_at_half_order_have_an_exact_zero_remainder(a, s):
 
 def test_selector_triple_builds_kernels_once(monkeypatch):
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
-    sizes = _counting_bessel(monkeypatch)
+    passes, original = [], radial.RadialKernel.at_times
+
+    def counted(layer, t, parts=False):
+        passes.append(parts)
+        return original(layer, t, parts)
+
+    monkeypatch.setattr(radial.RadialKernel, "at_times", counted)
     p = SymbolParams(a=0.5, n=2, s=0.2)
     grid, _ = selector_grid(12.0, 8.0)
     f = random_test_profile(3)
     sel = TimeSelector.random(grid, seed=5)
     base = {part: apply_selector_radial(f, sel, p, part)
             for part in ("full", "main", "remainder")}
-    assert sum(sizes) == _dense_parts(f, sel, p, kept=True)[1]
+    assert passes == [True]
 
     def fresh(*args):
         split._SELECTOR_MEMO.clear()
@@ -248,7 +271,7 @@ def test_complex_profiles_match_dense_formulas(monkeypatch, n):
     for f in (base.modulate(1.5), base.scaled(1j), base.scaled(0.3 - 0.8j)):
         p = SymbolParams(a=0.5, n=n, s=0.2)
         parts = selector_parts(f, sel, p)
-        whole, _ = _dense_parts(f, sel, p)
+        whole = _dense_parts(f, sel, p)
         for part in ("full", "main", "remainder"):
             scale = np.abs(whole["full" if (n, part) == (3, "remainder")
                                  else part]).max()
@@ -267,7 +290,7 @@ def test_selector_parts_skip_dead_rows_and_columns(monkeypatch):
     # A bump profile framed like the split benchmark's: psi kills rho <= 1
     # and the gaps between the bumps, so most columns carry no weight.
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
-    sizes = _counting_bessel(monkeypatch)
+    sizes = _counting_kernel(monkeypatch)
     frame = bump(0.8, 0.8).scaled(0.5).plus(bump(18.2, 0.8).scaled(-0.5))
     grid, _ = selector_grid(12.0, 8.0)
     for k, (a, s) in enumerate(((0.5, 0.2), (2.0, 0.6))):
@@ -276,8 +299,10 @@ def test_selector_parts_skip_dead_rows_and_columns(monkeypatch):
         f = random_test_profile(k).plus(frame)
         sel = TimeSelector.random(grid, seed=40 + k)
         parts = selector_parts(f, sel, p)
-        ref, elements = _dense_parts(f, sel, p)
-        assert 0 < sum(sizes) < elements
+        ref = _dense_parts(f, sel, p)
+        assert 0 < sum(sizes) < grid.size * profile_rule(
+            f, 1, osc_rate=float(np.max(grid)), power_coeff=1.0,
+            power=a)[0].size
         for part in ("full", "main", "remainder"):
             scale = np.abs(ref[part]).max()
             assert np.abs(parts[part] - ref[part]).max() <= 1e-13 * scale, part
@@ -286,7 +311,7 @@ def test_selector_parts_skip_dead_rows_and_columns(monkeypatch):
 def test_selector_parts_of_data_below_one_are_zero(monkeypatch):
     # psi(rho) = 0 on the whole support, so every weight is 0
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
-    sizes = _counting_bessel(monkeypatch)
+    sizes = _counting_kernel(monkeypatch)
     grid, _ = selector_grid(20.0, 5.0)
     sel = TimeSelector.random(grid, seed=2)
     parts = selector_parts(bump(0.5, 0.4), sel, SymbolParams(a=0.5, n=2, s=0.2))
