@@ -28,9 +28,7 @@ import numpy as np
 
 from .bessel import bessel_kernel_reduced
 from .profiles import NumericalFailure, Profile
-from .quadrature import (DEFAULT_ORDER, _gl_reference, grid_panels,
-                         oscillatory_rule, panel_centres, panel_rule,
-                         phase_breakpoints)
+from .quadrature import gl_panels, grid_panels, oscillatory_rule
 from .radial import RadialKernel, profile_rule, sobolev_norm, sphere_factor
 
 
@@ -199,8 +197,7 @@ def spatial_extent(g: Profile, p: SymbolParams) -> float:
         # The grid's 49 panels, then the probe's: each within an ulp of its rows.
         grid = np.linspace(0.0, radius, size)
         mid, half, ref = grid_panels(
-            radius / (size - 1), np.append(np.arange(0, size, width), first),
-            width)
+            radius / (size - 1), np.append(np.arange(0, size, width), first))
         rule = frequency_rule(g, p, r_max=radius, t_max=0.0)
         probe = propagator(g, p, grid[first:first + width], rule,
                            (mid[-1:], half[-1:], ref))
@@ -238,11 +235,14 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
     The multiplier e^{i t rho^a} has modulus one, so every time slice is an
     L2 isometry; these ratios returning 1 is an end-to-end quadrature check.
     The radial grid and the Bessel kernel are shared across all the times;
-    the layer knows the grid's GL-16 panels, so its far rows are Hankel rows.
+    the layer gets the grid's GL-16 panels (`quadrature.gl_panels`), so its
+    far rows are Hankel rows.
     A growth keeps every row and evaluates only the new stretch
     [r_old, r_new], on the rho rule for r_new; the audited outer tenth lies
     in it, since 0.9 r_new > r_old = r_new / 1.7.
     """
+    if p.n < 2:
+        raise ValueError("the radial reduction requires n >= 2")
     t_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.all(np.abs(t_arr) < 1):
         raise ValueError("times must satisfy |t| < 1")
@@ -257,12 +257,10 @@ def isometry_ratios(g: Profile, p: SymbolParams, ts) -> np.ndarray:
     # 10 percent is negligible at the 1e-5 accuracy this check certifies.
     lo, totals = 0.0, 0.0
     for _attempt in range(5):
-        edges = phase_breakpoints(lo, r_max, linear_rate=2.0 * hi,
-                                  panel_cap=min(1.0 / g.scale, r_max / 8.0))
-        r_nodes, r_w = panel_rule(edges)
+        r_nodes, r_w = oscillatory_rule(lo, r_max, linear_rate=2.0 * hi,
+                                        panel_cap=min(1.0 / g.scale, r_max / 8.0))
         rho_rule = frequency_rule(g, p, r_max=r_max, t_max=t_max)
-        panels = panel_centres(edges) + (_gl_reference(DEFAULT_ORDER)[0],)
-        u = propagator(g, p, r_nodes, rho_rule, panels).field(t_arr)
+        u = propagator(g, p, r_nodes, rho_rule, gl_panels(r_nodes)).field(t_arr)
         dens = np.abs(u) ** 2 * r_nodes[:, None] ** (p.n - 1)
         totals = totals + sphere_factor(p.n) * (r_w @ dens)
         outer = r_nodes >= 0.9 * r_max

@@ -57,31 +57,33 @@ def panel_rule(breakpoints, order: int = DEFAULT_ORDER):
     return _composite(breakpoints, *_gl_reference(order))
 
 
-def grid_panels(step: float, starts, width: int = DEFAULT_ORDER):
-    """(mid, half, ref) of panels of `width` equally spaced rows of the grid
-    k * step: the panel at start s holds rows s, ..., s + width - 1, and
-    ref = linspace(-1, 1, width).  The rows of np.linspace(0, R, size),
-    step = R / (size - 1), are within an ulp of mid + half ref."""
-    mid = (np.asarray(starts) + 0.5 * (width - 1)) * step
-    half = np.full(mid.size, 0.5 * (width - 1) * step)
-    return mid, half, np.linspace(-1.0, 1.0, width)
+def grid_panels(step: float, starts):
+    """(mid, half, ref) of panels of DEFAULT_ORDER equally spaced rows of
+    the grid k * step: the panel at start s holds rows s, s + 1, ..., and
+    ref = linspace(-1, 1, DEFAULT_ORDER).  The rows of
+    np.linspace(0, R, size), step = R / (size - 1), are within an ulp of
+    mid + half ref."""
+    mid = (np.asarray(starts) + 0.5 * (DEFAULT_ORDER - 1)) * step
+    half = np.full(mid.size, 0.5 * (DEFAULT_ORDER - 1) * step)
+    return mid, half, np.linspace(-1.0, 1.0, DEFAULT_ORDER)
 
 
-def gl_panels(nodes, order: int = DEFAULT_ORDER):
-    """(mid, half, ref) of the composite GL rule `panel_rule` made these
+def gl_panels(nodes):
+    """(mid, half, ref) of the composite GL-16 rule `panel_rule` made these
     nodes from, or None.
 
-    The nodes are taken as panels of `order` consecutive nodes; each panel's
-    mid and half come from its two end nodes and ref is the reference rule.
-    The result is accepted only if mid + half ref is within one ulp of the
-    panel's largest node at every node of it, as `RadialKernel` takes panels;
-    otherwise, and when the count is not a multiple of order, it is None.
+    The nodes are taken as panels of DEFAULT_ORDER consecutive nodes; each
+    panel's mid and half come from its two end nodes and ref is the
+    reference rule.  The result is accepted only if mid + half ref is within
+    one ulp of the panel's largest node at every node of it, as
+    `RadialKernel` takes panels; otherwise, and when the count is not a
+    multiple of DEFAULT_ORDER, it is None.
     """
     x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1 or x.size == 0 or x.size % order:
+    if x.ndim != 1 or x.size == 0 or x.size % DEFAULT_ORDER:
         return None
-    ref = _gl_reference(order)[0]
-    panel = x.reshape(-1, order)
+    ref = _gl_reference(DEFAULT_ORDER)[0]
+    panel = x.reshape(-1, DEFAULT_ORDER)
     mid = 0.5 * (panel[:, 0] + panel[:, -1])
     half = (panel[:, -1] - panel[:, 0]) / (ref[-1] - ref[0])
     error = np.abs(mid[:, None] + half[:, None] * ref - panel)

@@ -143,8 +143,8 @@ def selector_parts(f: Profile, sel: TimeSelector, p: SymbolParams) -> dict:
     with base rho^(lam+1/2) w rho^-s psi(rho) f(rho) and power rho^a: its
     Hankel elements split into the series' k = 0 term and its k >= 1
     columns, its near elements into the direct cosine and the kernel minus
-    it.  At |lam| = 1/2 every element r rho > 1 is a one-term Hankel
-    element, so the remainder is exactly 0, as its bound is.  The layer
+    it.  At |lam| = 1/2 the series is its one term, so on every grid main
+    is full and the remainder exactly 0, as its bound is.  The layer
     holds the whole selector panels that have a row with psi(r) != 0 (the
     rows with psi(r) != 0 when the grid has no panels) and the nodes with
     a nonzero weight; every other element is multiplied by an exact zero,

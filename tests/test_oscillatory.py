@@ -166,6 +166,11 @@ def test_isometry_rejects_zero_profile():
         isometry_ratios(zero, SymbolParams(a=2.0, n=2), [0.3])
 
 
+def test_isometry_rejects_the_line():
+    with pytest.raises(ValueError, match="n >= 2"):
+        isometry_ratios(gaussian(1.0), SymbolParams(a=2.0, n=1), [0.3])
+
+
 def _spatial_extent_oracle(g, p):
     """spatial_extent evaluating every candidate grid in full."""
     tol = oscillatory._EXTENT_TOL
@@ -268,13 +273,13 @@ def test_isometry_first_grid_ends_at_the_arrival_radius(monkeypatch):
     # The isometry check truncates R^n where global maximal fields do; its
     # own tail test, not a tighter spatial tolerance, certifies the cut.
     g, p, ts = _TWO_BUMPS, SymbolParams(a=2.0, n=3), [-0.9, 0.0, 0.4]
-    ends, original = [], oscillatory.phase_breakpoints
+    ends, original = [], oscillatory.oscillatory_rule
 
     def recording(lo, hi, **kwargs):
         ends.append(hi)
         return original(lo, hi, **kwargs)
 
-    monkeypatch.setattr(oscillatory, "phase_breakpoints", recording)
+    monkeypatch.setattr(oscillatory, "oscillatory_rule", recording)
     ratios = isometry_ratios(g, p, ts)
     assert ends[0] == arrival_radius(g, p, 0.9)
     assert np.max(np.abs(ratios - 1.0)) <= 1e-5

@@ -218,6 +218,27 @@ def test_split_checks_at_half_order_have_an_exact_zero_remainder(a, s):
     assert dev == 0.0 and ratio == 0.0
 
 
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_half_order_remainder_is_zero_without_panels(monkeypatch, a):
+    # A grid that is no GL-16 rule gives the layer no panels, so every
+    # element comes from bessel_kernel_reduced; at lam = 1/2 the series is
+    # still its one term, so main is full and the remainder exactly 0.
+    monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
+    sizes = _counting_kernel(monkeypatch)
+    p = SymbolParams(a=a, n=3, s=0.2)
+    f = random_test_profile(3)
+    sel = TimeSelector.random(np.linspace(0.0, 12.0, 400), seed=31)
+    assert sel.panels is None
+    parts = selector_parts(f, sel, p)
+    assert sum(sizes) > 0
+    assert not np.any(parts["remainder"])
+    assert np.array_equal(parts["main"], parts["full"])
+    whole = _dense_parts(f, sel, p)
+    scale = np.abs(whole["full"]).max()
+    for part in ("full", "main"):
+        assert np.abs(parts[part] - whole[part]).max() <= 1e-13 * scale, part
+
+
 def test_selector_triple_builds_kernels_once(monkeypatch):
     monkeypatch.setattr(split, "_SELECTOR_MEMO", {})
     passes, original = [], radial.RadialKernel.at_times
